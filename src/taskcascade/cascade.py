@@ -2,10 +2,11 @@
 
 A cascade walks a rooted tree in topological order, initializing every task
 from its parent's refined parameters and refining it for its allocated
-budget with a per-task step size of 1/lambda_max. Baselines reuse the same
-refinement loop: ``individual`` trains every task from scratch, ``star`` and
-``random_tree`` cascade over trivial or uninformed trees rooted at the
-medoid of the distance matrix.
+budget with a per-task step size of 1/lambda_max. Every method runs on one
+executor: ``individual`` is the forest in which every task is a root
+refined from the initial parameters, and ``star`` and ``random_tree``
+cascade over trivial or uninformed trees rooted at the medoid of the
+distance matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -118,24 +120,24 @@ def _valid_order(tree: RootedTree, order: list[int]) -> bool:
     return all(position[tree.parent[v]] < position[v] for v in tree.parent)
 
 
-def run_cascade(
+def _refine_forest(
     collection: TaskCollection,
-    tree: RootedTree,
     budgets: BudgetAllocation,
-    theta_init: np.ndarray | None = None,
-    order: list[int] | None = None,
+    parent: Mapping[int, int],
+    order: Iterable[int],
+    theta_init: np.ndarray | None,
+    step_sizes: Mapping[int, float] | None,
 ) -> CascadeResult:
-    """Execute one cascade over ``tree`` with the given budgets.
+    """Refine every task in ``order`` and evaluate the results.
 
-    The root's dummy parent is ``theta_init`` (zeros by default). ``order``
-    may supply any topological order of the tree; results are identical for
-    all of them since a task depends only on its parent's final parameters.
+    A task with an entry in ``parent`` starts from its parent's refined
+    parameters, which ``order`` must have produced already; every other
+    task starts from ``theta_init`` (zeros by default). The result has no
+    tree and no metric name; callers fill them in.
     """
     _check_budgets(collection, budgets)
-    if order is None:
-        order = topological_order(tree)
-    elif not _valid_order(tree, order):
-        raise ConfigError("order is not a topological order of the tree")
+    if step_sizes is not None and set(step_sizes) != set(range(len(collection))):
+        raise ConfigError("step sizes do not cover the collection")
     if theta_init is None:
         theta_init = np.zeros(collection.dim)
 
@@ -143,47 +145,15 @@ def run_cascade(
     params: dict[int, np.ndarray] = {}
     steps = 0
     for v in order:
-        parent_theta = params[tree.parent[v]] if v != tree.root else theta_init
+        start_theta = params[parent[v]] if v in parent else theta_init
         task = collection[v]
         b = budgets.per_task[v]
-        eta = 1.0 / lambda_max(task.X_train)
+        if step_sizes is None:
+            eta = 1.0 / lambda_max(task.X_train)
+        else:
+            eta = step_sizes[v]
         try:
-            params[v] = refine(parent_theta, task.X_train, task.y_train, b, eta)
-        except TaskCascadeError as exc:
-            raise type(exc)(f"task {task.id!r}: {exc}") from exc
-        steps += b
-    test_rmse, train_rmse = _evaluate(collection, params)
-    return CascadeResult(
-        params=params,
-        test_rmse=test_rmse,
-        train_rmse=train_rmse,
-        tree=tree,
-        budgets=budgets,
-        metric_name="",
-        seed=0,
-        wall_time=time.perf_counter() - start,
-        task_ids=collection.ids,
-        steps_executed=steps,
-    )
-
-
-def run_individual(
-    collection: TaskCollection,
-    budgets: BudgetAllocation,
-    theta_init: np.ndarray | None = None,
-) -> CascadeResult:
-    """No-transfer baseline: every task refined from scratch on its own budget."""
-    _check_budgets(collection, budgets)
-    if theta_init is None:
-        theta_init = np.zeros(collection.dim)
-    start = time.perf_counter()
-    params: dict[int, np.ndarray] = {}
-    steps = 0
-    for i, task in enumerate(collection):
-        b = budgets.per_task[i]
-        eta = 1.0 / lambda_max(task.X_train)
-        try:
-            params[i] = refine(theta_init, task.X_train, task.y_train, b, eta)
+            params[v] = refine(start_theta, task.X_train, task.y_train, b, eta)
         except TaskCascadeError as exc:
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
         steps += b
@@ -194,12 +164,55 @@ def run_individual(
         train_rmse=train_rmse,
         tree=None,
         budgets=budgets,
-        metric_name="none",
+        metric_name="",
         seed=0,
         wall_time=time.perf_counter() - start,
         task_ids=collection.ids,
         steps_executed=steps,
     )
+
+
+def run_cascade(
+    collection: TaskCollection,
+    tree: RootedTree,
+    budgets: BudgetAllocation,
+    theta_init: np.ndarray | None = None,
+    order: list[int] | None = None,
+    *,
+    step_sizes: Mapping[int, float] | None = None,
+) -> CascadeResult:
+    """Execute one cascade over ``tree`` with the given budgets.
+
+    The root's dummy parent is ``theta_init`` (zeros by default). ``order``
+    may supply any topological order of the tree; results are identical for
+    all of them since a task depends only on its parent's final parameters.
+    ``step_sizes`` maps every task index to its step size; by default each
+    task uses 1/lambda_max of its training design.
+    """
+    if order is None:
+        order = topological_order(tree)
+    elif not _valid_order(tree, order):
+        raise ConfigError("order is not a topological order of the tree")
+    result = _refine_forest(collection, budgets, tree.parent, order, theta_init, step_sizes)
+    result.tree = tree
+    return result
+
+
+def run_individual(
+    collection: TaskCollection,
+    budgets: BudgetAllocation,
+    theta_init: np.ndarray | None = None,
+) -> CascadeResult:
+    """No-transfer baseline: the forest in which every task is a root.
+
+    Every task is refined from ``theta_init`` (zeros by default) on its own
+    budget.
+    """
+    result = _refine_forest(
+        collection, budgets, {}, range(len(collection)), theta_init, None
+    )
+    result.metric_name = "none"
+    return result
 
 
 def run_method(

@@ -177,6 +177,7 @@ class _Chain:
     designs: list[np.ndarray]
     probes: list[np.ndarray]
     thetas: list[np.ndarray]
+    etas: dict[int, float]
     rhos: list[float]
     a_frob: list[float]
 
@@ -190,13 +191,13 @@ def _build_chain(config: ChainConfig) -> _Chain:
     thetas = [theta0 + (i / m) * config.spacing * direction for i in range(m + 1)]
     designs = [rng.standard_normal((config.n, config.dim)) for _ in range(m + 1)]
     probes = [rng.standard_normal((4, config.dim)) for _ in range(m + 1)]
-    rhos, a_frob = [], []
-    for X in designs:
-        eta = 1.0 / lambda_max(X)
-        rhos.append(contraction_rate(X, eta))
+    etas, rhos, a_frob = {}, [], []
+    for i, X in enumerate(designs):
+        etas[i] = 1.0 / lambda_max(X)
+        rhos.append(contraction_rate(X, etas[i]))
         A = np.linalg.solve(X.T @ X, X.T)
         a_frob.append(float(np.linalg.norm(A, ord="fro")))
-    return _Chain(designs, probes, thetas, rhos, a_frob)
+    return _Chain(designs, probes, thetas, etas, rhos, a_frob)
 
 
 def _chain_collection(chain: _Chain, noises: list[np.ndarray] | None) -> TaskCollection:
@@ -242,7 +243,9 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
         )
         budgets_list[0] = root_b
         budgets = BudgetAllocation(dict(enumerate(budgets_list)), sum(budgets_list))
-        result = run_cascade(_chain_collection(chain, None), tree, budgets)
+        result = run_cascade(
+            _chain_collection(chain, None), tree, budgets, step_sizes=chain.etas
+        )
         init_error = float(np.linalg.norm(result.params[0] - chain.thetas[0]))
         spec = PathSpec(
             rhos=chain.rhos[1:],
@@ -274,7 +277,9 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
         ]
         noises[0][:] = 0.0  # the root is exact; noise there is never consumed
         collection = _chain_collection(chain, noises)
-        result = run_cascade(collection, tree, budgets, theta_init=chain.thetas[0])
+        result = run_cascade(
+            collection, tree, budgets, theta_init=chain.thetas[0], step_sizes=chain.etas
+        )
         errors.append(float(np.linalg.norm(result.params[m] - chain.thetas[m])))
     errors_arr = np.asarray(errors)
     mc_mean = float(errors_arr.mean())

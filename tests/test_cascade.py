@@ -112,6 +112,21 @@ class TestRunCascade:
         for v in range(4):
             assert np.array_equal(a.params[v], b.params[v])
 
+    def test_given_step_sizes_replace_lambda_max(self, rng):
+        collection = make_collection(rng, T=4, n=16, d=3)
+        tree = star_tree(4, 0)
+        budgets = uniform_default(tree, 40)
+        etas = {v: 1.0 / lambda_max(t.X_train) for v, t in enumerate(collection)}
+        default = run_cascade(collection, tree, budgets)
+        given = run_cascade(collection, tree, budgets, step_sizes=etas)
+        for v in range(4):
+            assert np.array_equal(default.params[v], given.params[v])
+        halved = run_cascade(collection, tree, budgets,
+                             step_sizes={v: e / 2 for v, e in etas.items()})
+        assert not np.array_equal(default.params[1], halved.params[1])
+        with pytest.raises(ConfigError):
+            run_cascade(collection, tree, budgets, step_sizes={0: etas[0]})
+
 
 class TestRunIndividual:
     def test_uniform_budget_split(self, rng):
@@ -139,7 +154,8 @@ class TestRunIndividual:
             theta = np.zeros(4)
             for _ in range(11):
                 theta = theta - eta * (task.X_train.T @ (task.X_train @ theta - task.y_train))
-            assert np.array_equal(result.params[i], theta)
+            # the closed-form refine agrees with the step loop to round-off
+            assert np.linalg.norm(result.params[i] - theta) <= 1e-12 * np.linalg.norm(theta)
 
 
 class TestRunMethod:
