@@ -25,9 +25,6 @@ from .distances import (
     DistanceParams,
     METRIC_NAMES,
     compute_distance_matrix,
-    feature_family_distance,
-    optimization_family_distance,
-    target_family_distance,
     task_distance,
 )
 from .errors import (
@@ -42,6 +39,7 @@ from .errors import (
 )
 from .graph import (
     RootedTree,
+    build_tree,
     decode_pruefer,
     depths,
     medoid,
@@ -52,8 +50,6 @@ from .graph import (
     topological_order,
 )
 from .linmodel import (
-    ContractionProfile,
-    ModelParams,
     contraction_rate,
     default_step_size,
     lambda_max,

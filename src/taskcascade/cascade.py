@@ -24,17 +24,7 @@ import numpy as np
 from .budget import AllocationScheme, BudgetAllocation, allocate, split_uniform
 from .distances import DistanceParams, METRIC_NAMES, compute_distance_matrix
 from .errors import ConfigError, ShapeMismatchError, TaskCascadeError
-from .graph import (
-    RootedTree,
-    depths,
-    medoid,
-    mst,
-    random_spanning_tree,
-    root_tree,
-    save_tree,
-    star_tree,
-    topological_order,
-)
+from .graph import RootedTree, build_tree, depths, save_tree, topological_order
 from .linmodel import lambda_max, refine, rmse
 from .seeding import derive_seed, substream
 from .tasks import SyntheticConfig, TaskCollection, generate_synthetic, load_collection
@@ -113,13 +103,6 @@ def _check_budgets(collection: TaskCollection, budgets: BudgetAllocation) -> Non
         raise ConfigError("budget allocation does not cover the collection")
 
 
-def _valid_order(tree: RootedTree, order: list[int]) -> bool:
-    position = {v: k for k, v in enumerate(order)}
-    if len(position) != tree.size or tree.root not in position:
-        return False
-    return all(position[tree.parent[v]] < position[v] for v in tree.parent)
-
-
 def _refine_forest(
     collection: TaskCollection,
     budgets: BudgetAllocation,
@@ -177,22 +160,16 @@ def run_cascade(
     tree: RootedTree,
     budgets: BudgetAllocation,
     theta_init: np.ndarray | None = None,
-    order: list[int] | None = None,
     *,
     step_sizes: Mapping[int, float] | None = None,
 ) -> CascadeResult:
     """Execute one cascade over ``tree`` with the given budgets.
 
-    The root's dummy parent is ``theta_init`` (zeros by default). ``order``
-    may supply any topological order of the tree; results are identical for
-    all of them since a task depends only on its parent's final parameters.
+    The root's dummy parent is ``theta_init`` (zeros by default).
     ``step_sizes`` maps every task index to its step size; by default each
     task uses 1/lambda_max of its training design.
     """
-    if order is None:
-        order = topological_order(tree)
-    elif not _valid_order(tree, order):
-        raise ConfigError("order is not a topological order of the tree")
+    order = topological_order(tree)
     result = _refine_forest(collection, budgets, tree.parent, order, theta_init, step_sizes)
     result.tree = tree
     return result
@@ -243,14 +220,8 @@ def run_method(
     metric = config.metric_name or DEFAULT_MEDOID_METRIC
     dist_params = replace(config.distance_params, seed=derive_seed(seed, "dist"))
     matrix = compute_distance_matrix(collection, metric, dist_params)
-    root = medoid(matrix)
-    if config.method == "star":
-        tree = star_tree(T, root, matrix)
-    elif config.method == "random_tree":
-        edges = random_spanning_tree(T, substream(seed, "tree"))
-        tree = root_tree(edges, root, matrix)
-    else:
-        tree = root_tree(mst(matrix), root, matrix)
+    kind = "random" if config.method == "random_tree" else config.method
+    tree = build_tree(matrix, kind, seed)
     budgets = allocate(tree, config.budget, config.scheme)
     result = run_cascade(collection, tree, budgets, theta_init)
     result.metric_name = metric
@@ -258,13 +229,14 @@ def run_method(
     return result
 
 
-def _run_replicate(args: tuple[ExperimentConfig, int]) -> CascadeResult:
-    config, r = args
+def _run_replicate(
+    args: tuple[ExperimentConfig, int, TaskCollection | None],
+) -> CascadeResult:
+    """Replicate ``r`` on the loaded collection, or on its own synthetic one."""
+    config, r, collection = args
     rep_seed = derive_seed(config.seed, "replicate", r)
-    if config.synthetic is not None:
+    if collection is None:
         collection, _ = generate_synthetic(replace(config.synthetic, seed=rep_seed))
-    else:
-        collection = load_collection(config.data_path)
     return run_method(config, collection, seed=rep_seed)
 
 
@@ -284,13 +256,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the method over ``num_seeds`` replicates and aggregate test RMSE.
 
     Replicates are independent: each derives its own seed, regenerates the
-    synthetic data (a data path is loaded as-is), and runs the method. With
-    ``jobs > 1`` replicates run in a process pool; the output is identical
-    for any jobs value.
+    synthetic data (a data path is loaded once and shared as-is), and runs
+    the method. With ``jobs > 1`` replicates run in a process pool; the
+    output is identical for any jobs value.
     """
     config.validate()
     start = time.perf_counter()
-    work = [(config, r) for r in range(config.num_seeds)]
+    loaded = None if config.data_path is None else load_collection(config.data_path)
+    work = [(config, r, loaded) for r in range(config.num_seeds)]
     if jobs == 1 or config.num_seeds == 1:
         results = [_run_replicate(w) for w in work]
     else:

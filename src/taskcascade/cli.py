@@ -43,12 +43,10 @@ from .distances import (
     save_distance_matrix,
 )
 from .errors import ConfigError, DataFormatError, TaskCascadeError
-from .graph import medoid, mst, random_spanning_tree, root_tree, save_tree, star_tree
-from .seeding import derive_seed, substream
+from .graph import TREE_KINDS, build_tree, save_tree
+from .seeding import derive_seed
 from .tasks import SyntheticConfig, generate_synthetic, load_collection, save_collection
 from .theory import ChainConfig, verify_bounds
-
-TREE_METHODS = ("mst", "star", "random")
 
 
 def _load_json(path: str | Path) -> dict:
@@ -162,17 +160,10 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     matrix = load_distance_matrix(args.dist)
-    root = medoid(matrix)
-    if args.method == "mst":
-        tree = root_tree(mst(matrix), root, matrix)
-    elif args.method == "star":
-        tree = star_tree(matrix.size, root, matrix)
-    else:
-        seed = args.seed if args.seed is not None else 0
-        edges = random_spanning_tree(matrix.size, substream(seed, "tree"))
-        tree = root_tree(edges, root, matrix)
+    seed = args.seed if args.seed is not None else 0
+    tree = build_tree(matrix, args.method, seed)
     save_tree(tree, args.out, ids=matrix.task_ids)
-    print(f"wrote {args.method} tree rooted at {matrix.task_ids[root]} to {args.out}")
+    print(f"wrote {args.method} tree rooted at {matrix.task_ids[tree.root]} to {args.out}")
     return 0
 
 
@@ -308,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="build a tree from a distance matrix")
     p.add_argument("dist", help="distance matrix CSV")
-    p.add_argument("--method", choices=TREE_METHODS, default="mst")
+    p.add_argument("--method", choices=TREE_KINDS, default="mst")
     p.add_argument("--out", required=True, help="tree CSV to write")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_tree)

@@ -12,17 +12,24 @@ Ten metrics in three families, all computed from training splits only:
 * optimization family: ``gradient`` (gradients at initialization) and
   ``model`` (ridge solutions).
 
+Every metric is one entry of the ``_METRICS`` table: a summary of one task's
+training split (its features, targets, normalized X^T y, ridge solution,
+or random Fourier projection with within-task distances) and a distance
+between two summaries. :func:`compute_distance_matrix` summarizes each task
+once and then reduces every pair; :func:`task_distance` is the same
+computation on two tasks, so a pair call equals the matching matrix entry
+exactly.
+
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
-from scipy.stats import wasserstein_distance
 
 from .errors import ConfigError, DegenerateDesignError, ShapeMismatchError, TaskCascadeError
 from .linmodel import default_ridge_lambda, ridge_solution
@@ -99,10 +106,17 @@ def _features(task: TaskDataset, params: DistanceParams) -> np.ndarray:
     return _standardized(X) if params.standardize else X
 
 
+def _sample_features(task: TaskDataset, params: DistanceParams) -> np.ndarray:
+    """Features of a task with the 2 samples a covariance or centering needs."""
+    if task.n_train < 2:
+        raise DegenerateDesignError("gauss_meancov and cka need at least 2 samples")
+    return _features(task, params)
+
+
 def _rff_projection(params: DistanceParams, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared random Fourier frequencies and phases for dimension d.
 
-    Derived from params.seed only, so every pair of a matrix computation
+    Derived from params.seed only, so every task of a matrix computation
     (and any standalone pair call with the same params) uses one embedding.
     """
     rng = substream(params.seed, "rff", d)
@@ -111,35 +125,62 @@ def _rff_projection(params: DistanceParams, d: int) -> tuple[np.ndarray, np.ndar
     return freqs, phases
 
 
-def median_bandwidth(pooled: np.ndarray) -> float:
-    """Median pairwise Euclidean distance; 1.0 when the median degenerates to 0."""
-    med = float(np.median(pdist(pooled)))
+def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B.
+
+    Summed from coordinate differences one column at a time, the order a
+    direct pairwise loop uses, so a distance does not depend on the block
+    it is computed in.
+    """
+    sq = np.zeros((A.shape[0], B.shape[0]))
+    for a, b in zip(A.T, B.T):
+        sq += (a[:, None] - b) ** 2
+    return sq
+
+
+def _within(X: np.ndarray) -> np.ndarray:
+    """Squared distances of all unordered pairs of rows of X."""
+    return _sq_distances(X, X)[np.triu_indices(X.shape[0], 1)]
+
+
+def _median_distance(sq: np.ndarray) -> float:
+    med = float(np.median(np.sqrt(sq)))
     return med if med > 0 else 1.0
 
 
-def _mmd_rff(
-    Xu: np.ndarray,
-    Xv: np.ndarray,
-    params: DistanceParams,
-    projection: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    if projection is None:
-        projection = _rff_projection(params, Xu.shape[1])
-    freqs, phases = projection
-    sigma = median_bandwidth(np.vstack([Xu, Xv]))
+def median_bandwidth(pooled: np.ndarray) -> float:
+    """Median pairwise Euclidean distance; 1.0 when the median degenerates to 0."""
+    return _median_distance(_within(pooled))
+
+
+def _rff_summary(task: TaskDataset, params: DistanceParams):
+    X = _features(task, params)
+    freqs, phases = _rff_projection(params, X.shape[1])
+    return X, _within(X), X @ freqs.T, phases
+
+
+def _mmd_rff(u, v, params: DistanceParams) -> float:
+    """RFF MMD at the median bandwidth of the pooled samples.
+
+    The pooled pairwise distances are the two tasks' own, kept in their
+    summaries, plus the cross block.
+    """
+    (Xu, Wu, Pu, phases), (Xv, Wv, Pv, _) = u, v
+    cross = _sq_distances(Xu, Xv).ravel()
+    sigma = _median_distance(np.concatenate([Wu, Wv, cross]))
     scale = np.sqrt(2.0 / params.rff_dim)
 
-    def embed(X: np.ndarray) -> np.ndarray:
-        return (scale * np.cos(X @ freqs.T / sigma + phases)).mean(axis=0)
+    def embed(P: np.ndarray) -> np.ndarray:
+        return (scale * np.cos(P / sigma + phases)).mean(axis=0)
 
-    return float(np.linalg.norm(embed(Xu) - embed(Xv)))
+    return float(np.linalg.norm(embed(Pu) - embed(Pv)))
 
 
 def _mean_var_embedding(X: np.ndarray) -> np.ndarray:
     return np.concatenate([X.mean(axis=0), X.var(axis=0)])
 
 
-def _feature_distance(Xu: np.ndarray, Xv: np.ndarray) -> float:
+def _feature_distance(Xu: np.ndarray, Xv: np.ndarray, params: DistanceParams) -> float:
     if Xu.shape == Xv.shape:
         diff = Xu.ravel() - Xv.ravel()
     else:
@@ -147,17 +188,17 @@ def _feature_distance(Xu: np.ndarray, Xv: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _gauss_meancov(Xu: np.ndarray, Xv: np.ndarray) -> float:
-    if min(Xu.shape[0], Xv.shape[0]) < 2:
-        raise DegenerateDesignError("gauss_meancov needs at least 2 samples per task")
-    mean_gap = np.linalg.norm(Xu.mean(axis=0) - Xv.mean(axis=0))
-    cov_gap = np.linalg.norm(
-        np.cov(Xu, rowvar=False) - np.cov(Xv, rowvar=False), ord="fro"
-    )
-    return float(mean_gap + cov_gap)
+def _mean_cov(task: TaskDataset, params: DistanceParams):
+    X = _sample_features(task, params)
+    return X.mean(axis=0), np.cov(X, rowvar=False)
 
 
-def _cka_distance(Xu: np.ndarray, Xv: np.ndarray) -> float:
+def _gauss_meancov(u, v, params: DistanceParams) -> float:
+    (mu_u, cov_u), (mu_v, cov_v) = u, v
+    return float(np.linalg.norm(mu_u - mu_v) + np.linalg.norm(cov_u - cov_v, ord="fro"))
+
+
+def _cka_distance(Xu: np.ndarray, Xv: np.ndarray, params: DistanceParams) -> float:
     """One minus linear CKA, with rows paired by index.
 
     Unequal sample counts are truncated to the shorter task. Zero-variance
@@ -165,8 +206,6 @@ def _cka_distance(Xu: np.ndarray, Xv: np.ndarray) -> float:
     tasks are at distance 0 and a degenerate/non-degenerate pair at 1.
     """
     n = min(Xu.shape[0], Xv.shape[0])
-    if n < 2:
-        raise DegenerateDesignError("cka needs at least 2 samples per task")
     Zu = Xu[:n] - Xu[:n].mean(axis=0)
     Zv = Xv[:n] - Xv[:n].mean(axis=0)
     cross = Zu.T @ Zv
@@ -179,25 +218,8 @@ def _cka_distance(Xu: np.ndarray, Xv: np.ndarray) -> float:
     return float(min(max(1.0 - cka, 0.0), 1.0))
 
 
-def feature_family_distance(
-    u: TaskDataset,
-    v: TaskDataset,
-    metric: str,
-    params: DistanceParams | None = None,
-    _projection: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Distance between training feature matrices under the named metric."""
-    params = params or DistanceParams()
-    Xu, Xv = _features(u, params), _features(v, params)
-    if metric == "feature":
-        return _feature_distance(Xu, Xv)
-    if metric == "mmd":
-        return _mmd_rff(Xu, Xv, params, _projection)
-    if metric == "gauss_meancov":
-        return _gauss_meancov(Xu, Xv)
-    if metric == "cka":
-        return _cka_distance(Xu, Xv)
-    raise ConfigError(f"unknown feature metric {metric!r}; valid: {FEATURE_METRICS}")
+def _targets(task: TaskDataset, params: DistanceParams) -> np.ndarray:
+    return task.y_train
 
 
 def _pair_histograms(
@@ -223,64 +245,95 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def target_family_distance(
-    u: TaskDataset,
-    v: TaskDataset,
-    metric: str,
-    params: DistanceParams | None = None,
-) -> float:
-    """Distance between training target vectors under the named metric."""
-    params = params or DistanceParams()
-    yu, yv = u.y_train, v.y_train
-    if metric == "target":
-        if yu.shape != yv.shape:
-            raise ShapeMismatchError(
-                f"target distance needs equal lengths, got {yu.shape[0]} and {yv.shape[0]}"
-            )
-        return float(np.linalg.norm(yu - yv))
-    if metric == "sym_kl":
-        p, q = _pair_histograms(yu, yv, params)
-        return 0.5 * (_kl(p, q) + _kl(q, p))
-    if metric == "js":
-        p, q = _pair_histograms(yu, yv, params)
-        m = 0.5 * (p + q)
-        return float(np.sqrt(max(0.5 * _kl(p, m) + 0.5 * _kl(q, m), 0.0)))
-    if metric == "wasserstein":
-        return float(wasserstein_distance(yu, yv))
-    raise ConfigError(f"unknown target metric {metric!r}; valid: {TARGET_METRICS}")
+def _sym_kl(yu: np.ndarray, yv: np.ndarray, params: DistanceParams) -> float:
+    p, q = _pair_histograms(yu, yv, params)
+    return 0.5 * (_kl(p, q) + _kl(q, p))
 
 
-def optimization_family_distance(
-    u: TaskDataset,
-    v: TaskDataset,
-    metric: str,
-    params: DistanceParams | None = None,
-) -> float:
-    """Distance between optimization-geometry summaries of two tasks."""
-    params = params or DistanceParams()
-    if u.dim != v.dim:
+def _js(yu: np.ndarray, yv: np.ndarray, params: DistanceParams) -> float:
+    p, q = _pair_histograms(yu, yv, params)
+    m = 0.5 * (p + q)
+    return float(np.sqrt(max(0.5 * _kl(p, m) + 0.5 * _kl(q, m), 0.0)))
+
+
+def _sorted_targets(task: TaskDataset, params: DistanceParams) -> np.ndarray:
+    return np.sort(task.y_train)
+
+
+def _wasserstein(su: np.ndarray, sv: np.ndarray, params: DistanceParams) -> float:
+    """Exact 1-d W1 of two sorted samples: the integral of their CDF gap."""
+    pooled = np.concatenate([su, sv])
+    pooled.sort(kind="mergesort")
+    cdf_u = su.searchsorted(pooled[:-1], "right") / su.size
+    cdf_v = sv.searchsorted(pooled[:-1], "right") / sv.size
+    return float(np.dot(np.abs(cdf_u - cdf_v), np.diff(pooled)))
+
+
+def _gradient(task: TaskDataset, params: DistanceParams) -> np.ndarray:
+    g = task.X_train.T @ task.y_train
+    norm = np.linalg.norm(g)
+    return g / norm if params.normalize_gradients and norm > 0 else g
+
+
+def _ridge(task: TaskDataset, params: DistanceParams) -> np.ndarray:
+    lam = params.ridge_lambda
+    if lam is None:
+        lam = default_ridge_lambda(task.X_train)
+    return ridge_solution(task.X_train, task.y_train, lam)
+
+
+def _euclidean(a: np.ndarray, b: np.ndarray, params: DistanceParams) -> float:
+    if a.shape != b.shape:
         raise ShapeMismatchError(
-            f"tasks {u.id!r} and {v.id!r} have dimensions {u.dim} != {v.dim}"
+            f"Euclidean distance needs equal lengths, got {a.shape[0]} and {b.shape[0]}"
         )
-    if metric == "gradient":
-        gu = u.X_train.T @ u.y_train
-        gv = v.X_train.T @ v.y_train
-        if params.normalize_gradients:
-            nu, nv = np.linalg.norm(gu), np.linalg.norm(gv)
-            gu = gu / nu if nu > 0 else gu
-            gv = gv / nv if nv > 0 else gv
-        return float(np.linalg.norm(gu - gv))
-    if metric == "model":
-        def solve(t: TaskDataset) -> np.ndarray:
-            lam = params.ridge_lambda
-            if lam is None:
-                lam = default_ridge_lambda(t.X_train)
-            return ridge_solution(t.X_train, t.y_train, lam)
+    return float(np.linalg.norm(a - b))
 
-        return float(np.linalg.norm(solve(u) - solve(v)))
-    raise ConfigError(
-        f"unknown optimization metric {metric!r}; valid: {OPTIMIZATION_METRICS}"
-    )
+
+# metric -> (summary of one task's training split, distance of two summaries)
+_METRICS: dict[str, tuple[Callable, Callable]] = {
+    "feature": (_features, _feature_distance),
+    "mmd": (_rff_summary, _mmd_rff),
+    "gauss_meancov": (_mean_cov, _gauss_meancov),
+    "cka": (_sample_features, _cka_distance),
+    "target": (_targets, _euclidean),
+    "sym_kl": (_targets, _sym_kl),
+    "js": (_targets, _js),
+    "wasserstein": (_sorted_targets, _wasserstein),
+    "gradient": (_gradient, _euclidean),
+    "model": (_ridge, _euclidean),
+}
+
+
+def _pairwise(
+    tasks: Sequence[TaskDataset], metric: str, params: DistanceParams | None
+) -> np.ndarray:
+    """Summarize every task once, then reduce every unordered pair.
+
+    Errors name the task whose summary failed, or the pair whose distance did.
+    """
+    if metric not in _METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
+    summarize, distance = _METRICS[metric]
+    params = params or DistanceParams()
+    summaries = []
+    for task in tasks:
+        try:
+            summaries.append(summarize(task, params))
+        except TaskCascadeError as exc:
+            raise type(exc)(f"task {task.id!r}: {exc}") from exc
+    T = len(tasks)
+    values = np.zeros((T, T))
+    for i in range(T):
+        for j in range(i + 1, T):
+            try:
+                d = distance(summaries[i], summaries[j], params)
+            except TaskCascadeError as exc:
+                raise type(exc)(
+                    f"pair ({tasks[i].id!r}, {tasks[j].id!r}): {exc}"
+                ) from exc
+            values[i, j] = values[j, i] = d
+    return values
 
 
 def task_distance(
@@ -288,16 +341,16 @@ def task_distance(
     v: TaskDataset,
     metric: str,
     params: DistanceParams | None = None,
-    _projection: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Dispatch to the family implementing the named metric."""
-    if metric in FEATURE_METRICS:
-        return feature_family_distance(u, v, metric, params, _projection)
-    if metric in TARGET_METRICS:
-        return target_family_distance(u, v, metric, params)
-    if metric in OPTIMIZATION_METRICS:
-        return optimization_family_distance(u, v, metric, params)
-    raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
+    """Distance between two tasks' training splits under the named metric.
+
+    Equal to the (u, v) entry of a matrix computed with the same params.
+    """
+    if u.dim != v.dim:
+        raise ShapeMismatchError(
+            f"tasks {u.id!r} and {v.id!r} have dimensions {u.dim} != {v.dim}"
+        )
+    return float(_pairwise([u, v], metric, params)[0, 1])
 
 
 def compute_distance_matrix(
@@ -306,28 +359,7 @@ def compute_distance_matrix(
     params: DistanceParams | None = None,
 ) -> DistanceMatrix:
     """Pairwise distances over all unordered task pairs, training splits only."""
-    if metric_name not in METRIC_NAMES:
-        raise ConfigError(
-            f"unknown metric {metric_name!r}; valid: {sorted(METRIC_NAMES)}"
-        )
-    params = params or DistanceParams()
-    projection = None
-    if metric_name == "mmd" and len(collection) > 0:
-        projection = _rff_projection(params, collection.dim)
-
-    T = len(collection)
-    values = np.zeros((T, T))
-    for i in range(T):
-        for j in range(i + 1, T):
-            try:
-                d = task_distance(
-                    collection[i], collection[j], metric_name, params, projection
-                )
-            except TaskCascadeError as exc:
-                raise type(exc)(
-                    f"pair ({collection[i].id!r}, {collection[j].id!r}): {exc}"
-                ) from exc
-            values[i, j] = values[j, i] = d
+    values = _pairwise(collection.tasks, metric_name, params)
     return DistanceMatrix(values, metric_name, collection.ids)
 
 

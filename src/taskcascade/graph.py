@@ -13,10 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import ConfigError, GraphError
 from .distances import DistanceMatrix
+from .seeding import substream
 
 Edge = tuple[int, int]
+TREE_KINDS = ("mst", "star", "random")
 
 
 @dataclass
@@ -207,6 +209,24 @@ def star_tree(
         raise GraphError(f"root {root} out of range for {num_nodes} nodes")
     edges = [(min(root, v), max(root, v)) for v in range(num_nodes) if v != root]
     return root_tree(sorted(edges), root, dist)
+
+
+def build_tree(dist: DistanceMatrix, kind: str, seed: int = 0) -> RootedTree:
+    """The ``kind`` tree over the tasks of ``dist``, rooted at its medoid.
+
+    ``mst`` is the minimum spanning tree, ``star`` links every task to the
+    root, and ``random`` is a uniform random spanning tree drawn from the
+    substream (seed, "tree"). Edge lengths are looked up in ``dist``.
+    """
+    root = medoid(dist)
+    if kind == "mst":
+        return root_tree(mst(dist), root, dist)
+    if kind == "star":
+        return star_tree(dist.size, root, dist)
+    if kind == "random":
+        edges = random_spanning_tree(dist.size, substream(seed, "tree"))
+        return root_tree(edges, root, dist)
+    raise ConfigError(f"unknown tree kind {kind!r}; valid: {TREE_KINDS}")
 
 
 def topological_order(tree: RootedTree) -> list[int]:

@@ -17,29 +17,12 @@ X^T X is positive definite, so errors decay geometrically in the step count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import DegenerateDesignError, DivergenceError, ShapeMismatchError
 
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
-
-
-@dataclass
-class ModelParams:
-    """A parameter vector for one linear model."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
-        if self.theta.ndim != 1:
-            raise ShapeMismatchError("theta must be a 1-d vector")
-        if not np.isfinite(self.theta).all():
-            raise DivergenceError("theta has non-finite entries")
 
 
 def _gram(X: np.ndarray) -> np.ndarray:
@@ -100,30 +83,6 @@ def contraction_rate(X: np.ndarray, eta: float) -> float:
     return float(np.max(np.abs(1.0 - _scaled_spectrum(lam, eta))))
 
 
-@dataclass
-class ContractionProfile:
-    """Per-task step size and contraction rate of the refinement operator."""
-
-    eta: float
-    lambda_max: float
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 2.0 / self.lambda_max:
-            raise DegenerateDesignError(
-                f"eta={self.eta} outside (0, {2.0 / self.lambda_max})"
-            )
-        if not self.rho < 1.0:
-            raise DegenerateDesignError(f"rho={self.rho} is not a contraction")
-
-    @classmethod
-    def from_design(cls, X: np.ndarray, eta: float | None = None) -> "ContractionProfile":
-        lam = lambda_max(X)
-        if eta is None:
-            eta = 1.0 / lam
-        return cls(eta=eta, lambda_max=lam, rho=contraction_rate(X, eta))
-
-
 def refine(
     theta0: np.ndarray,
     X: np.ndarray,
@@ -175,7 +134,7 @@ def refine(
 
 
 def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
-    """Solve (X^T X + lam I) theta = X^T y via a Cholesky factorization."""
+    """Solve (X^T X + lam I) theta = X^T y with its Cholesky factor L L^T."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
@@ -184,12 +143,12 @@ def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
     G = _gram(X) + lam * np.eye(X.shape[1])
     try:
-        factor = cho_factor(G, lower=True)
-    except LinAlgError:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
         raise DegenerateDesignError(
             "X^T X + lam I is singular; increase lam or check the design"
         ) from None
-    return cho_solve(factor, X.T @ y)
+    return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
 
 
 def default_ridge_lambda(X: np.ndarray) -> float:

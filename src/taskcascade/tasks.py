@@ -19,6 +19,9 @@ from .errors import ConfigError, DataFormatError, ShapeMismatchError
 from .seeding import substream
 
 MANIFEST_NAME = "manifest.json"
+# Task ids name the collection's CSV files and the header of a distance
+# matrix CSV, so they may not leave the directory or split a CSV cell.
+_FORBIDDEN_IN_ID = ("/", "\\", "..", ",", "\n", "\r")
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:
@@ -50,6 +53,13 @@ class TaskDataset:
     y_test: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id or any(
+            s in self.id for s in _FORBIDDEN_IN_ID
+        ):
+            raise DataFormatError(
+                f"invalid task id {self.id!r}: ids must be non-empty strings "
+                "without '/', '\\', '..', ',' or line breaks"
+            )
         self.X_train = _as_float_matrix(self.X_train, "X_train")
         self.y_train = _as_float_vector(self.y_train, "y_train")
         self.X_test = _as_float_matrix(self.X_test, "X_test")

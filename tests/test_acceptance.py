@@ -21,8 +21,8 @@ from taskcascade.distances import (
     DistanceParams,
     METRIC_NAMES,
     compute_distance_matrix,
-    feature_family_distance,
     median_bandwidth,
+    task_distance,
 )
 from taskcascade.graph import decode_pruefer, mst, random_spanning_tree, root_tree
 from taskcascade.linmodel import (
@@ -220,7 +220,7 @@ def test_08_distance_axioms_and_mmd_oracle():
             Xv = rng.standard_normal((200, 5)) + 3.0 / math.sqrt(5)
             u = TaskDataset("u", Xu, np.zeros(200), Xu[:1], np.zeros(1))
             v = TaskDataset("v", Xv, np.zeros(200), Xv[:1], np.zeros(1))
-            approx = feature_family_distance(u, v, "mmd", params)
+            approx = task_distance(u, v, "mmd", params)
             sigma = median_bandwidth(np.vstack([Xu, Xv]))
 
             def gram(A, B):

@@ -78,23 +78,6 @@ class TestRunCascade:
         result = run_cascade(collection, tree, budgets)
         assert result.steps_executed == 73
 
-    def test_schedule_independence(self, rng):
-        collection = make_collection(rng, T=6, n=20, d=3)
-        tree = root_tree([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)], 0)
-        budgets = uniform_default(tree, 60)
-        bfs = run_cascade(collection, tree, budgets)
-        dfs_order = [0, 2, 5, 1, 4, 3]
-        dfs = run_cascade(collection, tree, budgets, order=dfs_order)
-        for v in range(6):
-            assert np.array_equal(bfs.params[v], dfs.params[v])
-
-    def test_invalid_order_rejected(self, rng):
-        collection = make_collection(rng, T=3, n=12, d=3)
-        tree = chain_tree(3)
-        budgets = uniform_default(tree, 30)
-        with pytest.raises(ConfigError):
-            run_cascade(collection, tree, budgets, order=[2, 1, 0])
-
     def test_test_data_never_influences_training(self, rng):
         collection = make_collection(rng, T=4, n=20, d=3)
         swapped = TaskCollection(

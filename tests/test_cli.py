@@ -112,6 +112,21 @@ class TestDist:
         assert with_test.read_bytes() == without_test.read_bytes()
 
 
+    @pytest.mark.parametrize("bad_id", ["a,b", "../escape"])
+    def test_unsafe_task_id_exits_2_and_writes_nothing(self, gen_config, tmp_path,
+                                                       bad_id, capsys):
+        col = tmp_path / "col"
+        main(["gen", gen_config, "--out", str(col)])
+        manifest = json.loads((col / "manifest.json").read_text())
+        manifest["tasks"][2]["id"] = bad_id
+        (col / "manifest.json").write_text(json.dumps(manifest))
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        out = tmp_path / "d.csv"
+        assert main(["dist", str(col), "--metric", "gradient", "--out", str(out)]) == 2
+        assert "invalid task id" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 class TestTree:
     def make_matrix(self, gen_config, tmp_path, metric="gradient"):
         col = tmp_path / "col"
@@ -163,6 +178,26 @@ class TestRun:
             assert main(["run", run_config, "--out", str(out), "--jobs", jobs]) == 0
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_data_path_loaded_once_and_identical_any_jobs(self, gen_config, tmp_path,
+                                                           monkeypatch):
+        from taskcascade import cascade
+
+        col = tmp_path / "col"
+        main(["gen", gen_config, "--out", str(col)])
+        cfg = write_json(tmp_path / "run.json", {
+            "method": "random_tree", "budget": 40, "num_seeds": 3, "seed": 4,
+            "data_path": str(col),
+        })
+        loads = []
+        monkeypatch.setattr(cascade, "load_collection",
+                            lambda path: loads.append(path) or load_collection(path))
+        outs = []
+        for name, jobs in (("r1", "1"), ("r2", "2")):
+            assert main(["run", cfg, "--out", str(tmp_path / name), "--jobs", jobs]) == 0
+            outs.append(tree_bytes(tmp_path / name))
+        assert outs[0] == outs[1]
+        assert len(loads) == 2  # one per run, not one per replicate
 
     def test_individual_has_no_tree_file(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", {

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +12,9 @@ from taskcascade.distances import (
     DistanceParams,
     METRIC_NAMES,
     compute_distance_matrix,
-    feature_family_distance,
     load_distance_matrix,
     median_bandwidth,
-    optimization_family_distance,
     save_distance_matrix,
-    target_family_distance,
     task_distance,
 )
 from taskcascade.errors import ConfigError, DegenerateDesignError, ShapeMismatchError
@@ -71,25 +72,25 @@ class TestFeatureFamily:
         t = make_task(rng, n=16, d=3)
         u = TaskDataset("u", t.X_train, t.y_train, t.X_test, t.y_test)
         for metric in ("feature", "mmd", "gauss_meancov"):
-            assert feature_family_distance(u, t, metric) == 0.0
-        assert feature_family_distance(u, t, "cka") < 1e-12
+            assert task_distance(u, t, metric) == 0.0
+        assert task_distance(u, t, "cka") < 1e-12
 
     def test_gauss_meancov_point_masses(self):
         u = task_from(np.zeros((4, 2)))
         v = task_from(np.tile([3.0, 4.0], (4, 1)))
-        assert feature_family_distance(u, v, "gauss_meancov") == pytest.approx(5.0)
+        assert task_distance(u, v, "gauss_meancov") == pytest.approx(5.0)
 
     def test_gauss_meancov_needs_two_samples(self):
         u = task_from(np.zeros((1, 2)))
         v = task_from(np.ones((4, 2)))
         with pytest.raises(DegenerateDesignError):
-            feature_family_distance(u, v, "gauss_meancov")
+            task_distance(u, v, "gauss_meancov")
 
     def test_feature_distance_same_shape(self, rng):
         Xu = rng.standard_normal((6, 3))
         Xv = rng.standard_normal((6, 3))
         want = math.sqrt(np.mean((Xu - Xv) ** 2))
-        assert feature_family_distance(task_from(Xu), task_from(Xv), "feature") == \
+        assert task_distance(task_from(Xu), task_from(Xv), "feature") == \
             pytest.approx(want)
 
     def test_feature_distance_shape_mismatch_uses_moment_embedding(self, rng):
@@ -98,7 +99,7 @@ class TestFeatureFamily:
         eu = np.concatenate([Xu.mean(0), Xu.var(0)])
         ev = np.concatenate([Xv.mean(0), Xv.var(0)])
         want = math.sqrt(np.mean((eu - ev) ** 2))
-        assert feature_family_distance(task_from(Xu), task_from(Xv), "feature") == \
+        assert task_distance(task_from(Xu), task_from(Xv), "feature") == \
             pytest.approx(want)
 
     def test_mmd_close_to_exact_kernel_oracle(self):
@@ -109,7 +110,7 @@ class TestFeatureFamily:
             gen = np.random.default_rng(seed)
             Xu = gen.standard_normal((200, 5))
             Xv = gen.standard_normal((200, 5)) + 3.0 / np.sqrt(5)
-            approx = feature_family_distance(task_from(Xu), task_from(Xv), "mmd", params)
+            approx = task_distance(task_from(Xu), task_from(Xv), "mmd", params)
             exact = exact_kernel_mmd(Xu, Xv)
             assert abs(approx - exact) / exact < 0.05
 
@@ -117,8 +118,8 @@ class TestFeatureFamily:
         gen = np.random.default_rng(3)
         Xu = gen.standard_normal((200, 5))
         Xv = gen.standard_normal((200, 5)) + 1.5
-        approx = feature_family_distance(task_from(Xu), task_from(Xv), "mmd",
-                                         DistanceParams(seed=1))
+        approx = task_distance(task_from(Xu), task_from(Xv), "mmd",
+                               DistanceParams(seed=1))
         exact = exact_kernel_mmd(Xu, Xv)
         assert abs(approx - exact) / exact < 0.15
 
@@ -126,24 +127,24 @@ class TestFeatureFamily:
         Xu = rng.standard_normal((20, 4))
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         Xv = Xu @ Q
-        assert feature_family_distance(task_from(Xu), task_from(Xv), "cka") < 1e-8
+        assert task_distance(task_from(Xu), task_from(Xv), "cka") < 1e-8
 
     def test_cka_scaling_invariance(self, rng):
         Xu = rng.standard_normal((20, 4))
         Xv = 3.7 * Xu
-        assert feature_family_distance(task_from(Xu), task_from(Xv), "cka") < 1e-8
+        assert task_distance(task_from(Xu), task_from(Xv), "cka") < 1e-8
 
     def test_cka_matches_direct_hsic(self, rng):
         Xu = rng.standard_normal((15, 3))
         Xv = rng.standard_normal((15, 3))
-        got = feature_family_distance(task_from(Xu), task_from(Xv), "cka")
+        got = task_distance(task_from(Xu), task_from(Xv), "cka")
         assert got == pytest.approx(1.0 - direct_hsic_cka(Xu, Xv), abs=1e-8)
 
     def test_cka_in_unit_interval(self, rng):
         for _ in range(20):
             Xu = rng.standard_normal((10, 3))
             Xv = rng.standard_normal((12, 3))  # exercises truncation
-            d = feature_family_distance(task_from(Xu), task_from(Xv), "cka")
+            d = task_distance(task_from(Xu), task_from(Xv), "cka")
             assert 0.0 <= d <= 1.0
 
 
@@ -151,30 +152,30 @@ class TestTargetFamily:
     def test_target_euclidean(self):
         u = task_from(np.eye(2), [0.0, 0.0])
         v = task_from(np.eye(2), [3.0, 4.0])
-        assert target_family_distance(u, v, "target") == pytest.approx(5.0)
+        assert task_distance(u, v, "target") == pytest.approx(5.0)
 
     def test_target_length_mismatch(self, rng):
         u = make_task(rng, n=5)
         v = make_task(rng, n=7)
         with pytest.raises(ShapeMismatchError):
-            target_family_distance(u, v, "target")
+            task_distance(u, v, "target")
 
     def test_identical_targets_zero(self, rng):
         t = make_task(rng, n=20)
         u = TaskDataset("u", t.X_train, t.y_train, t.X_test, t.y_test)
         for metric in ("target", "sym_kl", "js", "wasserstein"):
-            assert target_family_distance(u, t, metric) == pytest.approx(0.0, abs=1e-12)
+            assert task_distance(u, t, metric) == pytest.approx(0.0, abs=1e-12)
 
     def test_wasserstein_shifted_pair(self):
         u = task_from(np.eye(2), [0.0, 1.0])
         v = task_from(np.eye(2), [1.0, 2.0])
-        assert target_family_distance(u, v, "wasserstein") == pytest.approx(1.0)
+        assert task_distance(u, v, "wasserstein") == pytest.approx(1.0)
 
     def test_wasserstein_matches_cdf_oracle(self, rng):
         for _ in range(10):
             yu = rng.standard_normal(int(rng.integers(3, 40)))
             yv = rng.standard_normal(int(rng.integers(3, 40))) + rng.normal()
-            got = target_family_distance(
+            got = task_distance(
                 task_from(np.ones((len(yu), 1)), yu),
                 task_from(np.ones((len(yv), 1)), yv),
                 "wasserstein",
@@ -185,14 +186,14 @@ class TestTargetFamily:
         params = DistanceParams(hist_smoothing=1e-8)
         u = task_from(np.ones((3, 1)), [0.0, 0.0, 0.0])
         v = task_from(np.ones((3, 1)), [1.0, 1.0, 1.0])
-        got = target_family_distance(u, v, "js", params)
+        got = task_distance(u, v, "js", params)
         assert got == pytest.approx(math.sqrt(math.log(2.0)), rel=0.02)
 
     def test_sym_kl_is_symmetric_in_arguments(self, rng):
         u = make_task(rng, n=30)
         v = make_task(rng, n=30)
-        assert target_family_distance(u, v, "sym_kl") == pytest.approx(
-            target_family_distance(v, u, "sym_kl")
+        assert task_distance(u, v, "sym_kl") == pytest.approx(
+            task_distance(v, u, "sym_kl")
         )
 
 
@@ -200,7 +201,7 @@ class TestOptimizationFamily:
     def test_gradient_orthonormal_unit_targets(self):
         u = task_from(np.eye(2), [1.0, 0.0])
         v = task_from(np.eye(2), [0.0, 1.0])
-        assert optimization_family_distance(u, v, "gradient") == pytest.approx(
+        assert task_distance(u, v, "gradient") == pytest.approx(
             math.sqrt(2.0)
         )
 
@@ -208,7 +209,7 @@ class TestOptimizationFamily:
         t = make_task(rng, n=20)
         u = TaskDataset("u", t.X_train, t.y_train, t.X_test, t.y_test)
         for metric in ("gradient", "model"):
-            assert optimization_family_distance(u, t, metric) == 0.0
+            assert task_distance(u, t, metric) == 0.0
 
     def test_model_distance_matches_normal_equation_oracle(self, rng):
         params = DistanceParams(ridge_lambda=0.0)
@@ -217,7 +218,7 @@ class TestOptimizationFamily:
             v = make_task(rng, n=20, d=5)
             tu = np.linalg.solve(u.X_train.T @ u.X_train, u.X_train.T @ u.y_train)
             tv = np.linalg.solve(v.X_train.T @ v.X_train, v.X_train.T @ v.y_train)
-            got = optimization_family_distance(u, v, "model", params)
+            got = task_distance(u, v, "model", params)
             assert got == pytest.approx(np.linalg.norm(tu - tv), abs=1e-8)
 
     def test_gradient_normalization_flag(self, rng):
@@ -225,10 +226,9 @@ class TestOptimizationFamily:
         v = make_task(rng, n=12, d=3)
         gu = u.X_train.T @ u.y_train
         gv = v.X_train.T @ v.y_train
-        raw = optimization_family_distance(u, v, "gradient",
-                                           DistanceParams(normalize_gradients=False))
+        raw = task_distance(u, v, "gradient", DistanceParams(normalize_gradients=False))
         assert raw == pytest.approx(np.linalg.norm(gu - gv))
-        unit = optimization_family_distance(u, v, "gradient", DistanceParams())
+        unit = task_distance(u, v, "gradient", DistanceParams())
         want = np.linalg.norm(gu / np.linalg.norm(gu) - gv / np.linalg.norm(gv))
         assert unit == pytest.approx(want)
 
@@ -236,7 +236,7 @@ class TestOptimizationFamily:
         u = make_task(rng, d=3)
         v = make_task(rng, d=4)
         with pytest.raises(ShapeMismatchError):
-            optimization_family_distance(u, v, "gradient")
+            task_distance(u, v, "gradient")
 
 
 class TestDistanceMatrix:
@@ -296,6 +296,21 @@ class TestDistanceMatrix:
         with pytest.raises(ShapeMismatchError, match=r"'a'.*'b'"):
             compute_distance_matrix(collection, "target")
 
+    def test_summary_error_names_the_task(self, rng):
+        tasks = [make_task(rng, n=6, d=3, task_id="a"),
+                 make_task(rng, n=1, d=3, task_id="lone")]
+        collection = TaskCollection(tasks, 3)
+        for metric in ("gauss_meancov", "cka"):
+            with pytest.raises(DegenerateDesignError, match=r"task 'lone'"):
+                compute_distance_matrix(collection, metric)
+
+    def test_task_distance_rejects_unequal_dims_for_every_metric(self, rng):
+        u = make_task(rng, n=8, d=3, task_id="u")
+        v = make_task(rng, n=8, d=4, task_id="v")
+        for metric in METRIC_NAMES:
+            with pytest.raises(ShapeMismatchError, match="dimensions"):
+                task_distance(u, v, metric)
+
     def test_test_split_never_used(self, rng):
         collection = make_collection(rng, T=5, n=16, d=3)
         stripped = TaskCollection(
@@ -333,9 +348,35 @@ def test_median_bandwidth_degenerate_fallback():
 def test_standardize_flag_removes_scale_from_feature_metrics(rng):
     u = make_task(rng, n=16, d=3, task_id="u")
     scaled = TaskDataset("v", 100.0 * u.X_train, u.y_train, u.X_test, u.y_test)
-    raw = feature_family_distance(u, scaled, "feature", DistanceParams())
-    standardized = feature_family_distance(
+    raw = task_distance(u, scaled, "feature", DistanceParams())
+    standardized = task_distance(
         u, scaled, "feature", DistanceParams(standardize=True)
     )
     assert raw > 1.0
     assert standardized < raw / 10.0
+
+
+def test_median_bandwidth_is_the_median_pairwise_distance(rng):
+    pooled = rng.standard_normal((9, 4))
+    dists = [np.linalg.norm(pooled[i] - pooled[j])
+             for i in range(9) for j in range(i + 1, 9)]
+    assert median_bandwidth(pooled) == pytest.approx(np.median(dists), rel=1e-14)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    code = (
+        "import sys\n"
+        "import taskcascade, taskcascade.cli\n"
+        "from taskcascade import METRIC_NAMES, SyntheticConfig, compute_distance_matrix\n"
+        "from taskcascade import generate_synthetic\n"
+        "collection, _ = generate_synthetic(SyntheticConfig(num_tasks=3, dim=2, n_train=8))\n"
+        "for metric in METRIC_NAMES:\n"
+        "    compute_distance_matrix(collection, metric)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    import taskcascade
+
+    env = {**os.environ, "PYTHONPATH": str(Path(taskcascade.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from taskcascade.errors import GraphError
+from taskcascade.distances import DistanceMatrix
+from taskcascade.errors import ConfigError, GraphError
 from taskcascade.graph import (
     RootedTree,
+    build_tree,
     decode_pruefer,
     depths,
     load_tree,
@@ -17,6 +19,7 @@ from taskcascade.graph import (
     star_tree,
     topological_order,
 )
+from taskcascade.seeding import substream
 
 
 def encode_pruefer(edges, T):
@@ -225,6 +228,26 @@ class TestStarAndTraversal:
             assert d[tree.root] == 0
             for child, parent in tree.parent.items():
                 assert d[child] == d[parent] + 1
+
+
+class TestBuildTree:
+    def test_kinds_match_their_constructions(self):
+        rng = np.random.default_rng(29)
+        dist = DistanceMatrix(symmetric_matrix(rng, 7), "m")
+        root = medoid(dist)
+        expected = {
+            "mst": root_tree(mst(dist), root, dist),
+            "star": star_tree(7, root, dist),
+            "random": root_tree(random_spanning_tree(7, substream(11, "tree")), root, dist),
+        }
+        for kind, want in expected.items():
+            got = build_tree(dist, kind, seed=11)
+            assert (got.root, got.parent, got.edge_length) == \
+                (want.root, want.parent, want.edge_length), kind
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="random"):
+            build_tree(DistanceMatrix(np.zeros((2, 2)), "m"), "chain")
 
 
 class TestRootedTreeValidation:

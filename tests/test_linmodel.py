@@ -8,7 +8,6 @@ from taskcascade.errors import (
     ShapeMismatchError,
 )
 from taskcascade.linmodel import (
-    ContractionProfile,
     contraction_rate,
     default_step_size,
     lambda_max,
@@ -282,16 +281,3 @@ class TestContractionProperties:
             b += 1
         out = refine(np.zeros(4), X, y, b, eta)
         assert np.linalg.norm(out - theta_star) < 1e-6
-
-
-def test_contraction_profile_from_design():
-    rng = np.random.default_rng(15)
-    X = rng.standard_normal((20, 4))
-    profile = ContractionProfile.from_design(X)
-    assert profile.eta == pytest.approx(1.0 / np.linalg.eigvalsh(X.T @ X).max(), rel=1e-6)
-    assert 0.0 <= profile.rho < 1.0
-
-
-def test_contraction_profile_rejects_bad_eta():
-    with pytest.raises(DegenerateDesignError):
-        ContractionProfile(eta=3.0, lambda_max=1.0, rho=0.5)

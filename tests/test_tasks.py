@@ -199,3 +199,11 @@ def test_loader_tolerates_missing_test_files_when_not_required(rng, tmp_path):
     loaded = load_collection(tmp_path / "col", require_test=False)
     assert all(t.n_test == 0 for t in loaded)
     assert np.array_equal(loaded[0].X_train, collection[0].X_train)
+
+
+@pytest.mark.parametrize("bad_id", ["", "../escape", "a/b", "a\\b", "..", "a,b",
+                                    "a\nb", "a\rb", 7])
+def test_unsafe_task_ids_rejected(bad_id):
+    X, y = np.ones((2, 1)), np.ones(2)
+    with pytest.raises(DataFormatError, match="invalid task id"):
+        TaskDataset(bad_id, X, y, X, y)
