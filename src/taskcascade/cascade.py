@@ -131,11 +131,11 @@ def _refine_forest(
         start_theta = params[parent[v]] if v in parent else theta_init
         task = collection[v]
         b = budgets.per_task[v]
-        if step_sizes is None:
-            eta = 1.0 / lambda_max(task.X_train)
-        else:
-            eta = step_sizes[v]
         try:
+            if step_sizes is None:
+                eta = 1.0 / lambda_max(task.X_train)
+            else:
+                eta = step_sizes[v]
             params[v] = refine(start_theta, task.X_train, task.y_train, b, eta)
         except TaskCascadeError as exc:
             raise type(exc)(f"task {task.id!r}: {exc}") from exc

@@ -13,7 +13,8 @@ Every command takes a JSON config; ``--seed`` and ``--jobs`` flags override
 config keys. All randomness derives from the single resolved seed, so
 reruns with the same config are byte-identical (the run manifest, which
 carries timestamps and wall time, is the one exception). Exit codes:
-0 success, 1 runtime failure, 2 usage or config error.
+0 success, 1 runtime failure, 2 usage, config or input-data error (a
+malformed collection, or a task whose design is zero or singular).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .distances import (
     load_distance_matrix,
     save_distance_matrix,
 )
-from .errors import ConfigError, DataFormatError, TaskCascadeError
+from .errors import ConfigError, DataFormatError, DegenerateDesignError, TaskCascadeError
 from .graph import TREE_KINDS, build_tree, save_tree
 from .seeding import derive_seed
 from .tasks import SyntheticConfig, generate_synthetic, load_collection, save_collection
@@ -330,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as exc:
+    except (ConfigError, DataFormatError, DegenerateDesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TaskCascadeError as exc:

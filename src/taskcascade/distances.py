@@ -14,11 +14,15 @@ Ten metrics in three families, all computed from training splits only:
 
 Every metric is one entry of the ``_METRICS`` table: a summary of one task's
 training split (its features, targets, normalized X^T y, ridge solution,
-or random Fourier projection with within-task distances) and a distance
-between two summaries. :func:`compute_distance_matrix` summarizes each task
-once and then reduces every pair; :func:`task_distance` is the same
-computation on two tasks, so a pair call equals the matching matrix entry
-exactly.
+or random Fourier projection with within-task distances) and a row
+reduction, the distances from one summary to a list of others.
+:func:`compute_distance_matrix` summarizes each task once and then reduces
+one row at a time, summary i against every later summary. The Euclidean
+metrics (``target``, ``gradient``, ``model``) do a whole row as one batched
+dot product, with the same arithmetic as ``np.linalg.norm`` of each
+difference; the others apply their pair distance along the row.
+:func:`task_distance` is the same computation on two tasks, so a pair call
+equals the matching matrix entry exactly.
 
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
@@ -282,24 +286,61 @@ def _ridge(task: TaskDataset, params: DistanceParams) -> np.ndarray:
     return ridge_solution(task.X_train, task.y_train, lam)
 
 
-def _euclidean(a: np.ndarray, b: np.ndarray, params: DistanceParams) -> float:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(
-            f"Euclidean distance needs equal lengths, got {a.shape[0]} and {b.shape[0]}"
-        )
-    return float(np.linalg.norm(a - b))
+class _PairError(Exception):
+    """A row reduction failed at its ``offset``-th later summary."""
+
+    def __init__(self, offset: int, error: TaskCascadeError):
+        super().__init__(offset, error)
+        self.offset = offset
+        self.error = error
 
 
-# metric -> (summary of one task's training split, distance of two summaries)
+def _rows(pair: Callable) -> Callable:
+    """Lift a distance of two summaries to a row: one summary against a list."""
+
+    def row(u, later: Sequence, params: DistanceParams) -> np.ndarray:
+        out = np.empty(len(later))
+        for k, v in enumerate(later):
+            try:
+                out[k] = pair(u, v, params)
+            except TaskCascadeError as exc:
+                raise _PairError(k, exc) from exc
+        return out
+
+    return row
+
+
+def _euclidean(u: np.ndarray, later: Sequence, params: DistanceParams) -> np.ndarray:
+    """Euclidean distances from u to each later vector, one batched dot per row.
+
+    Each entry is sqrt of the dot product of u - v with itself, as
+    ``np.linalg.norm(u - v)`` computes it, so it equals the per-pair value.
+    """
+    try:
+        V = np.array(later)
+    except ValueError:  # later vectors of unequal lengths
+        V = None
+    if V is None or V.shape[1:] != u.shape:
+        k = next(k for k, v in enumerate(later) if v.shape != u.shape)
+        raise _PairError(k, ShapeMismatchError(
+            f"Euclidean distance needs equal lengths, got {u.shape[0]} "
+            f"and {later[k].shape[0]}"
+        ))
+    diff = u - V
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
+
+
+# metric -> (summary of one task's training split,
+#            distances from one summary to a list of later ones)
 _METRICS: dict[str, tuple[Callable, Callable]] = {
-    "feature": (_features, _feature_distance),
-    "mmd": (_rff_summary, _mmd_rff),
-    "gauss_meancov": (_mean_cov, _gauss_meancov),
-    "cka": (_sample_features, _cka_distance),
+    "feature": (_features, _rows(_feature_distance)),
+    "mmd": (_rff_summary, _rows(_mmd_rff)),
+    "gauss_meancov": (_mean_cov, _rows(_gauss_meancov)),
+    "cka": (_sample_features, _rows(_cka_distance)),
     "target": (_targets, _euclidean),
-    "sym_kl": (_targets, _sym_kl),
-    "js": (_targets, _js),
-    "wasserstein": (_sorted_targets, _wasserstein),
+    "sym_kl": (_targets, _rows(_sym_kl)),
+    "js": (_targets, _rows(_js)),
+    "wasserstein": (_sorted_targets, _rows(_wasserstein)),
     "gradient": (_gradient, _euclidean),
     "model": (_ridge, _euclidean),
 }
@@ -308,13 +349,15 @@ _METRICS: dict[str, tuple[Callable, Callable]] = {
 def _pairwise(
     tasks: Sequence[TaskDataset], metric: str, params: DistanceParams | None
 ) -> np.ndarray:
-    """Summarize every task once, then reduce every unordered pair.
+    """Summarize every task once, then reduce one row of pairs at a time.
 
-    Errors name the task whose summary failed, or the pair whose distance did.
+    Row i holds summary i against every later summary, so the matrix takes
+    T - 1 row reductions and no temporary larger than T summaries. Errors
+    name the task whose summary failed, or the pair whose distance did.
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
-    summarize, distance = _METRICS[metric]
+    summarize, reduce_row = _METRICS[metric]
     params = params or DistanceParams()
     summaries = []
     for task in tasks:
@@ -324,15 +367,14 @@ def _pairwise(
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
     T = len(tasks)
     values = np.zeros((T, T))
-    for i in range(T):
-        for j in range(i + 1, T):
-            try:
-                d = distance(summaries[i], summaries[j], params)
-            except TaskCascadeError as exc:
-                raise type(exc)(
-                    f"pair ({tasks[i].id!r}, {tasks[j].id!r}): {exc}"
-                ) from exc
-            values[i, j] = values[j, i] = d
+    for i in range(T - 1):
+        try:
+            row = reduce_row(summaries[i], summaries[i + 1:], params)
+        except _PairError as failure:
+            exc, j = failure.error, i + 1 + failure.offset
+            raise type(exc)(f"pair ({tasks[i].id!r}, {tasks[j].id!r}): {exc}") from exc
+        values[i, i + 1:] = row
+        values[i + 1:, i] = row
     return values
 
 

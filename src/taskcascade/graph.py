@@ -8,6 +8,7 @@ deterministic across platforms.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,6 +79,8 @@ def mst(dist: DistanceMatrix | np.ndarray) -> list[Edge]:
 
     Equal-weight candidates are broken toward the lexicographically smallest
     edge (min endpoint, then max endpoint), so the result is deterministic.
+    Each step is a few array operations over the T tasks: an argmin over
+    the frontier, with the endpoints compared only among exact ties.
     """
     w = _weights(dist)
     T = w.shape[0]
@@ -85,32 +88,36 @@ def mst(dist: DistanceMatrix | np.ndarray) -> list[Edge]:
         return []
     in_tree = np.zeros(T, dtype=bool)
     in_tree[0] = True
+    # cheapest known edge (best_from[v], v) into each task; inf once in the tree
     best_w = w[0].copy()
-    best_from = np.zeros(T, dtype=int)
+    best_w[0] = np.inf
+    best_from = np.zeros(T, dtype=np.intp)
     edges: list[Edge] = []
     for _ in range(T - 1):
-        pick = None
-        pick_key = None
-        for v in range(T):
-            if in_tree[v]:
-                continue
-            u = int(best_from[v])
-            key = (best_w[v], min(u, v), max(u, v))
-            if pick_key is None or key < pick_key:
-                pick, pick_key = v, key
+        pick = int(np.argmin(best_w))
+        ties = np.flatnonzero(best_w == best_w[pick])
+        if ties.size > 1:
+            lo, hi = _endpoints(best_from[ties], ties)
+            pick = int(ties[np.lexsort((hi, lo))[0]])
         u = int(best_from[pick])
         edges.append((min(u, pick), max(u, pick)))
         in_tree[pick] = True
-        for v in range(T):
-            if in_tree[v]:
-                continue
-            key_new = (w[pick, v], min(pick, v), max(pick, v))
-            u_old = int(best_from[v])
-            key_old = (best_w[v], min(u_old, v), max(u_old, v))
-            if key_new < key_old:
-                best_w[v] = w[pick, v]
-                best_from[v] = pick
+        best_w[pick] = np.inf
+        new_w = w[pick]
+        better = (new_w < best_w) & ~in_tree
+        tied = np.flatnonzero(new_w == best_w)
+        if tied.size:
+            new_lo, new_hi = _endpoints(pick, tied)
+            old_lo, old_hi = _endpoints(best_from[tied], tied)
+            better[tied] = (new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi))
+        np.copyto(best_w, new_w, where=better)
+        np.copyto(best_from, pick, where=better)
     return sorted(edges)
+
+
+def _endpoints(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) endpoints of the edges (u, v), elementwise."""
+    return np.minimum(u, v), np.maximum(u, v)
 
 
 def medoid(dist: DistanceMatrix | np.ndarray) -> int:
@@ -161,7 +168,11 @@ def root_tree(
 
 
 def decode_pruefer(sequence: list[int] | np.ndarray, num_nodes: int) -> list[Edge]:
-    """Decode a Pruefer sequence over labels {0..T-1} into a labeled tree."""
+    """Decode a Pruefer sequence over labels {0..T-1} into a labeled tree.
+
+    Each step joins the smallest current leaf to the next label, taken from
+    a min-heap of leaves, so decoding is O(T log T).
+    """
     T = num_nodes
     seq = [int(s) for s in sequence]
     if T < 1:
@@ -177,14 +188,18 @@ def decode_pruefer(sequence: list[int] | np.ndarray, num_nodes: int) -> list[Edg
     degree = [1] * T
     for s in seq:
         degree[s] += 1
+    # min-heap of the current leaves; a node joins when its last occurrence
+    # in the sequence is consumed
+    leaves = [v for v in range(T) if degree[v] == 1]
     edges: list[Edge] = []
     for s in seq:
-        leaf = min(v for v in range(T) if degree[v] == 1)
+        leaf = heapq.heappop(leaves)
         edges.append((min(leaf, s), max(leaf, s)))
-        degree[leaf] -= 1
         degree[s] -= 1
-    u, v = (v for v in range(T) if degree[v] == 1)
-    edges.append((min(u, v), max(u, v)))
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    u, v = sorted(leaves)
+    edges.append((u, v))
     return sorted(edges)
 
 

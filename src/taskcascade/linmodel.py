@@ -13,9 +13,15 @@ Distill 2017). :func:`refine` evaluates it from one symmetric
 eigendecomposition, so its cost is O(d^3) whatever b is. For eta in
 (0, 2/lambda_max) the map is a contraction with rate max |r| < 1 whenever
 X^T X is positive definite, so errors decay geometrically in the step count.
+
+The default step size 1/lambda_max takes lambda_max from power iteration on
+X^T X with a fixed start vector; each iteration does one matrix-vector
+product, reused by the Rayleigh quotient and the next step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,18 +42,22 @@ def _power_top_eig(S: np.ndarray, tol: float, max_iter: int) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
     Deterministic all-ones start; stops when the Rayleigh quotient changes
-    by less than ``tol`` relatively.
+    by less than ``tol`` relatively. The product S v that gives the
+    Rayleigh quotient is the next step's direction, so each step does one
+    matvec; the norm sqrt(w . w) is what ``np.linalg.norm`` computes for a
+    1-d array.
     """
     d = S.shape[0]
     v = np.full(d, 1.0 / np.sqrt(d))
+    w = S.dot(v)
     lam = 0.0
     for _ in range(max_iter):
-        w = S @ v
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
-        lam_new = float(v @ (S @ v))
+        w = S.dot(v)
+        lam_new = float(v.dot(w))
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new

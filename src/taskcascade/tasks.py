@@ -19,9 +19,11 @@ from .errors import ConfigError, DataFormatError, ShapeMismatchError
 from .seeding import substream
 
 MANIFEST_NAME = "manifest.json"
+# What lets a file name leave the collection directory.
+_FORBIDDEN_IN_FILE_NAME = ("/", "\\", "..")
 # Task ids name the collection's CSV files and the header of a distance
 # matrix CSV, so they may not leave the directory or split a CSV cell.
-_FORBIDDEN_IN_ID = ("/", "\\", "..", ",", "\n", "\r")
+_FORBIDDEN_IN_ID = _FORBIDDEN_IN_FILE_NAME + (",", "\n", "\r")
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:
@@ -272,11 +274,27 @@ def save_collection(collection: TaskCollection, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _check_file_name(name, task_id) -> None:
+    """A manifest's data file must be a plain file name in the collection.
+
+    Absolute paths start with a separator, so they fail the same check.
+    """
+    if not isinstance(name, str) or not name or any(
+        s in name for s in _FORBIDDEN_IN_FILE_NAME
+    ):
+        raise DataFormatError(
+            f"task {task_id!r}: data file {name!r} must be a file name inside "
+            "the collection directory, without '/', '\\' or '..'"
+        )
+
+
 def load_collection(path: str | Path, require_test: bool = True) -> TaskCollection:
     """Load a collection directory written by :func:`save_collection`.
 
     With ``require_test=False``, missing test CSVs yield empty test splits;
     this lets distance and tree construction run on training data alone.
+    The manifest's ``train_csv``/``test_csv`` names must be plain file names,
+    so nothing outside the collection directory is read.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -299,6 +317,8 @@ def load_collection(path: str | Path, require_test: bool = True) -> TaskCollecti
             train_csv, test_csv = entry["train_csv"], entry["test_csv"]
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"bad task entry in {manifest_path}: {exc}") from None
+        for name in (train_csv, test_csv):
+            _check_file_name(name, task_id)
         X_train, y_train = _read_split_csv(root / train_csv, task_id)
         test_path = root / test_csv
         if test_path.is_file() or require_test:

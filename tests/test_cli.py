@@ -127,6 +127,22 @@ class TestDist:
         assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
+    def test_data_file_outside_the_collection_exits_2(self, gen_config, tmp_path,
+                                                      capsys):
+        col = tmp_path / "a" / "b" / "col"
+        main(["gen", gen_config, "--out", str(col)])
+        # a readable file two directories up must not be loaded
+        (tmp_path / "a" / "outside.csv").write_bytes((col / "task1_train.csv").read_bytes())
+        manifest = json.loads((col / "manifest.json").read_text())
+        manifest["tasks"][1]["train_csv"] = "../../outside.csv"
+        (col / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "d.csv"
+        assert main(["dist", str(col), "--metric", "gradient", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "task 'task1'" in err and "'../../outside.csv'" in err
+        assert not out.exists()
+
+
 class TestTree:
     def make_matrix(self, gen_config, tmp_path, metric="gradient"):
         col = tmp_path / "col"
@@ -198,6 +214,22 @@ class TestRun:
             outs.append(tree_bytes(tmp_path / name))
         assert outs[0] == outs[1]
         assert len(loads) == 2  # one per run, not one per replicate
+
+    @pytest.mark.parametrize("method", ["individual", "mst"])
+    def test_zero_design_exits_2_naming_the_task(self, gen_config, tmp_path, method,
+                                                 capsys):
+        col = tmp_path / "col"
+        main(["gen", gen_config, "--out", str(col)])
+        train = col / "task2_train.csv"
+        lines = train.read_text().splitlines()
+        zeroed = [",".join(["0.0"] * 3 + [row.split(",")[-1]]) for row in lines[1:]]
+        train.write_text("\n".join([lines[0], *zeroed]) + "\n")
+        cfg = write_json(tmp_path / "run.json", {
+            "method": method, "metric_name": "gradient", "budget": 40,
+            "num_seeds": 1, "data_path": str(col),
+        })
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "task 'task2': X^T X is the zero matrix" in capsys.readouterr().err
 
     def test_individual_has_no_tree_file(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", {

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from taskcascade import distances
 from taskcascade.distances import (
     DistanceMatrix,
     DistanceParams,
@@ -24,6 +26,17 @@ from conftest import make_collection, make_task
 
 PERMUTATION_INVARIANT = ("mmd", "gauss_meancov", "sym_kl", "js", "wasserstein",
                          "gradient", "model")
+
+
+def pairwise_norms(summaries):
+    """Reference: the per-pair loop, np.linalg.norm(a - b) for every i < j."""
+    T = len(summaries)
+    values = np.zeros((T, T))
+    for i in range(T):
+        for j in range(i + 1, T):
+            d = float(np.linalg.norm(summaries[i] - summaries[j]))
+            values[i, j] = values[j, i] = d
+    return values
 
 
 def task_from(X, y=None, task_id="t"):
@@ -263,6 +276,56 @@ class TestDistanceMatrix:
                 for j in range(i + 1, 10):
                     d = task_distance(collection[i], collection[j], metric, params)
                     assert matrix.values[i, j] == d, metric
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(2, 40),
+        n=st.integers(1, 300),
+        log_scale=st.floats(-8.0, 8.0),
+    )
+    def test_euclidean_rows_equal_per_pair_norms(self, seed, T, n, log_scale):
+        rng = np.random.default_rng(seed)
+        summaries = list(rng.standard_normal((T, n)) * 10.0**log_scale)
+        summaries[-1] = summaries[0].copy()  # one exact zero distance
+        values = np.zeros((T, T))
+        for i in range(T - 1):
+            row = distances._euclidean(summaries[i], summaries[i + 1:], None)
+            values[i, i + 1:] = values[i + 1:, i] = row
+        assert np.array_equal(values, pairwise_norms(summaries))
+
+    @pytest.mark.parametrize("metric", ["target", "gradient", "model"])
+    def test_euclidean_metrics_equal_per_pair_norms(self, rng, metric):
+        collection = make_collection(rng, T=25, n=16, d=5)
+        params = DistanceParams()
+        summarize = distances._METRICS[metric][0]
+        want = pairwise_norms([summarize(task, params) for task in collection])
+        got = compute_distance_matrix(collection, metric, params).values
+        assert np.array_equal(got, want)
+
+    def test_first_failing_pair_of_a_row_is_named(self, rng):
+        tasks = [make_task(rng, n=6, d=3, task_id="a"),
+                 make_task(rng, n=6, d=3, task_id="b"),
+                 make_task(rng, n=9, d=3, task_id="c")]
+        with pytest.raises(ShapeMismatchError, match=r"pair \('a', 'c'\): .* 6 and 9"):
+            compute_distance_matrix(TaskCollection(tasks, 3), "target")
+        # a later vector of length 1 must not broadcast against the row
+        pair = [tasks[0], make_task(rng, n=1, d=3, task_id="c")]
+        with pytest.raises(ShapeMismatchError, match=r"pair \('a', 'c'\): .* 6 and 1"):
+            compute_distance_matrix(TaskCollection(pair, 3), "target")
+
+    def test_lifted_pair_distance_reports_its_offset(self):
+        def pair(u, v, params):
+            if v < 0:
+                raise ShapeMismatchError("negative")
+            return float(u + v)
+
+        row = distances._rows(pair)
+        assert np.array_equal(row(1, [2, 3], None), [3.0, 4.0])
+        with pytest.raises(distances._PairError) as info:
+            row(1, [2, -1, -2], None)
+        assert info.value.offset == 1
+        assert isinstance(info.value.error, ShapeMismatchError)
 
     def test_axioms_over_random_collections(self):
         # symmetry, zero diagonal, nonnegativity, finiteness; the constructor

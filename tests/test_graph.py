@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskcascade.distances import DistanceMatrix
 from taskcascade.errors import ConfigError, GraphError
@@ -36,6 +37,61 @@ def encode_pruefer(edges, T):
         adj[neighbor].discard(leaf)
         adj[leaf].clear()
     return seq
+
+
+def decode_pruefer_quadratic(seq, T):
+    """Reference: the O(T^2) decoder, a linear scan for the smallest leaf."""
+    if T == 1:
+        return []
+    if T == 2:
+        return [(0, 1)]
+    degree = [1] * T
+    for s in seq:
+        degree[s] += 1
+    edges = []
+    for s in seq:
+        leaf = min(v for v in range(T) if degree[v] == 1)
+        edges.append((min(leaf, s), max(leaf, s)))
+        degree[leaf] -= 1
+        degree[s] -= 1
+    u, v = (v for v in range(T) if degree[v] == 1)
+    edges.append((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def mst_python_prim(w):
+    """Reference: the pure-Python dense Prim with the lexicographic tie-break."""
+    T = w.shape[0]
+    if T <= 1:
+        return []
+    in_tree = np.zeros(T, dtype=bool)
+    in_tree[0] = True
+    best_w = w[0].copy()
+    best_from = np.zeros(T, dtype=int)
+    edges = []
+    for _ in range(T - 1):
+        pick = None
+        pick_key = None
+        for v in range(T):
+            if in_tree[v]:
+                continue
+            u = int(best_from[v])
+            key = (best_w[v], min(u, v), max(u, v))
+            if pick_key is None or key < pick_key:
+                pick, pick_key = v, key
+        u = int(best_from[pick])
+        edges.append((min(u, pick), max(u, pick)))
+        in_tree[pick] = True
+        for v in range(T):
+            if in_tree[v]:
+                continue
+            key_new = (w[pick, v], min(pick, v), max(pick, v))
+            u_old = int(best_from[v])
+            key_old = (best_w[v], min(u_old, v), max(u_old, v))
+            if key_new < key_old:
+                best_w[v] = w[pick, v]
+                best_from[v] = pick
+    return sorted(edges)
 
 
 def all_labeled_trees(T):
@@ -89,6 +145,26 @@ class TestMst:
             permuted = w[np.ix_(perm, perm)]
             total = sum(permuted[u, v] for u, v in mst(permuted))
             assert total == pytest.approx(base, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 40),
+        levels=st.integers(1, 4),
+    )
+    def test_equals_python_prim_on_integer_weights_full_of_ties(self, seed, T, levels):
+        rng = np.random.default_rng(seed)
+        w = np.triu(rng.integers(0, levels, (T, T)), 1).astype(float)
+        w = w + w.T
+        assert mst(w) == mst_python_prim(w)
+
+    def test_equals_python_prim_on_distinct_and_signed_weights(self):
+        rng = np.random.default_rng(23)
+        for T in (2, 3, 10, 60):
+            w = rng.standard_normal((T, T))
+            w = w + w.T
+            np.fill_diagonal(w, 0.0)
+            assert mst(w) == mst_python_prim(w)
 
     def test_non_finite_weights_rejected(self):
         w = np.zeros((3, 3))
@@ -177,6 +253,13 @@ class TestPruefer:
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 16
         assert all(800 <= c <= 1200 for c in counts.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 200))
+    def test_heap_decoder_equals_quadratic_decoder(self, data, T):
+        seq = data.draw(st.lists(st.integers(0, T - 1),
+                                 min_size=max(T - 2, 0), max_size=max(T - 2, 0)))
+        assert decode_pruefer(seq, T) == decode_pruefer_quadratic(seq, T)
 
     def test_seed_reproducibility(self):
         assert random_spanning_tree(9, 123) == random_spanning_tree(9, 123)

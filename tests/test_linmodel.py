@@ -7,6 +7,7 @@ from taskcascade.errors import (
     DivergenceError,
     ShapeMismatchError,
 )
+from taskcascade import linmodel
 from taskcascade.linmodel import (
     contraction_rate,
     default_step_size,
@@ -49,6 +50,24 @@ def closed_form_refine(theta0, X, y, b, eta):
     return Mb @ theta0 + (np.eye(d) - Mb) @ theta_hat
 
 
+def power_top_eig_two_matvecs(S, tol, max_iter):
+    """Reference: power iteration as it was, two matvecs and a norm per step."""
+    d = S.shape[0]
+    v = np.full(d, 1.0 / np.sqrt(d))
+    lam = 0.0
+    for _ in range(max_iter):
+        w = S @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        lam_new = float(v @ (S @ v))
+        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+            return lam_new
+        lam = lam_new
+    return lam
+
+
 class TestLambdaMax:
     def test_identity(self):
         assert lambda_max(np.eye(3)) == pytest.approx(1.0)
@@ -74,6 +93,32 @@ class TestLambdaMax:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateDesignError):
             lambda_max(np.zeros((4, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "rank_deficient", "wide"]),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 30),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_one_matvec_per_step_is_bit_identical(self, kind, seed, d, log_scale):
+        rng = np.random.default_rng(seed)
+        n = max(d // 2, 1) if kind == "wide" else d + 10
+        X = rng.standard_normal((n, d)) * 10.0**log_scale
+        if kind == "rank_deficient":  # rank max(d // 2, 1)
+            r = max(d // 2, 1)
+            X[:, r:] = X[:, :r] @ rng.standard_normal((r, d - r))
+        S = X.T @ X
+        tol, max_iter = linmodel._POWER_TOL, linmodel._POWER_MAX_ITER
+        assert linmodel._power_top_eig(S, tol, max_iter) == power_top_eig_two_matvecs(
+            S, tol, max_iter
+        )
+
+    def test_zero_direction_stops_at_zero(self):
+        # the start vector is in the kernel: both loops return 0 at once
+        S = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert linmodel._power_top_eig(S, 1e-10, 10) == 0.0
+        assert power_top_eig_two_matvecs(S, 1e-10, 10) == 0.0
 
 
 class TestDefaultStepSize:

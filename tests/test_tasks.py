@@ -207,3 +207,17 @@ def test_unsafe_task_ids_rejected(bad_id):
     X, y = np.ones((2, 1)), np.ones(2)
     with pytest.raises(DataFormatError, match="invalid task id"):
         TaskDataset(bad_id, X, y, X, y)
+
+
+@pytest.mark.parametrize("key", ["train_csv", "test_csv"])
+@pytest.mark.parametrize("name", ["../outside.csv", "sub/task0_train.csv",
+                                  "sub\\task0_train.csv", "/tmp/task0_train.csv",
+                                  "..", "", 3])
+def test_manifest_data_files_stay_in_the_collection(rng, tmp_path, key, name):
+    save_collection(make_collection(rng, T=2), tmp_path / "col")
+    manifest_path = tmp_path / "col" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tasks"][1][key] = name
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=r"task 'task1': data file"):
+        load_collection(tmp_path / "col")
