@@ -15,7 +15,6 @@ import csv
 import json
 import time
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -267,6 +266,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if jobs == 1 or config.num_seeds == 1:
         results = [_run_replicate(w) for w in work]
     else:
+        # Imported here, so only a pooled run pays for importing multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_replicate, work))
     per_seed = [res.mean_test_rmse() for res in results]

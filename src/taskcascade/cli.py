@@ -14,7 +14,8 @@ config keys. All randomness derives from the single resolved seed, so
 reruns with the same config are byte-identical (the run manifest, which
 carries timestamps and wall time, is the one exception). Exit codes:
 0 success, 1 runtime failure, 2 usage, config or input-data error (a
-malformed collection, or a task whose design is zero or singular).
+malformed collection or distance matrix, or a task whose design is zero or
+singular).
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.seed is not None:
         params_data["seed"] = args.seed
     params = _build(DistanceParams, params_data, "distance")
-    collection = load_collection(args.collection, require_test=False)
+    collection = load_collection(args.collection, read_test=False)
     matrix = compute_distance_matrix(collection, args.metric, params)
     save_distance_matrix(matrix, args.out)
     print(f"wrote {matrix.size}x{matrix.size} {args.metric} matrix to {args.out}")

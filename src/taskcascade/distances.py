@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDesignError, ShapeMismatchError, TaskCascadeError
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    DegenerateDesignError,
+    ShapeMismatchError,
+    TaskCascadeError,
+)
 from .linmodel import default_ridge_lambda, ridge_solution
 from .seeding import substream
 from .tasks import TaskCollection, TaskDataset
@@ -407,24 +413,38 @@ def compute_distance_matrix(
 
 def save_distance_matrix(matrix: DistanceMatrix, path) -> None:
     """Write a square CSV: header row of task ids, then row-major values."""
+    lines = [",".join(matrix.task_ids)]
+    lines += [",".join(map(repr, row)) for row in matrix.values.tolist()]
     with open(path, "w") as fh:
-        fh.write(",".join(matrix.task_ids) + "\n")
-        for row in matrix.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_distance_matrix(path, metric_name: str = "unknown") -> DistanceMatrix:
-    """Read a matrix written by :func:`save_distance_matrix`."""
+    """Read a matrix written by :func:`save_distance_matrix`.
+
+    A row with a non-numeric cell, or with more or fewer cells than the
+    header has ids, raises :class:`DataFormatError` naming the file and line.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header:
             raise ConfigError(f"empty distance matrix file {path}")
         ids = header.split(",")
-        rows = [
-            [float(cell) for cell in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != len(ids):
+                raise DataFormatError(
+                    f"{path}: line {line_no} has {len(cells)} cells, expected {len(ids)}"
+                )
+            try:
+                rows.append(list(map(float, cells)))
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}: non-numeric cell on line {line_no}: {exc}"
+                ) from None
     values = np.array(rows, dtype=np.float64)
     if values.shape != (len(ids), len(ids)):
         raise ConfigError(

@@ -216,13 +216,13 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
 
 
 def _write_split_csv(path: Path, X: np.ndarray, y: np.ndarray) -> None:
-    d = X.shape[1]
+    # The bytes csv.writer would write: no cell needs quoting, and lines end
+    # in \r\n. repr of a float is the shortest decimal that parses back
+    # bit-for-bit; tolist() turns the whole split into Python floats at once.
+    lines = [",".join([f"x{j + 1}" for j in range(X.shape[1])] + ["y"])]
+    lines += [",".join(map(repr, row)) for row in np.column_stack([X, y]).tolist()]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(d)] + ["y"])
-        for i in range(X.shape[0]):
-            # repr gives the shortest decimal that parses back bit-for-bit
-            writer.writerow([repr(float(v)) for v in X[i]] + [repr(float(y[i]))])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _read_split_csv(path: Path, task_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +247,7 @@ def _read_split_csv(path: Path, task_id: str) -> tuple[np.ndarray, np.ndarray]:
                     f"{len(row)} cells, expected {d + 1}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                rows.append(list(map(float, row)))
             except ValueError as exc:
                 raise DataFormatError(
                     f"task {task_id!r}: non-numeric cell in row {line_no} "
@@ -288,13 +288,14 @@ def _check_file_name(name, task_id) -> None:
         )
 
 
-def load_collection(path: str | Path, require_test: bool = True) -> TaskCollection:
+def load_collection(path: str | Path, read_test: bool = True) -> TaskCollection:
     """Load a collection directory written by :func:`save_collection`.
 
-    With ``require_test=False``, missing test CSVs yield empty test splits;
-    this lets distance and tree construction run on training data alone.
-    The manifest's ``train_csv``/``test_csv`` names must be plain file names,
-    so nothing outside the collection directory is read.
+    With ``read_test=False`` the test CSVs are neither opened nor parsed (they
+    may be missing or malformed) and every task gets an empty test split;
+    distances and trees use training data alone. The manifest's
+    ``train_csv``/``test_csv`` names must still be plain file names, so
+    nothing outside the collection directory is read.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -320,9 +321,8 @@ def load_collection(path: str | Path, require_test: bool = True) -> TaskCollecti
         for name in (train_csv, test_csv):
             _check_file_name(name, task_id)
         X_train, y_train = _read_split_csv(root / train_csv, task_id)
-        test_path = root / test_csv
-        if test_path.is_file() or require_test:
-            X_test, y_test = _read_split_csv(test_path, task_id)
+        if read_test:
+            X_test, y_test = _read_split_csv(root / test_csv, task_id)
         else:
             X_test = np.empty((0, X_train.shape[1]))
             y_test = np.empty(0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,22 @@ class TestDist:
                      "--out", str(without_test)]) == 0
         assert with_test.read_bytes() == without_test.read_bytes()
 
+    def test_ignores_malformed_test_csvs(self, gen_config, tmp_path):
+        # dist reads training splits only, so broken test files cannot fail it
+        col = tmp_path / "col"
+        main(["gen", gen_config, "--out", str(col)])
+        valid = tmp_path / "valid.csv"
+        assert main(["dist", str(col), "--metric", "wasserstein", "--out", str(valid)]) == 0
+        bad_files = ["", "x1,x2,x3,y\n1.0,oops,3.0,4.0\n", "x1,y\n1.0\n", "no header"]
+        for p, text in zip(sorted(col.glob("*_test.csv")), bad_files):
+            p.write_text(text)
+        assert main(["run", write_json(tmp_path / "r.json", {
+            "method": "individual", "budget": 8, "num_seeds": 1, "data_path": str(col),
+        }), "--out", str(tmp_path / "r"), "--jobs", "1"]) == 2
+        broken = tmp_path / "broken.csv"
+        assert main(["dist", str(col), "--metric", "wasserstein", "--out", str(broken)]) == 0
+        assert broken.read_bytes() == valid.read_bytes()
+
 
     @pytest.mark.parametrize("bad_id", ["a,b", "../escape"])
     def test_unsafe_task_id_exits_2_and_writes_nothing(self, gen_config, tmp_path,
@@ -170,6 +190,20 @@ class TestTree:
         main(["dist", str(tmp_path / "col"), "--metric", "gradient", "--out", str(dist2)])
         out = tmp_path / "t.csv"
         assert main(["tree", str(dist2), "--method", "mst", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("text, problem", [
+        ("a,b\n0.0,abc\n1.0,0.0\n", "non-numeric cell on line 2"),
+        ("a,b\n0.0\n1.0,0.0\n", "line 2 has 1 cells, expected 2"),
+    ])
+    def test_malformed_matrix_exits_2_naming_file_and_line(self, tmp_path, capsys,
+                                                           text, problem):
+        dist = tmp_path / "dist.csv"
+        dist.write_text(text)
+        out = tmp_path / "t.csv"
+        assert main(["tree", str(dist), "--method", "mst", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dist}: " in err and problem in err
+        assert not out.exists()
 
 
 class TestRun:
@@ -338,3 +372,19 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only run --jobs > 1 uses the pool, so no other command pays its import.
+    code = (
+        "import sys\n"
+        "import taskcascade.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+    )
+    import taskcascade
+
+    env = {**os.environ, "PYTHONPATH": str(Path(taskcascade.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

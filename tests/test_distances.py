@@ -19,7 +19,12 @@ from taskcascade.distances import (
     save_distance_matrix,
     task_distance,
 )
-from taskcascade.errors import ConfigError, DegenerateDesignError, ShapeMismatchError
+from taskcascade.errors import (
+    ConfigError,
+    DataFormatError,
+    DegenerateDesignError,
+    ShapeMismatchError,
+)
 from taskcascade.tasks import TaskCollection, TaskDataset
 
 from conftest import make_collection, make_task
@@ -393,6 +398,38 @@ class TestDistanceMatrix:
         loaded = load_distance_matrix(path, "model")
         assert loaded.task_ids == matrix.task_ids
         assert np.array_equal(loaded.values, matrix.values)
+
+    def test_csv_bytes_equal_the_per_element_writer(self, rng, tmp_path):
+        collection = make_collection(rng, T=5)
+        for metric in ("model", "wasserstein"):
+            matrix = compute_distance_matrix(collection, metric)
+            values = matrix.values.copy()
+            # integral, subnormal and exponent-form entries, kept symmetric
+            values[0, 1] = values[1, 0] = 3.0
+            values[0, 2] = values[2, 0] = 5e-324
+            values[1, 2] = values[2, 1] = 1e16
+            values[3, 4] = values[4, 3] = float(np.nextafter(1e-4, 0.0))
+            matrix = DistanceMatrix(values, metric, matrix.task_ids)
+            new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+            save_distance_matrix(matrix, new)
+            # the per-element writer that save_distance_matrix replaced
+            with open(old, "w") as fh:
+                fh.write(",".join(matrix.task_ids) + "\n")
+                for row in matrix.values:
+                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            assert new.read_bytes() == old.read_bytes()
+            assert load_distance_matrix(new).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("text, problem", [
+        ("a,b\n0.0,abc\n1.0,0.0\n", "non-numeric cell on line 2"),
+        ("a,b\n0.0,1.0\n1.0\n", "line 3 has 1 cells, expected 2"),
+        ("a,b\n0.0,1.0,2.0\n1.0,0.0\n", "line 2 has 3 cells, expected 2"),
+    ])
+    def test_malformed_csv_names_the_file_and_line(self, tmp_path, text, problem):
+        path = tmp_path / "dist.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="dist.csv: .*" + problem):
+            load_distance_matrix(path)
 
     def test_invariants_rejected(self):
         with pytest.raises(ConfigError):

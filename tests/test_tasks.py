@@ -1,7 +1,11 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskcascade.errors import ConfigError, DataFormatError
 from taskcascade.tasks import (
@@ -9,6 +13,7 @@ from taskcascade.tasks import (
     TaskCollection,
     TaskDataset,
     generate_synthetic,
+    _write_split_csv,
     load_collection,
     save_collection,
 )
@@ -196,7 +201,7 @@ def test_loader_tolerates_missing_test_files_when_not_required(rng, tmp_path):
         p.unlink()
     with pytest.raises(DataFormatError):
         load_collection(tmp_path / "col")
-    loaded = load_collection(tmp_path / "col", require_test=False)
+    loaded = load_collection(tmp_path / "col", read_test=False)
     assert all(t.n_test == 0 for t in loaded)
     assert np.array_equal(loaded[0].X_train, collection[0].X_train)
 
@@ -221,3 +226,63 @@ def test_manifest_data_files_stay_in_the_collection(rng, tmp_path, key, name):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(DataFormatError, match=r"task 'task1': data file"):
         load_collection(tmp_path / "col")
+
+
+def test_read_test_false_never_opens_the_test_files(rng, tmp_path):
+    collection = make_collection(rng, T=2, d=3)
+    save_collection(collection, tmp_path / "col")
+    for p in (tmp_path / "col").glob("*_test.csv"):
+        p.write_text("not,a\nsplit\n")
+    with pytest.raises(DataFormatError, match="task0"):
+        load_collection(tmp_path / "col")
+    loaded = load_collection(tmp_path / "col", read_test=False)
+    for a, b in zip(collection, loaded):
+        assert np.array_equal(a.X_train, b.X_train)
+        assert np.array_equal(a.y_train, b.y_train)
+        assert b.X_test.shape == (0, 3) and b.y_test.shape == (0,)
+
+
+def _csv_writer_split(path, X, y):
+    """The csv.writer loop that _write_split_csv replaced: its byte reference."""
+    d = X.shape[1]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(d)] + ["y"])
+        for i in range(X.shape[0]):
+            writer.writerow([repr(float(v)) for v in X[i]] + [repr(float(y[i]))])
+
+
+# -0.0, subnormals, the largest magnitudes, integral values, and both sides of
+# the two points where repr switches to exponent form (1e16 and 1e-4).
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1.0, -3.0, 2.0 ** 53, 123456789.0, 0.1, -2.5,
+    1e16, float(np.nextafter(1e16, 0.0)), -1e16, float(np.nextafter(-1e16, 0.0)),
+    1e-4, float(np.nextafter(1e-4, 0.0)), -1e-4, float(np.nextafter(-1e-4, 0.0)),
+]
+_cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), d=st.integers(1, 4))
+def test_split_writer_bytes_equal_the_csv_writer_loop(data, n, d):
+    X = np.array(data.draw(st.lists(_cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(data.draw(st.lists(_cells, min_size=n, max_size=n)), dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        _write_split_csv(new, X, y)
+        _csv_writer_split(old, X, y)
+        assert new.read_bytes() == old.read_bytes()
+        if n:
+            task = TaskDataset("t", X, y, X[:0], y[:0])
+        else:
+            task = TaskDataset("t", np.zeros((1, d)), np.zeros(1), X, y)
+        save_collection(TaskCollection([task], d), Path(tmp) / "col")
+        loaded = load_collection(Path(tmp) / "col")[0]
+    # bit-exact: -0.0 keeps its sign and every subnormal survives
+    for a, b in ((task.X_train, loaded.X_train), (task.y_train, loaded.y_train),
+                 (task.X_test, loaded.X_test), (task.y_test, loaded.y_test)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
