@@ -154,6 +154,21 @@ def _refine_forest(
     )
 
 
+def default_step_sizes(collection: TaskCollection) -> dict[int, float]:
+    """Every task's default step size 1/lambda_max(X_train), by task index.
+
+    These are the step sizes :func:`run_cascade` and :func:`run_individual`
+    compute when they are given none; an error names its task the same way.
+    """
+    step_sizes = {}
+    for i, task in enumerate(collection):
+        try:
+            step_sizes[i] = 1.0 / lambda_max(task.X_train)
+        except TaskCascadeError as exc:
+            raise type(exc)(f"task {task.id!r}: {exc}") from exc
+    return step_sizes
+
+
 def run_cascade(
     collection: TaskCollection,
     tree: RootedTree,
@@ -178,14 +193,16 @@ def run_individual(
     collection: TaskCollection,
     budgets: BudgetAllocation,
     theta_init: np.ndarray | None = None,
+    *,
+    step_sizes: Mapping[int, float] | None = None,
 ) -> CascadeResult:
     """No-transfer baseline: the forest in which every task is a root.
 
     Every task is refined from ``theta_init`` (zeros by default) on its own
-    budget.
+    budget; ``step_sizes`` is as for :func:`run_cascade`.
     """
     result = _refine_forest(
-        collection, budgets, {}, range(len(collection)), theta_init, None
+        collection, budgets, {}, range(len(collection)), theta_init, step_sizes
     )
     result.metric_name = "none"
     return result
@@ -195,11 +212,13 @@ def run_method(
     config: ExperimentConfig,
     collection: TaskCollection,
     seed: int | None = None,
+    *,
+    step_sizes: Mapping[int, float] | None = None,
 ) -> CascadeResult:
     """Dispatch one run of the configured method on a concrete collection.
 
     Distances (hence trees and the medoid root) are computed from training
-    splits only.
+    splits only. ``step_sizes`` is as for :func:`run_cascade`.
     """
     config.validate()
     seed = config.seed if seed is None else seed
@@ -212,7 +231,7 @@ def run_method(
         budgets = BudgetAllocation(
             dict(enumerate(split_uniform(T, config.budget))), config.budget
         )
-        result = run_individual(collection, budgets, theta_init)
+        result = run_individual(collection, budgets, theta_init, step_sizes=step_sizes)
         result.seed = seed
         return result
 
@@ -222,21 +241,40 @@ def run_method(
     kind = "random" if config.method == "random_tree" else config.method
     tree = build_tree(matrix, kind, seed)
     budgets = allocate(tree, config.budget, config.scheme)
-    result = run_cascade(collection, tree, budgets, theta_init)
+    result = run_cascade(collection, tree, budgets, theta_init, step_sizes=step_sizes)
     result.metric_name = metric
     result.seed = seed
     return result
 
 
 def _run_replicate(
-    args: tuple[ExperimentConfig, int, TaskCollection | None],
+    args: tuple[ExperimentConfig, int, TaskCollection | None, dict[int, float] | None],
 ) -> CascadeResult:
     """Replicate ``r`` on the loaded collection, or on its own synthetic one."""
-    config, r, collection = args
+    config, r, collection, step_sizes = args
     rep_seed = derive_seed(config.seed, "replicate", r)
     if collection is None:
         collection, _ = generate_synthetic(replace(config.synthetic, seed=rep_seed))
-    return run_method(config, collection, seed=rep_seed)
+    return run_method(config, collection, seed=rep_seed, step_sizes=step_sizes)
+
+
+# A pool worker's copy of the loaded collection and its step sizes, set once
+# by the pool initializer: a forked worker inherits them in memory, where
+# putting them in every work item would pickle the whole collection once per
+# replicate.
+_worker_shared: tuple[TaskCollection | None, dict[int, float] | None] = (None, None)
+
+
+def _init_worker(
+    collection: TaskCollection | None, step_sizes: dict[int, float] | None
+) -> None:
+    global _worker_shared
+    _worker_shared = (collection, step_sizes)
+
+
+def _run_pooled_replicate(args: tuple[ExperimentConfig, int]) -> CascadeResult:
+    config, r = args
+    return _run_replicate((config, r, *_worker_shared))
 
 
 @dataclass
@@ -255,22 +293,30 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the method over ``num_seeds`` replicates and aggregate test RMSE.
 
     Replicates are independent: each derives its own seed, regenerates the
-    synthetic data (a data path is loaded once and shared as-is), and runs
-    the method. With ``jobs > 1`` replicates run in a process pool; the
-    output is identical for any jobs value.
+    synthetic data (a data path is loaded once and shared as-is, with its
+    step sizes), and runs the method. With ``jobs > 1`` replicates run in a
+    process pool; the output is identical for any jobs value.
     """
     config.validate()
     start = time.perf_counter()
     loaded = None if config.data_path is None else load_collection(config.data_path)
-    work = [(config, r, loaded) for r in range(config.num_seeds)]
+    # Every replicate refines the one loaded collection, so its step sizes
+    # are computed once here instead of once per replicate.
+    step_sizes = None if loaded is None else default_step_sizes(loaded)
     if jobs == 1 or config.num_seeds == 1:
-        results = [_run_replicate(w) for w in work]
+        results = [
+            _run_replicate((config, r, loaded, step_sizes))
+            for r in range(config.num_seeds)
+        ]
     else:
         # Imported here, so only a pooled run pays for importing multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_replicate, work))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(loaded, step_sizes)
+        ) as pool:
+            work = [(config, r) for r in range(config.num_seeds)]
+            results = list(pool.map(_run_pooled_replicate, work))
     per_seed = [res.mean_test_rmse() for res in results]
     mean = float(np.mean(per_seed))
     std = float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +45,10 @@ from .errors import (
 )
 from .linmodel import default_ridge_lambda, ridge_solution
 from .seeding import substream
-from .tasks import TaskCollection, TaskDataset
+
+if TYPE_CHECKING:
+    # Annotations only: ``tree`` reads a distance matrix without the task layer.
+    from .tasks import TaskCollection, TaskDataset
 
 FEATURE_METRICS = ("feature", "mmd", "gauss_meancov", "cka")
 TARGET_METRICS = ("target", "sym_kl", "js", "wasserstein")

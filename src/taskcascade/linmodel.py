@@ -176,4 +176,7 @@ def rmse(theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     if y.shape[0] == 0:
         raise ShapeMismatchError("rmse needs at least one sample")
     r = X @ np.asarray(theta, dtype=np.float64) - y
-    return float(np.sqrt(np.mean(r * r)))
+    # np.sqrt(np.mean(r * r)) rounded the same way (the pairwise sum, one
+    # division, a correctly rounded square root), without np.mean's
+    # Python-level dispatch.
+    return math.sqrt(float(np.add.reduce(r * r)) / r.shape[0])

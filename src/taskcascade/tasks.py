@@ -9,6 +9,7 @@ by a ``manifest.json``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -225,35 +226,50 @@ def _write_split_csv(path: Path, X: np.ndarray, y: np.ndarray) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    r"""The rows ``csv.reader`` yields for ``text`` read with ``newline=""``.
+
+    Without a quote or NUL character the excel dialect splits lines at
+    ``\r\n``, ``\r`` or ``\n`` and cells at commas, and an empty line is an
+    empty row; str methods do that about twice as fast as the csv module.
+    Text with quotes or NULs goes through ``csv.reader`` itself.
+    """
+    if '"' in text or "\0" in text:
+        return list(csv.reader(io.StringIO(text, newline="")))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.split(",") if line else [] for line in lines]
+
+
 def _read_split_csv(path: Path, task_id: str) -> tuple[np.ndarray, np.ndarray]:
     if not path.is_file():
         raise DataFormatError(f"task {task_id!r}: missing data file {path}")
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"task {task_id!r}: empty file {path}") from None
-        d = len(header) - 1
-        if d < 1 or header[-1] != "y":
+        rows = _csv_rows(fh.read())
+    if not rows:
+        raise DataFormatError(f"task {task_id!r}: empty file {path}")
+    header = rows[0]
+    d = len(header) - 1
+    if d < 1 or header[-1] != "y":
+        raise DataFormatError(
+            f"task {task_id!r}: bad header in {path}, expected x1,...,xd,y"
+        )
+    values = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != d + 1:
             raise DataFormatError(
-                f"task {task_id!r}: bad header in {path}, expected x1,...,xd,y"
+                f"task {task_id!r}: row {line_no} of {path.name} has "
+                f"{len(row)} cells, expected {d + 1}"
             )
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise DataFormatError(
-                    f"task {task_id!r}: row {line_no} of {path.name} has "
-                    f"{len(row)} cells, expected {d + 1}"
-                )
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"task {task_id!r}: non-numeric cell in row {line_no} "
-                    f"of {path.name}: {exc}"
-                ) from None
-    data = np.array(rows, dtype=np.float64).reshape(len(rows), d + 1)
+        try:
+            values.append(list(map(float, row)))
+        except ValueError as exc:
+            raise DataFormatError(
+                f"task {task_id!r}: non-numeric cell in row {line_no} "
+                f"of {path.name}: {exc}"
+            ) from None
+    data = np.array(values, dtype=np.float64).reshape(len(values), d + 1)
     return data[:, :d], data[:, d]
 
 

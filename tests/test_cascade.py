@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from taskcascade.budget import BudgetAllocation, uniform_default
+from taskcascade import cascade
 from taskcascade.cascade import (
+    METHODS,
     ExperimentConfig,
+    default_step_sizes,
     run_cascade,
     run_experiment,
     run_individual,
     run_method,
 )
-from taskcascade.errors import ConfigError
+from taskcascade.errors import ConfigError, DegenerateDesignError
 from taskcascade.graph import depths, root_tree, star_tree
 from taskcascade.linmodel import contraction_rate, lambda_max
-from taskcascade.tasks import SyntheticConfig, TaskCollection, TaskDataset
+from taskcascade.tasks import SyntheticConfig, TaskCollection, TaskDataset, save_collection
 from taskcascade.theory import PathSpec, path_bound
 
 from conftest import make_collection
@@ -198,6 +201,32 @@ class TestRunMethod:
             assert np.array_equal(b.params[v], c.params[v])
 
 
+class TestDefaultStepSizes:
+    def test_one_over_lambda_max_per_task(self, rng):
+        collection = make_collection(rng, T=4)
+        assert default_step_sizes(collection) == {
+            i: 1.0 / lambda_max(task.X_train) for i, task in enumerate(collection)
+        }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_given_defaults_change_nothing(self, rng, method):
+        collection = make_collection(rng, T=5)
+        config = ExperimentConfig(method=method, metric_name="gradient", budget=30,
+                                  data_path="unused", seed=4)
+        a = run_method(config, collection)
+        b = run_method(config, collection, step_sizes=default_step_sizes(collection))
+        assert a.test_rmse == b.test_rmse
+        assert all(np.array_equal(a.params[v], b.params[v]) for v in a.params)
+
+    def test_zero_design_names_the_task(self, rng):
+        collection = make_collection(rng, T=3)
+        task = collection[1]
+        collection.tasks[1] = TaskDataset(task.id, np.zeros_like(task.X_train),
+                                          task.y_train, task.X_test, task.y_test)
+        with pytest.raises(DegenerateDesignError, match="task 'task1': X\\^T X is the zero"):
+            default_step_sizes(collection)
+
+
 class TestRunExperiment:
     def synthetic(self, **overrides):
         base = dict(num_tasks=5, dim=4, n_train=24, n_test=12, num_clusters=1,
@@ -235,6 +264,30 @@ class TestRunExperiment:
         serial = run_experiment(config, jobs=1)
         parallel = run_experiment(config, jobs=3)
         assert serial.per_seed_mean_rmse == parallel.per_seed_mean_rmse
+
+    def test_loaded_collection_step_sizes_are_computed_once(self, rng, tmp_path,
+                                                            monkeypatch):
+        save_collection(make_collection(rng, T=5), tmp_path / "col")
+        calls = []
+        monkeypatch.setattr(cascade, "lambda_max",
+                            lambda X: calls.append(1) or lambda_max(X))
+        for method, metric in [("individual", None), ("mst", "gradient")]:
+            calls.clear()
+            config = ExperimentConfig(method=method, metric_name=metric, budget=40,
+                                      num_seeds=3, data_path=str(tmp_path / "col"),
+                                      seed=2)
+            run_experiment(config, jobs=1)
+            assert len(calls) == 5, method  # one per task, not one per replicate
+
+    def test_loaded_collection_pooled_equals_serial(self, rng, tmp_path):
+        save_collection(make_collection(rng, T=5), tmp_path / "col")
+        config = ExperimentConfig(method="mst", metric_name="gradient", budget=40,
+                                  num_seeds=3, data_path=str(tmp_path / "col"), seed=2)
+        serial = run_experiment(config, jobs=1)
+        pooled = run_experiment(config, jobs=2)
+        for a, b in zip(serial.results, pooled.results):
+            assert a.test_rmse == b.test_rmse
+            assert all(np.array_equal(a.params[v], b.params[v]) for v in a.params)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -374,6 +374,70 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def _fresh_python(code, cwd=None):
+    import taskcascade
+
+    env = {**os.environ, "PYTHONPATH": str(Path(taskcascade.__file__).parents[1])}
+    return subprocess.run([sys.executable, *code], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
+def test_package_import_loads_no_layer_until_a_name_is_used():
+    out = _fresh_python(["-c", (
+        "import sys, taskcascade\n"
+        "print(sorted(m for m in sys.modules if m.startswith('taskcascade.')))\n"
+        "from taskcascade import rmse, linmodel\n"
+        "print(rmse is linmodel.rmse)\n"
+        "print(all(getattr(taskcascade, n) is not None for n in taskcascade.__all__))\n"
+    )])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == ["[]", "True", "True"]
+
+
+def test_missing_package_attribute_raises_attribute_error():
+    import taskcascade
+
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        taskcascade.nope
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("gen", {"budget", "cascade", "theory"}),
+    ("tree", {"budget", "cascade", "tasks", "theory"}),
+])
+def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, command, unused):
+    (tmp_path / "dist.csv").write_text("a,b\n0.0,1.0\n1.0,0.0\n")
+    argv = {
+        "gen": ["gen", gen_config, "--out", str(tmp_path / "col")],
+        "tree": ["tree", str(tmp_path / "dist.csv"), "--out", str(tmp_path / "tree.csv")],
+    }[command]
+    out = _fresh_python(["-c", (
+        "import sys\n"
+        "from taskcascade.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(' '.join(m.split('.')[1] for m in sys.modules"
+        " if m.startswith('taskcascade.')))\n"
+    )])
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split("\n")[-2].split())
+    assert "graph" in loaded
+    assert not loaded & unused
+
+
+def test_module_entry_exits_with_the_command_code(tmp_path):
+    (tmp_path / "bad.csv").write_text("a,b\n0.0,abc\n1.0,0.0\n")
+    (tmp_path / "good.csv").write_text("a,b\n0.0,1.0\n1.0,0.0\n")
+    bad = _fresh_python(["-m", "taskcascade.cli", "tree", "bad.csv", "--out", "t.csv"],
+                        cwd=tmp_path)
+    assert bad.returncode == 2
+    assert "bad.csv: non-numeric cell on line 2" in bad.stderr
+    good = _fresh_python(["-m", "taskcascade.cli", "tree", "good.csv", "--out", "t.csv"],
+                         cwd=tmp_path)
+    assert good.returncode == 0, good.stderr
+    assert main(["tree", str(tmp_path / "good.csv"), "--out", str(tmp_path / "u.csv")]) == 0
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Only run --jobs > 1 uses the pool, so no other command pays its import.
     code = (

@@ -272,6 +272,20 @@ class TestRmse:
         oracle = (sum(r * r for r in residuals) / 30) ** 0.5
         assert rmse(theta, X, y) == pytest.approx(oracle, abs=1e-12)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        d=st.integers(1, 8),
+        log_scale=st.floats(-150.0, 150.0),
+    )
+    def test_bit_identical_to_numpy_mean(self, seed, n, d, log_scale):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 10.0**log_scale
+        y = rng.standard_normal(n) * 10.0**log_scale
+        theta = rng.standard_normal(d)
+        r = X @ theta - y
+        assert rmse(theta, X, y) == float(np.sqrt(np.mean(r * r)))
+
 
 class TestContractionProperties:
     def test_geometric_error_decay(self):

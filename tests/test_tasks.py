@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from taskcascade.tasks import (
     TaskCollection,
     TaskDataset,
     generate_synthetic,
+    _csv_rows,
     _write_split_csv,
     load_collection,
     save_collection,
@@ -286,3 +288,35 @@ def test_split_writer_bytes_equal_the_csv_writer_loop(data, n, d):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
+
+
+# Line breaks of every kind, separators, blanks, characters str.splitlines
+# would break at but csv does not (\x0b, \x1c, \x85, \u2028), and, in the
+# second alphabet, the quote and NUL characters that route text to csv.reader.
+_CSV_TEXT = "01.-e ,\r\n\t\x0b\x1c\x85\u2028"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(st.text(alphabet=_CSV_TEXT, max_size=60),
+                      st.text(alphabet=_CSV_TEXT + '"\0', max_size=60)))
+def test_row_splitter_equals_csv_reader(text):
+    try:
+        want = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:
+        with pytest.raises(csv.Error):
+            _csv_rows(text)
+        return
+    assert _csv_rows(text) == want
+
+
+def test_quoted_csv_still_loads(rng, tmp_path):
+    collection = make_collection(rng, T=1, d=2)
+    save_collection(collection, tmp_path)
+    path = tmp_path / "task0_train.csv"
+    rows = list(csv.reader(path.read_text().splitlines()))
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+    assert path.read_text().startswith('"x1","x2","y"')
+    loaded = load_collection(tmp_path)[0]
+    assert np.array_equal(loaded.X_train, collection[0].X_train)
+    assert np.array_equal(loaded.y_train, collection[0].y_train)
