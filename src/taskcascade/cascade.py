@@ -102,6 +102,21 @@ def _check_budgets(collection: TaskCollection, budgets: BudgetAllocation) -> Non
         raise ConfigError("budget allocation does not cover the collection")
 
 
+def default_step_sizes(collection: TaskCollection) -> dict[int, float]:
+    """Every task's default step size 1/lambda_max(X_train), by task index.
+
+    :func:`run_cascade` and :func:`run_individual` use these when they are
+    given no step sizes. An error names its task.
+    """
+    step_sizes = {}
+    for i, task in enumerate(collection):
+        try:
+            step_sizes[i] = 1.0 / lambda_max(task.X_train)
+        except TaskCascadeError as exc:
+            raise type(exc)(f"task {task.id!r}: {exc}") from exc
+    return step_sizes
+
+
 def _refine_forest(
     collection: TaskCollection,
     budgets: BudgetAllocation,
@@ -118,7 +133,9 @@ def _refine_forest(
     tree and no metric name; callers fill them in.
     """
     _check_budgets(collection, budgets)
-    if step_sizes is not None and set(step_sizes) != set(range(len(collection))):
+    if step_sizes is None:
+        step_sizes = default_step_sizes(collection)
+    elif set(step_sizes) != set(range(len(collection))):
         raise ConfigError("step sizes do not cover the collection")
     if theta_init is None:
         theta_init = np.zeros(collection.dim)
@@ -131,11 +148,7 @@ def _refine_forest(
         task = collection[v]
         b = budgets.per_task[v]
         try:
-            if step_sizes is None:
-                eta = 1.0 / lambda_max(task.X_train)
-            else:
-                eta = step_sizes[v]
-            params[v] = refine(start_theta, task.X_train, task.y_train, b, eta)
+            params[v] = refine(start_theta, task.X_train, task.y_train, b, step_sizes[v])
         except TaskCascadeError as exc:
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
         steps += b
@@ -152,21 +165,6 @@ def _refine_forest(
         task_ids=collection.ids,
         steps_executed=steps,
     )
-
-
-def default_step_sizes(collection: TaskCollection) -> dict[int, float]:
-    """Every task's default step size 1/lambda_max(X_train), by task index.
-
-    These are the step sizes :func:`run_cascade` and :func:`run_individual`
-    compute when they are given none; an error names its task the same way.
-    """
-    step_sizes = {}
-    for i, task in enumerate(collection):
-        try:
-            step_sizes[i] = 1.0 / lambda_max(task.X_train)
-        except TaskCascadeError as exc:
-            raise type(exc)(f"task {task.id!r}: {exc}") from exc
-    return step_sizes
 
 
 def run_cascade(
