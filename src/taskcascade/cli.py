@@ -163,8 +163,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     from .distances import load_distance_matrix
-    from .graph import build_tree, save_tree
+    from .graph import TREE_KINDS, build_tree, save_tree
 
+    if args.method not in TREE_KINDS:
+        raise ConfigError(
+            f"unknown tree method {args.method!r}; valid: {', '.join(TREE_KINDS)}"
+        )
     matrix = load_distance_matrix(args.dist)
     seed = args.seed if args.seed is not None else 0
     tree = build_tree(matrix, args.method, seed)
@@ -289,9 +293,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .distances import METRIC_NAMES
-    from .graph import TREE_KINDS
-
+    # --metric and --method are checked by the commands that import the layer
+    # holding the valid names, so the parser itself loads no layer.
     parser = argparse.ArgumentParser(
         prog="taskcascade",
         description="Budgeted many-task training over task trees",
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="compute a pairwise distance matrix")
     p.add_argument("collection", help="collection directory")
-    p.add_argument("--metric", required=True, help=f"one of {', '.join(sorted(METRIC_NAMES))}")
+    p.add_argument("--metric", required=True, help="distance metric name")
     p.add_argument("--out", required=True, help="CSV file to write")
     p.add_argument("--params", default=None, help="optional distance params JSON")
     p.add_argument("--seed", type=int, default=None)
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="build a tree from a distance matrix")
     p.add_argument("dist", help="distance matrix CSV")
-    p.add_argument("--method", choices=TREE_KINDS, default="mst")
+    p.add_argument("--method", default="mst", help="tree kind (default: mst)")
     p.add_argument("--out", required=True, help="tree CSV to write")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_tree)

@@ -10,9 +10,11 @@ r = 1 - eta lam, so b steps have the closed form
 
 with directions of lam = 0 keeping z0 (Goh, "Why Momentum Really Works",
 Distill 2017). :func:`refine` evaluates it from one symmetric
-eigendecomposition, so its cost is O(d^3) whatever b is. For eta in
-(0, 2/lambda_max) the map is a contraction with rate max |r| < 1 whenever
-X^T X is positive definite, so errors decay geometrically in the step count.
+eigendecomposition, so its cost is O(d^3) whatever b is. The map is affine
+in (theta0, y), so k columns of starting points and targets share that one
+eigendecomposition. For eta in (0, 2/lambda_max) the map is a contraction
+with rate max |r| < 1 whenever X^T X is positive definite, so errors decay
+geometrically in the step count.
 
 The default step size 1/lambda_max takes lambda_max from power iteration on
 X^T X with a fixed start vector; each iteration does one matrix-vector
@@ -107,16 +109,20 @@ def refine(
     returns a copy of theta0. Raises DivergenceError when b >= 1 and
     eta * lambda_max > 2, where the iteration would grow without bound, or
     when the result is not finite.
+
+    theta0 of shape (d,) with y of shape (n,) refines one parameter vector.
+    theta0 of shape (d, k) with y of shape (n, k) refines k columns at once,
+    column j on targets y[:, j], from the one eigendecomposition; the
+    checks apply to the whole stack.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
         raise ShapeMismatchError(f"X {X.shape} and y {y.shape} do not agree")
-    if theta.shape != (X.shape[1],):
-        raise ShapeMismatchError(
-            f"theta has shape {theta.shape}, expected ({X.shape[1]},)"
-        )
+    expected = (X.shape[1], *y.shape[1:])
+    if theta.shape != expected:
+        raise ShapeMismatchError(f"theta has shape {theta.shape}, expected {expected}")
     if b < 0:
         raise ValueError(f"budget must be nonnegative, got {b}")
     if b == 0:
@@ -133,11 +139,14 @@ def refine(
     progress = 1.0 - r**b
     pos = r > 0.0
     progress[pos] = -np.expm1(b * np.log1p(-h[pos]))
+    # Per-direction factors index the rows of a column stack; for a vector
+    # the index is a plain slice, so that path is unchanged.
+    rows = (slice(None),) + (None,) * (theta.ndim - 1)
     z0 = V.T @ theta
     c = V.T @ (X.T @ y)
     # lam <= 0 gives r = 1 and progress = 0, so z0 stays there
-    target = np.divide(c, lam, out=z0.copy(), where=lam > 0.0)
-    theta = V @ (z0 + progress * (target - z0))
+    target = np.divide(c, lam[rows], out=z0.copy(), where=(lam > 0.0)[rows])
+    theta = V @ (z0 + progress[rows] * (target - z0))
     if not np.isfinite(theta).all():
         raise DivergenceError("refinement produced non-finite parameters")
     return theta

@@ -67,6 +67,10 @@ class TaskDataset:
         self.y_train = _as_float_vector(self.y_train, "y_train")
         self.X_test = _as_float_matrix(self.X_test, "X_test")
         self.y_test = _as_float_vector(self.y_test, "y_test")
+        if self.X_test.shape[0] == 0:
+            # an empty test split of any width has the training dimension,
+            # so it saves as a header of x1..xd,y that loads back
+            self.X_test = np.empty((0, self.X_train.shape[1]))
         if self.X_train.shape[0] != self.y_train.shape[0]:
             raise ShapeMismatchError(
                 f"task {self.id!r}: X_train has {self.X_train.shape[0]} rows "
@@ -77,7 +81,7 @@ class TaskDataset:
                 f"task {self.id!r}: X_test has {self.X_test.shape[0]} rows "
                 f"but y_test has {self.y_test.shape[0]}"
             )
-        if self.X_test.shape[0] > 0 and self.X_test.shape[1] != self.X_train.shape[1]:
+        if self.X_test.shape[1] != self.X_train.shape[1]:
             raise ShapeMismatchError(
                 f"task {self.id!r}: train dim {self.X_train.shape[1]} "
                 f"!= test dim {self.X_test.shape[1]}"

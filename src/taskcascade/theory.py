@@ -7,6 +7,11 @@ own suffix product; the noisy bound adds a per-node noise term scaled by
 the design's noise-to-parameter operator norm. The cascade-versus-direct
 comparison evaluates the closed-form condition under which the cascaded
 bound is tighter than one discounted long transfer.
+
+:func:`verify_bounds` checks the bounds on synthetic chains by refining
+each task of the chain with :func:`linmodel.refine`; in noisy mode every
+noise draw is one column of a stack, so each task is refined once for all
+draws.
 """
 
 from __future__ import annotations
@@ -15,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import BudgetAllocation
-from .cascade import run_cascade
 from .errors import ConfigError
-from .graph import RootedTree
-from .linmodel import contraction_rate, lambda_max
+from .linmodel import contraction_rate, lambda_max, refine
 from .seeding import substream
-from .tasks import TaskCollection, TaskDataset
 
 
 @dataclass
@@ -175,9 +176,8 @@ class BoundCheck:
 @dataclass
 class _Chain:
     designs: list[np.ndarray]
-    probes: list[np.ndarray]
     thetas: list[np.ndarray]
-    etas: dict[int, float]
+    etas: list[float]
     rhos: list[float]
     a_frob: list[float]
 
@@ -190,71 +190,48 @@ def _build_chain(config: ChainConfig) -> _Chain:
     m = config.length
     thetas = [theta0 + (i / m) * config.spacing * direction for i in range(m + 1)]
     designs = [rng.standard_normal((config.n, config.dim)) for _ in range(m + 1)]
-    probes = [rng.standard_normal((4, config.dim)) for _ in range(m + 1)]
-    etas, rhos, a_frob = {}, [], []
-    for i, X in enumerate(designs):
-        etas[i] = 1.0 / lambda_max(X)
-        rhos.append(contraction_rate(X, etas[i]))
+    etas, rhos, a_frob = [], [], []
+    for X in designs:
+        etas.append(1.0 / lambda_max(X))
+        rhos.append(contraction_rate(X, etas[-1]))
         A = np.linalg.solve(X.T @ X, X.T)
         a_frob.append(float(np.linalg.norm(A, ord="fro")))
-    return _Chain(designs, probes, thetas, etas, rhos, a_frob)
-
-
-def _chain_collection(chain: _Chain, noises: list[np.ndarray] | None) -> TaskCollection:
-    tasks = []
-    for i, (X, P, theta) in enumerate(zip(chain.designs, chain.probes, chain.thetas)):
-        y = X @ theta
-        if noises is not None:
-            y = y + noises[i]
-        tasks.append(TaskDataset(f"task{i}", X, y, P, P @ theta))
-    return TaskCollection(tasks, chain.designs[0].shape[1])
-
-
-def _chain_tree(chain: _Chain) -> RootedTree:
-    m = len(chain.designs) - 1
-    parent = {i: i - 1 for i in range(1, m + 1)}
-    lengths = {
-        i: float(np.linalg.norm(chain.thetas[i] - chain.thetas[i - 1]))
-        for i in range(1, m + 1)
-    }
-    return RootedTree(0, parent, lengths)
+    return _Chain(designs, thetas, etas, rhos, a_frob)
 
 
 def verify_bounds(config: ChainConfig) -> BoundCheck:
-    """Run a cascade along a synthetic chain and compare against the bound.
+    """Refine along a synthetic chain and compare against the bound.
 
-    Noiseless mode refines the root from zeros and checks the leaf error
-    against the noiseless path bound. Noisy mode pins the root at its true
-    optimum with zero budget (so the bound's initial term vanishes exactly),
-    averages the leaf error over repeated noise draws, and checks the
-    Monte-Carlo mean against the expected-error bound plus two standard
-    errors.
+    Task i's targets are X_i theta_i, and each task starts from its
+    predecessor's refined parameters. Noiseless mode refines the root from
+    zeros and checks the leaf error against the noiseless path bound.
+    Noisy mode pins the root at its true optimum with zero budget (so the
+    bound's initial term vanishes exactly), adds Gaussian noise to every
+    other task's targets, and checks the Monte-Carlo mean of the leaf error
+    against the expected-error bound plus two standard errors. All draws
+    are refined together, as the columns of one stack per task.
     """
     config.validate()
     chain = _build_chain(config)
     m = config.length
-    tree = _chain_tree(chain)
-    deltas = [tree.edge_length[i] for i in range(1, m + 1)]
-    budgets_list = [config.budget_per_node] * (m + 1)
+    b = config.budget_per_node
+    deltas = [
+        float(np.linalg.norm(chain.thetas[i] - chain.thetas[i - 1]))
+        for i in range(1, m + 1)
+    ]
+    targets = [X @ theta for X, theta in zip(chain.designs, chain.thetas)]
 
     if config.noise_sigma == 0.0:
-        root_b = (
-            config.root_budget if config.root_budget is not None else config.budget_per_node
+        root_b = config.root_budget if config.root_budget is not None else b
+        theta = refine(
+            np.zeros(config.dim), chain.designs[0], targets[0], root_b, chain.etas[0]
         )
-        budgets_list[0] = root_b
-        budgets = BudgetAllocation(dict(enumerate(budgets_list)), sum(budgets_list))
-        result = run_cascade(
-            _chain_collection(chain, None), tree, budgets, step_sizes=chain.etas
-        )
-        init_error = float(np.linalg.norm(result.params[0] - chain.thetas[0]))
-        spec = PathSpec(
-            rhos=chain.rhos[1:],
-            budgets=budgets_list[1:],
-            deltas=deltas,
-            init_error=init_error,
-        )
+        init_error = float(np.linalg.norm(theta - chain.thetas[0]))
+        for i in range(1, m + 1):
+            theta = refine(theta, chain.designs[i], targets[i], b, chain.etas[i])
+        spec = PathSpec(chain.rhos[1:], [b] * m, deltas, init_error=init_error)
         bound = path_bound(spec)
-        empirical = float(np.linalg.norm(result.params[m] - chain.thetas[m]))
+        empirical = float(np.linalg.norm(theta - chain.thetas[m]))
         tol = 1e-9
         return BoundCheck(
             config=config,
@@ -265,36 +242,19 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
             tolerance=tol,
         )
 
-    # noisy mode: root pinned at its optimum, expectations over noise draws
-    budgets_list[0] = 0
-    budgets = BudgetAllocation(dict(enumerate(budgets_list)), sum(budgets_list))
-    noise_rng = substream(config.seed, "noise")
-    errors = []
-    for _ in range(config.noise_draws):
-        noises = [
-            config.noise_sigma * noise_rng.standard_normal(config.n)
-            for _ in range(m + 1)
-        ]
-        noises[0][:] = 0.0  # the root is exact; noise there is never consumed
-        collection = _chain_collection(chain, noises)
-        result = run_cascade(
-            collection, tree, budgets, theta_init=chain.thetas[0], step_sizes=chain.etas
-        )
-        errors.append(float(np.linalg.norm(result.params[m] - chain.thetas[m])))
-    errors_arr = np.asarray(errors)
-    mc_mean = float(errors_arr.mean())
-    mc_stderr = (
-        float(errors_arr.std(ddof=1) / np.sqrt(len(errors_arr)))
-        if len(errors_arr) > 1
-        else 0.0
-    )
+    # noisy mode: the root is exact, so its noise row is drawn (to keep the
+    # stream's order) but never used; column k of each stack is draw k.
+    draws = config.noise_draws
+    noise = substream(config.seed, "noise").standard_normal((draws, m + 1, config.n))
+    theta = np.repeat(chain.thetas[0][:, None], draws, axis=1)
+    for i in range(1, m + 1):
+        y = targets[i][:, None] + (config.noise_sigma * noise[:, i, :]).T
+        theta = refine(theta, chain.designs[i], y, b, chain.etas[i])
+    errors = np.linalg.norm(theta - chain.thetas[m][:, None], axis=0)
+    mc_mean = float(errors.mean())
+    mc_stderr = float(errors.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
     spec = NoisySpec(
-        path=PathSpec(
-            rhos=chain.rhos[1:],
-            budgets=budgets_list[1:],
-            deltas=deltas,
-            init_error=0.0,
-        ),
+        path=PathSpec(chain.rhos[1:], [b] * m, deltas),
         sigmas=[config.noise_sigma] * m,
         a_frob=chain.a_frob[1:],
     )

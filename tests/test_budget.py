@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskcascade.budget import (
+    SCHEME_KINDS,
     AllocationScheme,
     BudgetAllocation,
     allocate,
@@ -10,7 +12,13 @@ from taskcascade.budget import (
     uniform_default,
 )
 from taskcascade.errors import ConfigError, InfeasibleBudgetError
-from taskcascade.graph import depths, random_spanning_tree, root_tree, star_tree
+from taskcascade.graph import (
+    decode_pruefer,
+    depths,
+    random_spanning_tree,
+    root_tree,
+    star_tree,
+)
 
 
 def chain(n):
@@ -138,6 +146,38 @@ class TestAllocate:
             exact = 1 + (B - seed_budget - (T - 1)) / (T - 1)
             for v in tree.parent:
                 assert abs(alloc.per_task[v] - exact) < 1.0
+
+
+@st.composite
+def random_trees(draw):
+    """A uniform labeled tree from a Pruefer sequence, with random edge lengths."""
+    T = draw(st.integers(1, 30))
+    sequence = draw(st.lists(st.integers(0, T - 1), min_size=max(T - 2, 0),
+                             max_size=max(T - 2, 0)))
+    W = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 10.0, (T, T))
+    W[W < 2.0] = 0.0  # some edges of length zero
+    root = draw(st.integers(0, T - 1))
+    return root_tree(decode_pruefer(sequence, T), root, W + W.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=random_trees(),
+    kind=st.sampled_from(SCHEME_KINDS),
+    alpha=st.floats(0.1, 3.0),
+    beta=st.floats(0.1, 3.0),
+    seed_fraction=st.floats(0.0, 0.999) | st.just(0.0),
+    extra=st.integers(0, 5000),
+)
+def test_allocation_sums_exactly_with_one_step_each(tree, kind, alpha, beta,
+                                                    seed_fraction, extra):
+    total = tree.size + extra
+    scheme = AllocationScheme(kind=kind, alpha=alpha, beta=beta,
+                              seed_fraction=seed_fraction)
+    alloc = allocate(tree, total, scheme)
+    assert set(alloc.per_task) == set(range(tree.size))
+    assert sum(alloc.per_task.values()) == total
+    assert min(alloc.per_task.values()) >= 1
 
 
 class TestSplitUniform:

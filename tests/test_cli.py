@@ -191,6 +191,16 @@ class TestTree:
         out = tmp_path / "t.csv"
         assert main(["tree", str(dist2), "--method", "mst", "--out", str(out)]) == 0
 
+    def test_unknown_method_exits_2_listing_kinds(self, tmp_path, capsys):
+        # checked before the matrix is read, so a missing file does not matter
+        out = tmp_path / "t.csv"
+        code = main(["tree", str(tmp_path / "none.csv"), "--method", "bogus",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "mst, star, random" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, problem", [
         ("a,b\n0.0,abc\n1.0,0.0\n", "non-numeric cell on line 2"),
         ("a,b\n0.0\n1.0,0.0\n", "line 2 has 1 cells, expected 2"),
@@ -402,14 +412,19 @@ def test_missing_package_attribute_raises_attribute_error():
 
 
 @pytest.mark.parametrize("command, unused", [
-    ("gen", {"budget", "cascade", "theory"}),
+    ("gen", {"budget", "cascade", "distances", "graph", "theory"}),
     ("tree", {"budget", "cascade", "tasks", "theory"}),
+    ("verify", {"budget", "cascade", "distances", "graph", "tasks"}),
 ])
 def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, command, unused):
     (tmp_path / "dist.csv").write_text("a,b\n0.0,1.0\n1.0,0.0\n")
+    verify_config = write_json(tmp_path / "verify.json", {
+        "mode": "noisy", "length": 3, "noise_sigma": 0.5, "noise_draws": 20,
+    })
     argv = {
         "gen": ["gen", gen_config, "--out", str(tmp_path / "col")],
         "tree": ["tree", str(tmp_path / "dist.csv"), "--out", str(tmp_path / "tree.csv")],
+        "verify": ["verify", verify_config, "--out", str(tmp_path / "verify.out")],
     }[command]
     out = _fresh_python(["-c", (
         "import sys\n"
@@ -420,7 +435,9 @@ def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, command
     )])
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.split("\n")[-2].split())
-    assert "graph" in loaded
+    # the layers the command runs, so an empty or wrong listing cannot pass
+    used = {"gen": {"tasks"}, "tree": {"distances", "graph"}, "verify": {"theory"}}
+    assert used[command] <= loaded
     assert not loaded & unused
 
 

@@ -206,6 +206,58 @@ class TestRefine:
             assert np.allclose(null @ out, null @ theta0, rtol=0, atol=1e-10)
 
 
+class TestRefineColumnStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["well_conditioned", "near_singular", "wide"]),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.integers(0, 2000),
+        k=st.integers(1, 8),
+        scale=st.floats(0.1, 1.0),
+    )
+    def test_equals_refine_per_column(self, kind, seed, b, k, scale):
+        # Columns go through matrix-matrix products where a vector goes
+        # through matrix-vector ones, so they may differ in the last bits.
+        X, _, _ = design(kind, seed)
+        rng = np.random.default_rng(seed + 1)
+        theta0 = rng.standard_normal((X.shape[1], k))
+        Y = rng.standard_normal((X.shape[0], k))
+        eta = scale / np.linalg.eigvalsh(X.T @ X).max()
+        got = refine(theta0, X, Y, b, eta)
+        assert got.shape == theta0.shape
+        for j in range(k):
+            want = refine(theta0[:, j], X, Y[:, j], b, eta)
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_budget_returns_a_copy_of_the_stack(self):
+        theta0 = np.arange(6.0).reshape(2, 3)
+        out = refine(theta0, np.eye(2), np.ones((2, 3)), 0, 0.5)
+        assert np.array_equal(out, theta0)
+        assert out is not theta0
+
+    @pytest.mark.parametrize("theta_shape, y_shape", [
+        ((2, 3), (4,)),  # a stack of starting points needs a stack of targets
+        ((2,), (4, 3)),
+        ((2, 3), (4, 2)),
+        ((3, 3), (4, 3)),
+        ((2, 3), (5, 3)),
+        ((2, 3, 1), (4, 3, 1)),
+    ])
+    def test_mismatched_stacks_rejected(self, theta_shape, y_shape):
+        X = np.ones((4, 2))
+        with pytest.raises(ShapeMismatchError):
+            refine(np.zeros(theta_shape), X, np.zeros(y_shape), 1, 0.1)
+
+    def test_divergence_and_non_finite_checks_cover_the_stack(self):
+        X = np.eye(2) * 3.0  # lambda_max = 9
+        with pytest.raises(DivergenceError, match="step size"):
+            refine(np.ones((2, 4)), X, np.zeros((2, 4)), 1, 2.0 / 9.0 * (1 + 1e-9))
+        theta0 = np.ones((2, 4))
+        theta0[1, 3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="non-finite"):
+            refine(theta0, X, np.zeros((2, 4)), 3, 0.1)
+
+
 class TestRidge:
     def test_identity_design_lambda_zero(self):
         assert np.allclose(ridge_solution(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])

@@ -166,6 +166,18 @@ def test_empty_collection_round_trip(tmp_path):
     assert len(load_collection(tmp_path / "empty")) == 0
 
 
+@pytest.mark.parametrize("empty_shape", [(0, 0), (0, 1), (0, 3), (0, 7)])
+def test_empty_test_split_round_trip(rng, tmp_path, empty_shape):
+    X, y = rng.standard_normal((5, 3)), rng.standard_normal(5)
+    task = TaskDataset("t", X, y, np.empty(empty_shape), np.empty(0))
+    assert task.X_test.shape == (0, 3)
+    save_collection(TaskCollection([task], 3), tmp_path / "col")
+    assert (tmp_path / "col" / "t_test.csv").read_text() == "x1,x2,x3,y\n"
+    loaded = load_collection(tmp_path / "col")[0]
+    assert loaded.X_test.shape == (0, 3) and loaded.y_test.shape == (0,)
+    assert np.array_equal(loaded.X_train, X) and np.array_equal(loaded.y_train, y)
+
+
 def test_single_task_layout(rng, tmp_path):
     save_collection(make_collection(rng, T=1), tmp_path / "one")
     names = {p.name for p in (tmp_path / "one").iterdir()}

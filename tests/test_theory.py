@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from taskcascade.budget import BudgetAllocation
+from taskcascade.cascade import run_cascade
 from taskcascade.errors import ConfigError
+from taskcascade.graph import RootedTree
+from taskcascade.linmodel import contraction_rate, lambda_max
+from taskcascade.seeding import substream
+from taskcascade.tasks import TaskCollection, TaskDataset
 from taskcascade.theory import (
     ChainConfig,
     NoisySpec,
@@ -31,6 +37,80 @@ def noisy_recurrence_bound(spec: NoisySpec) -> float:
     ):
         e = rho**b * (e + delta) + sigma * (1.0 + rho**b) * a
     return e
+
+
+def per_draw_verify_bounds(config: ChainConfig) -> tuple[float, float, bool, float]:
+    """Reference: one TaskCollection and one run_cascade per noise draw.
+
+    (empirical, bound, satisfied, mc_stderr) as verify_bounds computed them
+    when every draw was a cascade of its own.
+    """
+    rng = substream(config.seed, "chain")
+    theta0 = rng.standard_normal(config.dim)
+    direction = rng.standard_normal(config.dim)
+    direction /= np.linalg.norm(direction)
+    m = config.length
+    thetas = [theta0 + (i / m) * config.spacing * direction for i in range(m + 1)]
+    designs = [rng.standard_normal((config.n, config.dim)) for _ in range(m + 1)]
+    probes = [rng.standard_normal((4, config.dim)) for _ in range(m + 1)]
+    etas, rhos, a_frob = {}, [], []
+    for i, X in enumerate(designs):
+        etas[i] = 1.0 / lambda_max(X)
+        rhos.append(contraction_rate(X, etas[i]))
+        A = np.linalg.solve(X.T @ X, X.T)
+        a_frob.append(float(np.linalg.norm(A, ord="fro")))
+
+    def collection(noises):
+        tasks = []
+        for i, (X, P, theta) in enumerate(zip(designs, probes, thetas)):
+            y = X @ theta
+            if noises is not None:
+                y = y + noises[i]
+            tasks.append(TaskDataset(f"task{i}", X, y, P, P @ theta))
+        return TaskCollection(tasks, config.dim)
+
+    tree = RootedTree(
+        0,
+        {i: i - 1 for i in range(1, m + 1)},
+        {i: float(np.linalg.norm(thetas[i] - thetas[i - 1])) for i in range(1, m + 1)},
+    )
+    deltas = [tree.edge_length[i] for i in range(1, m + 1)]
+    budgets_list = [config.budget_per_node] * (m + 1)
+    if config.noise_sigma == 0.0:
+        if config.root_budget is not None:
+            budgets_list[0] = config.root_budget
+        budgets = BudgetAllocation(dict(enumerate(budgets_list)), sum(budgets_list))
+        result = run_cascade(collection(None), tree, budgets, step_sizes=etas)
+        init_error = float(np.linalg.norm(result.params[0] - thetas[0]))
+        bound = path_bound(PathSpec(rhos[1:], budgets_list[1:], deltas, init_error))
+        empirical = float(np.linalg.norm(result.params[m] - thetas[m]))
+        return empirical, bound, empirical <= bound + 1e-9, 0.0
+
+    budgets_list[0] = 0
+    budgets = BudgetAllocation(dict(enumerate(budgets_list)), sum(budgets_list))
+    noise_rng = substream(config.seed, "noise")
+    errors = []
+    for _ in range(config.noise_draws):
+        noises = [
+            config.noise_sigma * noise_rng.standard_normal(config.n) for _ in range(m + 1)
+        ]
+        noises[0][:] = 0.0
+        result = run_cascade(
+            collection(noises), tree, budgets, theta_init=thetas[0], step_sizes=etas
+        )
+        errors.append(float(np.linalg.norm(result.params[m] - thetas[m])))
+    errors_arr = np.asarray(errors)
+    mc_mean = float(errors_arr.mean())
+    mc_stderr = (
+        float(errors_arr.std(ddof=1) / np.sqrt(len(errors_arr)))
+        if len(errors_arr) > 1 else 0.0
+    )
+    bound = noisy_path_bound(NoisySpec(
+        PathSpec(rhos[1:], budgets_list[1:], deltas, 0.0),
+        [config.noise_sigma] * m,
+        a_frob[1:],
+    ))
+    return mc_mean, bound, mc_mean <= bound + 2.0 * mc_stderr, mc_stderr
 
 
 def random_path_spec(rng, m=3):
@@ -192,6 +272,49 @@ class TestVerifyBounds:
         assert check.mode == "noisy"
         assert check.mc_stderr > 0.0
         assert check.satisfied
+
+    def test_one_draw_call_is_the_per_draw_sequence(self):
+        K, m1, n = 7, 4, 9
+        one = substream(11, "noise").standard_normal((K, m1, n))
+        rng = substream(11, "noise")
+        per_draw = [[rng.standard_normal(n) for _ in range(m1)] for _ in range(K)]
+        assert one.tobytes() == np.asarray(per_draw).tobytes()
+
+    @pytest.mark.parametrize("config", [
+        ChainConfig(length=5, noise_sigma=0.5, noise_draws=200, seed=42),
+        ChainConfig(length=3, dim=4, n=24, budget_per_node=8, spacing=1.5,
+                    noise_sigma=0.5, noise_draws=100, seed=7),
+        ChainConfig(length=1, dim=1, n=3, budget_per_node=1, noise_sigma=2.0,
+                    noise_draws=1, seed=3),
+        ChainConfig(length=6, dim=10, n=12, budget_per_node=0, spacing=4.0,
+                    noise_sigma=0.1, noise_draws=17, seed=99),
+        ChainConfig(length=2, dim=3, n=40, budget_per_node=60, root_budget=4,
+                    noise_sigma=1.3, noise_draws=50, seed=5),
+    ])
+    def test_noisy_draws_stacked_equal_one_cascade_per_draw(self, config):
+        want = per_draw_verify_bounds(config)
+        check = verify_bounds(config)
+        got = (check.empirical, check.bound, check.satisfied, check.mc_stderr)
+        assert got[2] == want[2]
+        assert got[1] == want[1]
+        for g, w in (got[0], want[0]), (got[3], want[3]):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+    def test_noiseless_walk_equals_the_cascade_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            config = ChainConfig(
+                length=int(rng.integers(1, 6)),
+                dim=int(rng.integers(1, 11)),
+                n=int(rng.integers(12, 40)),
+                budget_per_node=int(rng.integers(0, 21)),
+                root_budget=None if rng.random() < 0.5 else int(rng.integers(0, 9)),
+                spacing=float(rng.uniform(0.0, 5.0)),
+                seed=int(rng.integers(1 << 31)),
+            )
+            check = verify_bounds(config)
+            got = (check.empirical, check.bound, check.satisfied, check.mc_stderr)
+            assert got == per_draw_verify_bounds(config)
 
     def test_invalid_chain_rejected(self):
         with pytest.raises(ConfigError):
