@@ -58,7 +58,6 @@ _EXPORTS = {
     ),
     "linmodel": (
         "contraction_rate",
-        "default_step_size",
         "lambda_max",
         "refine",
         "ridge_solution",

@@ -206,17 +206,36 @@ def run_individual(
     return result
 
 
+def _shared_tree(
+    config: ExperimentConfig, collection: TaskCollection
+) -> RootedTree | None:
+    """The tree every replicate on one loaded collection builds, or None.
+
+    Only ``random_tree`` draws its tree from the replicate seed, and only
+    ``mmd`` its distances, so an ``mst`` or ``star`` tree under any other
+    metric is the same in every replicate. No seed enters it, so none is
+    derived: a pooled run's parent process then never loads numpy.random.
+    """
+    metric = config.metric_name or DEFAULT_MEDOID_METRIC
+    if config.method not in ("mst", "star") or metric == "mmd":
+        return None
+    matrix = compute_distance_matrix(collection, metric, config.distance_params)
+    return build_tree(matrix, config.method)
+
+
 def run_method(
     config: ExperimentConfig,
     collection: TaskCollection,
     seed: int | None = None,
     *,
     step_sizes: Mapping[int, float] | None = None,
+    tree: RootedTree | None = None,
 ) -> CascadeResult:
     """Dispatch one run of the configured method on a concrete collection.
 
     Distances (hence trees and the medoid root) are computed from training
-    splits only. ``step_sizes`` is as for :func:`run_cascade`.
+    splits only. ``step_sizes`` is as for :func:`run_cascade`. A cascade
+    method given ``tree`` refines over it instead of building its own.
     """
     config.validate()
     seed = config.seed if seed is None else seed
@@ -234,10 +253,11 @@ def run_method(
         return result
 
     metric = config.metric_name or DEFAULT_MEDOID_METRIC
-    dist_params = replace(config.distance_params, seed=derive_seed(seed, "dist"))
-    matrix = compute_distance_matrix(collection, metric, dist_params)
-    kind = "random" if config.method == "random_tree" else config.method
-    tree = build_tree(matrix, kind, seed)
+    if tree is None:
+        dist_params = replace(config.distance_params, seed=derive_seed(seed, "dist"))
+        matrix = compute_distance_matrix(collection, metric, dist_params)
+        kind = "random" if config.method == "random_tree" else config.method
+        tree = build_tree(matrix, kind, seed)
     budgets = allocate(tree, config.budget, config.scheme)
     result = run_cascade(collection, tree, budgets, theta_init, step_sizes=step_sizes)
     result.metric_name = metric
@@ -245,34 +265,36 @@ def run_method(
     return result
 
 
-def _run_replicate(
-    args: tuple[ExperimentConfig, int, TaskCollection | None, dict[int, float] | None],
-) -> CascadeResult:
+# What every replicate of a data_path run shares: the loaded collection, its
+# step sizes and the tree when no replicate seed enters it (see
+# _shared_tree). All None for a synthetic run, whose replicates each
+# generate their own collection.
+_Shared = tuple[TaskCollection | None, dict[int, float] | None, RootedTree | None]
+
+
+def _run_replicate(args: tuple[ExperimentConfig, int, _Shared]) -> CascadeResult:
     """Replicate ``r`` on the loaded collection, or on its own synthetic one."""
-    config, r, collection, step_sizes = args
+    config, r, (collection, step_sizes, tree) = args
     rep_seed = derive_seed(config.seed, "replicate", r)
     if collection is None:
         collection, _ = generate_synthetic(replace(config.synthetic, seed=rep_seed))
-    return run_method(config, collection, seed=rep_seed, step_sizes=step_sizes)
+    return run_method(config, collection, seed=rep_seed, step_sizes=step_sizes, tree=tree)
 
 
-# A pool worker's copy of the loaded collection and its step sizes, set once
-# by the pool initializer: a forked worker inherits them in memory, where
-# putting them in every work item would pickle the whole collection once per
-# replicate.
-_worker_shared: tuple[TaskCollection | None, dict[int, float] | None] = (None, None)
+# A pool worker's copy of what the replicates share, set once by the pool
+# initializer: a forked worker inherits it in memory, where putting it in
+# every work item would pickle the whole collection once per replicate.
+_worker_shared: _Shared = (None, None, None)
 
 
-def _init_worker(
-    collection: TaskCollection | None, step_sizes: dict[int, float] | None
-) -> None:
+def _init_worker(*shared) -> None:
     global _worker_shared
-    _worker_shared = (collection, step_sizes)
+    _worker_shared = shared
 
 
 def _run_pooled_replicate(args: tuple[ExperimentConfig, int]) -> CascadeResult:
     config, r = args
-    return _run_replicate((config, r, *_worker_shared))
+    return _run_replicate((config, r, _worker_shared))
 
 
 @dataclass
@@ -291,27 +313,27 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the method over ``num_seeds`` replicates and aggregate test RMSE.
 
     Replicates are independent: each derives its own seed, regenerates the
-    synthetic data (a data path is loaded once and shared as-is, with its
-    step sizes), and runs the method. With ``jobs > 1`` replicates run in a
-    process pool; the output is identical for any jobs value.
+    synthetic data, and runs the method. A data path is loaded once and
+    shared as-is, with its step sizes and, where no replicate seed enters
+    it, its tree. With ``jobs > 1`` replicates run in a process pool; the
+    output is identical for any jobs value.
     """
     config.validate()
     start = time.perf_counter()
-    loaded = None if config.data_path is None else load_collection(config.data_path)
-    # Every replicate refines the one loaded collection, so its step sizes
-    # are computed once here instead of once per replicate.
-    step_sizes = None if loaded is None else default_step_sizes(loaded)
+    shared: _Shared = (None, None, None)
+    if config.data_path is not None:
+        # Every replicate refines the one loaded collection, so what does
+        # not depend on the replicate seed is computed once here.
+        loaded = load_collection(config.data_path)
+        shared = (loaded, default_step_sizes(loaded), _shared_tree(config, loaded))
     if jobs == 1 or config.num_seeds == 1:
-        results = [
-            _run_replicate((config, r, loaded, step_sizes))
-            for r in range(config.num_seeds)
-        ]
+        results = [_run_replicate((config, r, shared)) for r in range(config.num_seeds)]
     else:
         # Imported here, so only a pooled run pays for importing multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(loaded, step_sizes)
+            max_workers=jobs, initializer=_init_worker, initargs=shared
         ) as pool:
             work = [(config, r) for r in range(config.num_seeds)]
             results = list(pool.map(_run_pooled_replicate, work))

@@ -430,7 +430,8 @@ def load_distance_matrix(path, metric_name: str = "unknown") -> DistanceMatrix:
     header has ids, raises :class:`DataFormatError` naming the file and line.
     """
     with open(path) as fh:
-        header = fh.readline().strip()
+        # Only the line break comes off: an id may begin or end in a space.
+        header = fh.readline().rstrip("\n")
         if not header:
             raise ConfigError(f"empty distance matrix file {path}")
         ids = header.split(",")

@@ -279,7 +279,9 @@ def save_tree(tree: RootedTree, path: str | Path, ids: list[str] | None = None) 
 
 def load_tree(path: str | Path, ids: list[str] | None = None) -> RootedTree:
     """Read a tree CSV written by :func:`save_tree`; ids map back to indices."""
-    lines = Path(path).read_text().splitlines()
+    # Split at the "\n" that save_tree writes; splitlines would also split
+    # ids at characters such as U+2028.
+    lines = Path(path).read_text().split("\n")
     if len(lines) < 2 or not lines[0].startswith("# root="):
         raise GraphError(f"{path}: missing '# root=' header")
     root_id = lines[0][len("# root="):]

@@ -23,8 +23,9 @@ MANIFEST_NAME = "manifest.json"
 # What lets a file name leave the collection directory.
 _FORBIDDEN_IN_FILE_NAME = ("/", "\\", "..")
 # Task ids name the collection's CSV files and the header of a distance
-# matrix CSV, so they may not leave the directory or split a CSV cell.
-_FORBIDDEN_IN_ID = _FORBIDDEN_IN_FILE_NAME + (",", "\n", "\r")
+# matrix CSV, so they may not leave the directory, split a CSV cell or line,
+# or hold the NUL that no file name can.
+_FORBIDDEN_IN_ID = _FORBIDDEN_IN_FILE_NAME + (",", "\n", "\r", "\0")
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:
@@ -61,7 +62,7 @@ class TaskDataset:
         ):
             raise DataFormatError(
                 f"invalid task id {self.id!r}: ids must be non-empty strings "
-                "without '/', '\\', '..', ',' or line breaks"
+                "without '/', '\\', '..', ',', NUL or line breaks"
             )
         self.X_train = _as_float_matrix(self.X_train, "X_train")
         self.y_train = _as_float_vector(self.y_train, "y_train")

@@ -27,7 +27,7 @@ from taskcascade.distances import (
 from taskcascade.graph import decode_pruefer, mst, random_spanning_tree, root_tree
 from taskcascade.linmodel import (
     contraction_rate,
-    default_step_size,
+    lambda_max,
     refine,
     ridge_solution,
 )
@@ -79,7 +79,7 @@ def test_01_contraction_suite():
             X = rng.standard_normal((n, d))
             y = rng.standard_normal(n)
             theta0 = rng.standard_normal(d)
-            eta = default_step_size(X)
+            eta = 1.0 / lambda_max(X)
             rho = contraction_rate(X, eta)
             theta_hat = ridge_solution(X, y, 0.0)
             gap0 = np.linalg.norm(theta0 - theta_hat)

@@ -17,6 +17,7 @@ from taskcascade.cascade import (
 from taskcascade.errors import ConfigError, DegenerateDesignError
 from taskcascade.graph import depths, root_tree, star_tree
 from taskcascade.linmodel import contraction_rate, lambda_max
+from taskcascade.seeding import derive_seed
 from taskcascade.tasks import SyntheticConfig, TaskCollection, TaskDataset, save_collection
 from taskcascade.theory import PathSpec, path_bound
 
@@ -288,6 +289,24 @@ class TestRunExperiment:
         for a, b in zip(serial.results, pooled.results):
             assert a.test_rmse == b.test_rmse
             assert all(np.array_equal(a.params[v], b.params[v]) for v in a.params)
+
+    @pytest.mark.parametrize("method, metric", [
+        ("mst", "gradient"), ("star", "target"), ("mst", "mmd"), ("star", "mmd"),
+        ("random_tree", "gradient"),
+    ])
+    def test_loaded_collection_replicates_equal_their_own_runs(self, rng, tmp_path,
+                                                              method, metric):
+        # a tree built once per run must be the tree each replicate builds
+        collection = make_collection(rng, T=6)
+        save_collection(collection, tmp_path / "col")
+        config = ExperimentConfig(method=method, metric_name=metric, budget=60,
+                                  num_seeds=3, data_path=str(tmp_path / "col"), seed=7)
+        report = run_experiment(config, jobs=1)
+        for r, got in enumerate(report.results):
+            want = run_method(config, collection, seed=derive_seed(7, "replicate", r))
+            assert (got.tree.root, got.tree.parent) == (want.tree.root, want.tree.parent)
+            assert got.tree.edge_length == want.tree.edge_length
+            assert got.test_rmse == want.test_rmse
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

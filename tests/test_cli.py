@@ -2,13 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskcascade.cli import main
-from taskcascade.distances import DistanceParams, compute_distance_matrix, load_distance_matrix
+from taskcascade.distances import (
+    METRIC_NAMES,
+    DistanceParams,
+    compute_distance_matrix,
+    load_distance_matrix,
+)
 from taskcascade.tasks import load_collection
 
 
@@ -239,25 +246,69 @@ class TestRun:
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1] == outs[2]
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        method=st.sampled_from(["individual", "star", "random_tree", "mst"]),
+        metric=st.sampled_from(sorted(METRIC_NAMES)),
+        num_tasks=st.integers(1, 8),
+        num_seeds=st.integers(1, 4),
+        steps_per_task=st.integers(1, 20),
+        seed=st.integers(0, 2**31 - 1),
+        loaded=st.booleans(),
+    )
+    def test_report_bytes_equal_at_jobs_1_2_3(self, method, metric, num_tasks, num_seeds,
+                                              steps_per_task, seed, loaded):
+        synthetic = {"num_tasks": num_tasks, "dim": 3, "n_train": 8, "n_test": 4,
+                     "num_clusters": 1, "tau_between": 1.0, "noise_sigma": 0.1}
+        run = {"method": method, "metric_name": metric,
+               "budget": num_tasks * steps_per_task, "num_seeds": num_seeds, "seed": seed}
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if loaded:
+                gen = write_json(tmp / "gen.json", {**synthetic, "seed": seed})
+                assert main(["gen", gen, "--out", str(tmp / "col")]) == 0
+                run["data_path"] = str(tmp / "col")
+            else:
+                run["synthetic"] = synthetic
+            cfg = write_json(tmp / "run.json", run)
+            outs = []
+            for jobs in ("1", "2", "3"):
+                out = tmp / f"jobs{jobs}"
+                assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 0
+                outs.append({name: (out / name).read_bytes()
+                             for name in ("report.json", "per_task.csv")})
+        assert outs[0] == outs[1] == outs[2]
+
     def test_data_path_loaded_once_and_identical_any_jobs(self, gen_config, tmp_path,
                                                            monkeypatch):
         from taskcascade import cascade
 
         col = tmp_path / "col"
         main(["gen", gen_config, "--out", str(col)])
-        cfg = write_json(tmp_path / "run.json", {
-            "method": "random_tree", "budget": 40, "num_seeds": 3, "seed": 4,
-            "data_path": str(col),
-        })
-        loads = []
+        loads, matrices = [], []
         monkeypatch.setattr(cascade, "load_collection",
                             lambda path: loads.append(path) or load_collection(path))
-        outs = []
-        for name, jobs in (("r1", "1"), ("r2", "2")):
-            assert main(["run", cfg, "--out", str(tmp_path / name), "--jobs", jobs]) == 0
-            outs.append(tree_bytes(tmp_path / name))
-        assert outs[0] == outs[1]
-        assert len(loads) == 2  # one per run, not one per replicate
+        monkeypatch.setattr(cascade, "compute_distance_matrix",
+                            lambda *a: matrices.append(a[1]) or compute_distance_matrix(*a))
+        # Calls made in this process: pool workers count none.
+        calls = {}
+        for method in ("random_tree", "mst"):
+            cfg = write_json(tmp_path / f"{method}.json", {
+                "method": method, "metric_name": "gradient", "budget": 40,
+                "num_seeds": 3, "seed": 4, "data_path": str(col),
+            })
+            outs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{method}{jobs}"
+                matrices.clear()
+                assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 0
+                outs.append(tree_bytes(out))
+                calls[method, jobs] = len(matrices)
+            assert outs[0] == outs[1]
+        assert len(loads) == 4  # one per run, not one per replicate
+        # a random tree is drawn per replicate; an mst is built once per run
+        assert calls["random_tree", "1"] == 3
+        assert calls["mst", "1"] == calls["mst", "2"] == 1
 
     @pytest.mark.parametrize("method", ["individual", "mst"])
     def test_zero_design_exits_2_naming_the_task(self, gen_config, tmp_path, method,

@@ -10,7 +10,6 @@ from taskcascade.errors import (
 from taskcascade import linmodel
 from taskcascade.linmodel import (
     contraction_rate,
-    default_step_size,
     lambda_max,
     refine,
     ridge_solution,
@@ -68,6 +67,20 @@ def power_top_eig_two_matvecs(S, tol, max_iter):
     return lam
 
 
+@st.composite
+def gram_designs(draw):
+    """X^T X of a random, rank-deficient or wide (n < d) design, scale 10^+-3."""
+    kind = draw(st.sampled_from(["random", "rank_deficient", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 30))
+    n = max(d // 2, 1) if kind == "wide" else d + 10
+    X = rng.standard_normal((n, d)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if kind == "rank_deficient":  # rank max(d // 2, 1)
+        r = max(d // 2, 1)
+        X[:, r:] = X[:, :r] @ rng.standard_normal((r, d - r))
+    return X.T @ X
+
+
 class TestLambdaMax:
     def test_identity(self):
         assert lambda_max(np.eye(3)) == pytest.approx(1.0)
@@ -95,24 +108,29 @@ class TestLambdaMax:
             lambda_max(np.zeros((4, 3)))
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        kind=st.sampled_from(["random", "rank_deficient", "wide"]),
-        seed=st.integers(0, 2**32 - 1),
-        d=st.integers(1, 30),
-        log_scale=st.floats(-3.0, 3.0),
-    )
-    def test_one_matvec_per_step_is_bit_identical(self, kind, seed, d, log_scale):
-        rng = np.random.default_rng(seed)
-        n = max(d // 2, 1) if kind == "wide" else d + 10
-        X = rng.standard_normal((n, d)) * 10.0**log_scale
-        if kind == "rank_deficient":  # rank max(d // 2, 1)
-            r = max(d // 2, 1)
-            X[:, r:] = X[:, :r] @ rng.standard_normal((r, d - r))
-        S = X.T @ X
+    @given(design=gram_designs(), max_iter=st.sampled_from([1, 2, 10]))
+    def test_closed_form_equals_the_loop_at_a_fixed_step_count(self, design, max_iter):
+        # tol = 0 runs the loop for max_iter steps (or to an exact repeat)
+        want = power_top_eig_two_matvecs(design, 0.0, max_iter)
+        got = linmodel._power_top_eig(design, 0.0, max_iter)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(design=gram_designs())
+    def test_closed_form_stops_where_the_loop_does(self, design):
+        # Both sequences change by at most tol near the stop, so a stop
+        # one step apart moves the estimate by less than tol, relatively.
         tol, max_iter = linmodel._POWER_TOL, linmodel._POWER_MAX_ITER
-        assert linmodel._power_top_eig(S, tol, max_iter) == power_top_eig_two_matvecs(
-            S, tol, max_iter
-        )
+        want = power_top_eig_two_matvecs(design, tol, max_iter)
+        got = linmodel._power_top_eig(design, tol, max_iter)
+        assert abs(got - want) <= 2 * tol * max(1.0, abs(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(design=gram_designs())
+    def test_estimate_never_exceeds_the_top_eigenvalue(self, design):
+        tol, max_iter = linmodel._POWER_TOL, linmodel._POWER_MAX_ITER
+        top = np.linalg.eigvalsh(design)[-1]
+        assert linmodel._power_top_eig(design, tol, max_iter) <= top * (1 + 1e-12)
 
     def test_zero_direction_stops_at_zero(self):
         # the start vector is in the kernel: both loops return 0 at once
@@ -123,16 +141,16 @@ class TestLambdaMax:
 
 class TestDefaultStepSize:
     def test_identity(self):
-        assert default_step_size(np.eye(4)) == pytest.approx(1.0)
+        assert 1.0 / lambda_max(np.eye(4)) == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert default_step_size(np.diag([2.0, 1.0])) == pytest.approx(0.25)
+        assert 1.0 / lambda_max(np.diag([2.0, 1.0])) == pytest.approx(0.25)
 
     def test_yields_contraction(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             X = rng.standard_normal((12, 5))
-            assert contraction_rate(X, default_step_size(X)) < 1.0
+            assert contraction_rate(X, 1.0 / lambda_max(X)) < 1.0
 
 
 class TestRefine:
@@ -156,7 +174,7 @@ class TestRefine:
             X = rng.standard_normal((20, 6))
             y = rng.standard_normal(20)
             theta0 = rng.standard_normal(6)
-            eta = default_step_size(X)
+            eta = 1.0 / lambda_max(X)
             got = refine(theta0, X, y, 50, eta)
             want = closed_form_refine(theta0, X, y, 50, eta)
             assert np.linalg.norm(got - want) < 1e-8
@@ -193,7 +211,7 @@ class TestRefine:
 
     def test_equals_gradient_descent_loop_at_large_budget(self):
         X, y, theta0 = design("near_singular", 3)
-        eta = default_step_size(X)
+        eta = 1.0 / lambda_max(X)
         want = gd_loop(theta0, X, y, 50_000, eta)
         got = refine(theta0, X, y, 50_000, eta)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -202,7 +220,7 @@ class TestRefine:
         X, y, theta0 = design("wide", 4)  # rank 3 in 6 dimensions
         null = np.linalg.svd(X)[2][3:]  # orthonormal basis of the null space
         for b in (1, 100, 5000):
-            out = refine(theta0, X, y, b, default_step_size(X))
+            out = refine(theta0, X, y, b, 1.0 / lambda_max(X))
             assert np.allclose(null @ out, null @ theta0, rtol=0, atol=1e-10)
 
 
@@ -294,7 +312,7 @@ class TestContractionRate:
 
     def test_rank_deficient_design_does_not_contract(self):
         X, _, _ = design("wide", 5)
-        assert contraction_rate(X, default_step_size(X)) == pytest.approx(1.0)
+        assert contraction_rate(X, 1.0 / lambda_max(X)) == pytest.approx(1.0)
 
     def test_matches_dense_eigensolve(self):
         rng = np.random.default_rng(9)
@@ -348,7 +366,7 @@ class TestContractionProperties:
             X = rng.standard_normal((max(n, d), d))
             y = rng.standard_normal(max(n, d))
             theta0 = rng.standard_normal(d)
-            eta = default_step_size(X)
+            eta = 1.0 / lambda_max(X)
             rho = contraction_rate(X, eta)
             theta_hat = ridge_solution(X, y, 0.0)
             gap0 = np.linalg.norm(theta0 - theta_hat)
@@ -361,7 +379,7 @@ class TestContractionProperties:
         X = rng.standard_normal((20, 4))
         y = rng.standard_normal(20)
         theta_hat = ridge_solution(X, y, 0.0)
-        eta = default_step_size(X)
+        eta = 1.0 / lambda_max(X)
         for b in (1, 7, 40):
             out = refine(theta_hat, X, y, b, eta)
             assert np.linalg.norm(out - theta_hat) < 1e-9
@@ -370,7 +388,7 @@ class TestContractionProperties:
         rng = np.random.default_rng(13)
         X = rng.standard_normal((25, 5))
         y = rng.standard_normal(25)
-        eta = default_step_size(X)
+        eta = 1.0 / lambda_max(X)
         theta0 = rng.standard_normal(5)
 
         def loss(theta):
@@ -384,7 +402,7 @@ class TestContractionProperties:
         X = rng.standard_normal((30, 4))
         theta_star = rng.standard_normal(4)
         y = X @ theta_star
-        eta = default_step_size(X)
+        eta = 1.0 / lambda_max(X)
         rho = contraction_rate(X, eta)
         gap0 = np.linalg.norm(theta_star)  # start from zeros
         b = 1

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskcascade.distances import DistanceMatrix, load_distance_matrix, save_distance_matrix
 from taskcascade.errors import ConfigError, DataFormatError
+from taskcascade.graph import load_tree, random_spanning_tree, root_tree, save_tree
 from taskcascade.tasks import (
     SyntheticConfig,
     TaskCollection,
@@ -221,7 +223,7 @@ def test_loader_tolerates_missing_test_files_when_not_required(rng, tmp_path):
 
 
 @pytest.mark.parametrize("bad_id", ["", "../escape", "a/b", "a\\b", "..", "a,b",
-                                    "a\nb", "a\rb", 7])
+                                    "a\nb", "a\rb", "a\0b", 7])
 def test_unsafe_task_ids_rejected(bad_id):
     X, y = np.ones((2, 1)), np.ones(2)
     with pytest.raises(DataFormatError, match="invalid task id"):
@@ -332,3 +334,52 @@ def test_quoted_csv_still_loads(rng, tmp_path):
     loaded = load_collection(tmp_path)[0]
     assert np.array_equal(loaded.X_train, collection[0].X_train)
     assert np.array_equal(loaded.y_train, collection[0].y_train)
+
+
+# Valid ids: unicode, spaces and other whitespace at either end, single dots,
+# both quote characters, and characters str.splitlines would break at.
+_ID_TEXT = "aZ9 .'\"_-\té字😀\xa0\x85\x0b\u2028"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ids=st.lists(st.text(alphabet=_ID_TEXT, min_size=1, max_size=12)
+                 .filter(lambda s: ".." not in s), min_size=1, max_size=5, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+    quoted=st.booleans(),
+)
+def test_adversarial_ids_round_trip(ids, seed, quoted):
+    rng = np.random.default_rng(seed)
+    T, d = len(ids), 2
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+
+    collection = TaskCollection(
+        [TaskDataset(i, draw(3, d), draw(3), draw(2, d), draw(2)) for i in ids], d
+    )
+    values = np.abs(draw(T, T))
+    matrix = DistanceMatrix(np.triu(values, 1) + np.triu(values, 1).T, "m", list(ids))
+    tree = root_tree(random_spanning_tree(T, seed), 0, matrix)
+    with tempfile.TemporaryDirectory() as tmp:
+        col = Path(tmp) / "col"
+        save_collection(collection, col)
+        if quoted:  # every cell quoted: the split files take the csv.reader path
+            for path in col.glob("*.csv"):
+                rows = list(csv.reader(path.read_text().splitlines()))
+                with path.open("w", newline="") as fh:
+                    csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        loaded = load_collection(col)
+        save_distance_matrix(matrix, Path(tmp) / "dist.csv")
+        loaded_matrix = load_distance_matrix(Path(tmp) / "dist.csv")
+        save_tree(tree, Path(tmp) / "tree.csv", ids=list(ids))
+        loaded_tree = load_tree(Path(tmp) / "tree.csv", ids=list(ids))
+    assert loaded.ids == ids
+    for a, b in zip(collection, loaded):
+        for x, y in ((a.X_train, b.X_train), (a.y_train, b.y_train),
+                     (a.X_test, b.X_test), (a.y_test, b.y_test)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert loaded_matrix.task_ids == ids
+    assert loaded_matrix.values.tobytes() == matrix.values.tobytes()
+    assert (loaded_tree.root, loaded_tree.parent) == (tree.root, tree.parent)
+    assert loaded_tree.edge_length == tree.edge_length
