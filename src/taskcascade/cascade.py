@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -43,7 +42,6 @@ class CascadeResult:
     budgets: BudgetAllocation
     metric_name: str
     seed: int
-    wall_time: float
     task_ids: list[str] = field(default_factory=list)
     steps_executed: int = 0
 
@@ -66,7 +64,7 @@ class ExperimentConfig:
     distance_params: DistanceParams = field(default_factory=DistanceParams)
     gaussian_init: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; valid: {METHODS}")
         if self.method == "mst" and self.metric_name is None:
@@ -81,8 +79,6 @@ class ExperimentConfig:
             raise ConfigError("num_seeds must be positive")
         if (self.synthetic is None) == (self.data_path is None):
             raise ConfigError("exactly one of synthetic or data_path must be set")
-        if self.synthetic is not None:
-            self.synthetic.validate()
 
 
 def _evaluate(
@@ -140,7 +136,6 @@ def _refine_forest(
     if theta_init is None:
         theta_init = np.zeros(collection.dim)
 
-    start = time.perf_counter()
     params: dict[int, np.ndarray] = {}
     steps = 0
     for v in order:
@@ -161,7 +156,6 @@ def _refine_forest(
         budgets=budgets,
         metric_name="",
         seed=0,
-        wall_time=time.perf_counter() - start,
         task_ids=collection.ids,
         steps_executed=steps,
     )
@@ -206,21 +200,27 @@ def run_individual(
     return result
 
 
-def _shared_tree(
-    config: ExperimentConfig, collection: TaskCollection
+def _tree(
+    config: ExperimentConfig, collection: TaskCollection, seed: int | None
 ) -> RootedTree | None:
-    """The tree every replicate on one loaded collection builds, or None.
+    """The tree a cascade method refines over in the replicate with ``seed``.
 
-    Only ``random_tree`` draws its tree from the replicate seed, and only
-    ``mmd`` its distances, so an ``mst`` or ``star`` tree under any other
-    metric is the same in every replicate. No seed enters it, so none is
-    derived: a pooled run's parent process then never loads numpy.random.
+    Only ``mmd`` distances and ``random_tree`` trees draw on the seed, so only
+    they derive from it, and given ``seed=None`` they give None. Any other
+    tree is the same in every replicate and derives no seed (a pooled run's
+    parent then never loads numpy.random). ``individual`` has no tree.
     """
     metric = config.metric_name or DEFAULT_MEDOID_METRIC
-    if config.method not in ("mst", "star") or metric == "mmd":
+    kind = "random" if config.method == "random_tree" else config.method
+    if kind == "individual" or (seed is None and (kind == "random" or metric == "mmd")):
         return None
-    matrix = compute_distance_matrix(collection, metric, config.distance_params)
-    return build_tree(matrix, config.method)
+    params = config.distance_params
+    if metric == "mmd":
+        params = replace(params, seed=derive_seed(seed, "dist"))
+    matrix = compute_distance_matrix(collection, metric, params)
+    if kind == "random":
+        return build_tree(matrix, kind, seed)
+    return build_tree(matrix, kind)
 
 
 def run_method(
@@ -237,7 +237,6 @@ def run_method(
     splits only. ``step_sizes`` is as for :func:`run_cascade`. A cascade
     method given ``tree`` refines over it instead of building its own.
     """
-    config.validate()
     seed = config.seed if seed is None else seed
     T = len(collection)
     theta_init = None
@@ -252,23 +251,19 @@ def run_method(
         result.seed = seed
         return result
 
-    metric = config.metric_name or DEFAULT_MEDOID_METRIC
     if tree is None:
-        dist_params = replace(config.distance_params, seed=derive_seed(seed, "dist"))
-        matrix = compute_distance_matrix(collection, metric, dist_params)
-        kind = "random" if config.method == "random_tree" else config.method
-        tree = build_tree(matrix, kind, seed)
+        tree = _tree(config, collection, seed)
     budgets = allocate(tree, config.budget, config.scheme)
     result = run_cascade(collection, tree, budgets, theta_init, step_sizes=step_sizes)
-    result.metric_name = metric
+    result.metric_name = config.metric_name or DEFAULT_MEDOID_METRIC
     result.seed = seed
     return result
 
 
 # What every replicate of a data_path run shares: the loaded collection, its
-# step sizes and the tree when no replicate seed enters it (see
-# _shared_tree). All None for a synthetic run, whose replicates each
-# generate their own collection.
+# step sizes and the tree when no replicate seed enters it (see _tree). All
+# None for a synthetic run, whose replicates each generate their own
+# collection.
 _Shared = tuple[TaskCollection | None, dict[int, float] | None, RootedTree | None]
 
 
@@ -306,7 +301,6 @@ class ExperimentReport:
     per_seed_mean_rmse: list[float]
     mean_rmse: float
     std_rmse: float
-    wall_time: float
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -318,14 +312,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     it, its tree. With ``jobs > 1`` replicates run in a process pool; the
     output is identical for any jobs value.
     """
-    config.validate()
-    start = time.perf_counter()
     shared: _Shared = (None, None, None)
     if config.data_path is not None:
         # Every replicate refines the one loaded collection, so what does
         # not depend on the replicate seed is computed once here.
         loaded = load_collection(config.data_path)
-        shared = (loaded, default_step_sizes(loaded), _shared_tree(config, loaded))
+        shared = (loaded, default_step_sizes(loaded), _tree(config, loaded, None))
     if jobs == 1 or config.num_seeds == 1:
         results = [_run_replicate((config, r, shared)) for r in range(config.num_seeds)]
     else:
@@ -346,7 +338,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         per_seed_mean_rmse=per_seed,
         mean_rmse=mean,
         std_rmse=std,
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -27,11 +27,13 @@ import json
 import os
 import sys
 import time
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DataFormatError, DegenerateDesignError, TaskCascadeError
+from .errors import InfeasibleBudgetError
 
 # Every command runs in a fresh interpreter, so each one imports the layers it
 # uses when it starts: ``gen`` never compiles the cascade or the theory code.
@@ -50,39 +52,55 @@ def _load_json(path: str | Path) -> dict:
     return data
 
 
-def _build(cls, data, what: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} config must be a JSON object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad {what} config: {exc}") from None
-
-
-def _experiment_config(data: dict, seed: int | None) -> ExperimentConfig:
-    from .budget import AllocationScheme
-    from .cascade import ExperimentConfig
-    from .distances import DistanceParams
-    from .tasks import SyntheticConfig
-
-    data = dict(data)
+def _load_config(path: str | None, seed: int | None) -> dict:
+    """The JSON object in ``path`` (empty without one), with ``--seed`` applied."""
+    data = _load_json(path) if path else {}
     if seed is not None:
         data["seed"] = seed
-    if "synthetic" in data and data["synthetic"] is not None:
-        data["synthetic"] = _build(SyntheticConfig, data["synthetic"], "synthetic")
-    if "scheme" in data and data["scheme"] is not None:
-        data["scheme"] = _build(AllocationScheme, data["scheme"], "scheme")
-    if "distance_params" in data and data["distance_params"] is not None:
-        data["distance_params"] = _build(
-            DistanceParams, data["distance_params"], "distance_params"
-        )
-    config = _build(ExperimentConfig, data, "experiment")
-    config.validate()
-    return config
+    return data
+
+
+# How a message names the JSON values of each annotated field type.
+_JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
+def _is_json(tp, value) -> bool:
+    """Whether ``value`` has annotation ``tp``'s JSON type; ``true`` is no number."""
+    if tp is float:
+        tp = (int, float)
+    return isinstance(value, tp) and isinstance(value, bool) == (tp is bool)
+
+
+def _build(cls, data, what: str):
+    """The ``cls`` config that the JSON object ``data`` describes.
+
+    Each value must have the JSON type of its field's annotation (``null``
+    too for ``X | None``); a field annotated with a config dataclass is built
+    from its own object. Values pass through unconverted, so a config echoes
+    its JSON exactly. The config checks their ranges when it is built.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} config must be a JSON object")
+    hints = typing.get_type_hints(cls)  # one entry per field
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    values = {}
+    for key, value in data.items():
+        types = typing.get_args(hints[key]) or (hints[key],)
+        if isinstance(value, dict) and dataclasses.is_dataclass(types[0]):
+            values[key] = _build(types[0], value, key)
+        elif any(_is_json(tp, value) for tp in types):
+            values[key] = value
+        else:
+            expected = " or ".join(_JSON_NAMES.get(tp, "an object") for tp in types)
+            got = json.dumps(value)
+            raise ConfigError(f"{what} key {key!r} must be {expected}, got {got}")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ConfigError(f"bad {what} config: {exc}") from None
 
 
 def _write_manifest(
@@ -111,11 +129,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     from .tasks import SyntheticConfig, generate_synthetic, save_collection
 
     started = time.time()
-    data = _load_json(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    config = _build(SyntheticConfig, data, "synthetic")
-    config.validate()
+    config = _build(SyntheticConfig, _load_config(args.config, args.seed), "synthetic")
     collection, truth = generate_synthetic(config)
     out = Path(args.out)
     save_collection(collection, out)
@@ -150,10 +164,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown metric {args.metric!r}; valid: {', '.join(sorted(METRIC_NAMES))}"
         )
-    params_data = _load_json(args.params) if args.params else {}
-    if args.seed is not None:
-        params_data["seed"] = args.seed
-    params = _build(DistanceParams, params_data, "distance")
+    params = _build(DistanceParams, _load_config(args.params, args.seed), "distance")
     collection = load_collection(args.collection, read_test=False)
     matrix = compute_distance_matrix(collection, args.metric, params)
     save_distance_matrix(matrix, args.out)
@@ -178,10 +189,10 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .cascade import run_experiment, write_run_report
+    from .cascade import ExperimentConfig, run_experiment, write_run_report
 
     started = time.time()
-    config = _experiment_config(_load_json(args.config), args.seed)
+    config = _build(ExperimentConfig, _load_config(args.config, args.seed), "experiment")
     report = run_experiment(config, jobs=args.jobs)
     out = Path(args.out)
     doc = write_run_report(report, out)
@@ -200,21 +211,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .seeding import derive_seed
     from .theory import ChainConfig, verify_bounds
 
-    data = _load_json(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
+    data = _load_config(args.config, args.seed)
     mode = data.pop("mode", "noiseless")
-    num_chains = int(data.pop("num_chains", 1))
-    if num_chains < 1:
-        raise ConfigError("num_chains must be positive")
+    num_chains = data.pop("num_chains", 1)
+    if type(num_chains) is not int or num_chains < 1:
+        raise ConfigError(f"num_chains must be a positive integer, got {num_chains!r}")
     if mode not in ("noiseless", "noisy"):
         raise ConfigError(f"unknown mode {mode!r}; valid: noiseless, noisy")
-    base = _build(ChainConfig, data, "chain")
     if mode == "noiseless":
-        base.noise_sigma = 0.0
-    elif base.noise_sigma <= 0:
+        data["noise_sigma"] = 0.0
+    base = _build(ChainConfig, data, "chain")
+    if mode == "noisy" and base.noise_sigma <= 0:
         raise ConfigError("noisy mode requires noise_sigma > 0")
-    base.validate()
 
     checks = []
     for k in range(num_chains):
@@ -251,37 +259,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .cascade import METHODS, run_experiment
+    from .cascade import ExperimentConfig, run_experiment
 
     started = time.time()
-    data = _load_json(args.config)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    methods = data.pop("methods", None)
+    data = _load_config(args.config, args.seed)
+    methods = data.pop("methods", [])
     metrics = data.pop("metrics", [None])
-    budgets = data.pop("budgets", None)
+    budgets = data.pop("budgets", [])
+    for key, value in (("methods", methods), ("metrics", metrics), ("budgets", budgets)):
+        if not isinstance(value, list):
+            raise ConfigError(f"bench key {key!r} must be a list, got {json.dumps(value)}")
     if not methods or not budgets:
         raise ConfigError("bench config needs non-empty 'methods' and 'budgets'")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; valid: {METHODS}")
+    sweep = [
+        {**data, "method": method, "metric_name": metric, "budget": B}
+        for method in methods
+        for metric in (metrics if method == "mst" else [None])
+        for B in budgets
+    ]
+    # Every config of the sweep is built, so checked, before any of it runs.
+    configs = [_build(ExperimentConfig, entry, "experiment") for entry in sweep]
+    rows = []
+    for config in configs:
+        report = run_experiment(config, jobs=args.jobs)
+        used_metric = report.results[0].metric_name
+        for r, value in enumerate(report.per_seed_mean_rmse):
+            rows.append((config.method, used_metric, config.budget, r, value))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for method in methods:
-        metric_list = metrics if method == "mst" else [None]
-        for metric in metric_list:
-            for B in budgets:
-                config = _experiment_config(
-                    {**data, "method": method, "metric_name": metric, "budget": B},
-                    args.seed,
-                )
-                report = run_experiment(config, jobs=args.jobs)
-                used_metric = report.results[0].metric_name
-                for r, value in enumerate(report.per_seed_mean_rmse):
-                    rows.append((method, used_metric, B, r, value))
-
     bench_csv = out / "bench.csv"
     with bench_csv.open("w") as fh:
         fh.write("method,metric,B,seed,mean_rmse\n")
@@ -290,6 +296,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _write_manifest(out, args.config, data.get("seed"), ["bench.csv"], started)
     print(f"wrote {len(rows)} rows to {bench_csv}")
     return 0
+
+
+def _jobs(text: str) -> int:
+    """The value of ``--jobs``: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="verify propagation bounds on chains")
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="bench config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_bench)
     return parser
 
@@ -349,7 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, DegenerateDesignError) as exc:
+    except (ConfigError, DataFormatError, DegenerateDesignError,
+            InfeasibleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TaskCascadeError as exc:

@@ -155,7 +155,7 @@ class SyntheticConfig:
     noise_sigma: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_tasks < 1:
             raise ConfigError(f"num_tasks must be >= 1, got {self.num_tasks}")
         if self.dim < 1:
@@ -191,7 +191,6 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
     given ``config.seed``; each task consumes its own substream so changing
     ``num_tasks`` never perturbs earlier tasks.
     """
-    config.validate()
     d = config.dim
     centers_rng = substream(config.seed, "centers")
     theta0 = centers_rng.standard_normal(d)

@@ -145,7 +145,7 @@ class ChainConfig:
     noise_draws: int = 200
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.length < 1:
             raise ConfigError("chain needs at least one edge")
         if self.dim < 1:
@@ -170,7 +170,6 @@ class BoundCheck:
     satisfied: bool
     mode: str
     mc_stderr: float = 0.0
-    tolerance: float = 1e-9
 
 
 @dataclass
@@ -211,7 +210,6 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
     against the expected-error bound plus two standard errors. All draws
     are refined together, as the columns of one stack per task.
     """
-    config.validate()
     chain = _build_chain(config)
     m = config.length
     b = config.budget_per_node
@@ -232,14 +230,12 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
         spec = PathSpec(chain.rhos[1:], [b] * m, deltas, init_error=init_error)
         bound = path_bound(spec)
         empirical = float(np.linalg.norm(theta - chain.thetas[m]))
-        tol = 1e-9
         return BoundCheck(
             config=config,
             empirical=empirical,
             bound=bound,
-            satisfied=empirical <= bound + tol,
+            satisfied=empirical <= bound + 1e-9,
             mode="noiseless",
-            tolerance=tol,
         )
 
     # noisy mode: the root is exact, so its noise row is drawn (to keep the
@@ -266,5 +262,4 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
         satisfied=mc_mean <= bound + 2.0 * mc_stderr,
         mode="noisy",
         mc_stderr=mc_stderr,
-        tolerance=0.0,
     )

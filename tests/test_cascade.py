@@ -177,11 +177,11 @@ class TestRunMethod:
 
     def test_mst_requires_metric(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(method="mst", budget=10, data_path="x").validate()
+            ExperimentConfig(method="mst", budget=10, data_path="x")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(method="magic", budget=10, data_path="x").validate()
+            ExperimentConfig(method="magic", budget=10, data_path="x")
 
     def test_metric_recorded_on_result(self, rng):
         collection = make_collection(rng, T=3, n=16, d=3)
@@ -313,4 +313,4 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(method="star", budget=50))  # no data
         with pytest.raises(ConfigError):
             ExperimentConfig(method="star", budget=50, num_seeds=0,
-                             synthetic=self.synthetic()).validate()
+                             synthetic=self.synthetic())

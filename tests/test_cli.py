@@ -520,3 +520,84 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+SMALL_RUN = {"method": "mst", "metric_name": "gradient", "budget": 40, "num_seeds": 2,
+             "synthetic": {"num_tasks": 4, "dim": 3, "n_train": 12, "n_test": 6}}
+SMALL_BENCH = {"methods": ["mst"], "metrics": ["gradient"], "budgets": [40],
+               "synthetic": SMALL_RUN["synthetic"]}
+SMALL_CHAIN = {"mode": "noiseless", "length": 2}
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["gen", "{cfg}"], {"num_tasks": "5"}, "'num_tasks'"),
+    (["run", "{cfg}"], {**SMALL_RUN, "budget": "50"}, "'budget'"),
+    (["run", "{cfg}"], {**SMALL_RUN, "num_seeds": 2.5}, "'num_seeds'"),
+    (["run", "{cfg}"], {**SMALL_RUN, "budget": 3}, "budget 3"),
+    (["run", "{cfg}"], {**SMALL_RUN, "scheme": None}, "'scheme'"),
+    (["run", "{cfg}"], {**SMALL_RUN, "scheme": {"alpha": "x"}}, "'alpha'"),
+    (["run", "{cfg}"], {**SMALL_RUN, "seed": True}, "'seed'"),
+    (["run", "{cfg}", "--jobs", "0"], SMALL_RUN, "--jobs"),
+    (["run", "{cfg}", "--jobs", "x"], SMALL_RUN, "--jobs"),
+    (["verify", "{cfg}"], {**SMALL_CHAIN, "length": "3"}, "'length'"),
+    (["verify", "{cfg}"], {**SMALL_CHAIN, "num_chains": "x"}, "num_chains"),
+    (["verify", "{cfg}"], {**SMALL_CHAIN, "num_chains": 2.7}, "num_chains"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "budgets": 5}, "'budgets'"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": ["gradient", "nope"]}, "'nope'"),
+    (["bench", "{cfg}", "--jobs", "0"], SMALL_BENCH, "--jobs"),
+    (["dist", "{col}", "--metric", "gradient", "--params", "{cfg}"], {"rff_dim": "8"},
+     "'rff_dim'"),
+])
+def test_bad_input_exits_2_with_one_error_line(argv, config, named, gen_config, tmp_path,
+                                               capsys):
+    col = tmp_path / "col"
+    assert main(["gen", gen_config, "--out", str(col)]) == 0
+    capsys.readouterr()
+    cfg = write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg, col=col) for a in argv] + ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0], err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bench_checks_the_whole_sweep_before_any_run(tmp_path, monkeypatch):
+    from taskcascade import cascade
+
+    runs = []
+    monkeypatch.setattr(cascade, "run_experiment", lambda *a, **k: runs.append(a))
+    cfg = write_json(tmp_path / "b.json", {**SMALL_BENCH, "budgets": [40, 0]})
+    assert main(["bench", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+    assert runs == []
+
+
+def test_readme_config_examples_build():
+    import dataclasses
+
+    from taskcascade.cascade import ExperimentConfig
+    from taskcascade.cli import _build
+    from taskcascade.tasks import SyntheticConfig
+    from taskcascade.theory import ChainConfig
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config schemas")[1].split("\n### ")[0]
+    gen, run, verify = [json.loads(block.split("```")[0])
+                        for block in section.split("```json")[1:]]
+    assert verify.pop("mode") in ("noiseless", "noisy")
+    assert type(verify.pop("num_chains")) is int
+    for cls, example, what in ((SyntheticConfig, gen, "synthetic"),
+                               (ExperimentConfig, run, "experiment"),
+                               (ChainConfig, verify, "chain")):
+        echo = dataclasses.asdict(_build(cls, example, what))
+        for key, value in example.items():  # a nested config adds its defaults
+            if isinstance(value, dict):
+                assert value.items() <= echo[key].items()
+            else:
+                assert echo[key] == value
