@@ -57,6 +57,8 @@ _EXPORTS = {
         "topological_order",
     ),
     "linmodel": (
+        "Design",
+        "build_designs",
         "contraction_rate",
         "lambda_max",
         "refine",

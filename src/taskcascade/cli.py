@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import math
 import os
 import sys
 import time
@@ -66,9 +67,15 @@ _JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number",
 
 
 def _is_json(tp, value) -> bool:
-    """Whether ``value`` has annotation ``tp``'s JSON type; ``true`` is no number."""
+    """Whether ``value`` has annotation ``tp``'s JSON type.
+
+    ``true`` is no number, and neither are ``NaN`` and ``Infinity``, which
+    ``json`` reads as floats but a range check such as ``x < 0`` lets pass.
+    """
     if tp is float:
         tp = (int, float)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, tp) and isinstance(value, bool) == (tp is bool)
 
 

@@ -10,8 +10,8 @@ r = 1 - eta lam, so b steps have the closed form
 
 with directions of lam = 0 keeping z0 (Goh, "Why Momentum Really Works",
 Distill 2017). :func:`refine` evaluates it from one symmetric
-eigendecomposition, so its cost is O(d^3) whatever b is. The map is affine
-in (theta0, y), so k columns of starting points and targets share that one
+eigendecomposition, so its cost does not grow with b. The map is affine in
+(theta0, y), so k columns of starting points and targets share that one
 eigendecomposition. For eta in (0, 2/lambda_max) the map is a contraction
 with rate max |r| < 1 whenever X^T X is positive definite, so errors decay
 geometrically in the step count.
@@ -25,11 +25,21 @@ a = V^T v0, its k-th Rayleigh quotient is
 
 so :func:`lambda_max` evaluates the sequence and its stop rule in blocks of
 k from one eigendecomposition instead of one matrix-vector product per step.
+
+Both read the same eigendecomposition. A :class:`Design` holds X, its Gram
+matrix G = X^T X and eigh(G) = (lam, V), and :func:`build_designs` builds
+the designs of many matrices with one ``eigh`` over their (T, d, d) Gram
+stack, which gives every matrix the bits of its own ``eigh``. It is the
+only place here that decomposes a Gram matrix: :func:`lambda_max`,
+:func:`refine` and :func:`contraction_rate` read a Design, and given a plain
+array they build its design through :func:`build_designs`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,15 +56,51 @@ def _gram(X: np.ndarray) -> np.ndarray:
     return X.T @ X
 
 
-def _power_top_eig(S: np.ndarray, tol: float, max_iter: int) -> float:
-    """Power iteration's estimate of the largest eigenvalue of symmetric PSD S.
+class Design(NamedTuple):
+    """A design X with its Gram matrix G = X^T X and eigh(G) = (lam, V)."""
+
+    X: np.ndarray
+    G: np.ndarray
+    lam: np.ndarray
+    V: np.ndarray
+
+
+def build_designs(Xs: Sequence[np.ndarray]) -> list[Design]:
+    """The designs of the matrices ``Xs``, which share their column count.
+
+    One ``eigh`` over the stack of their Gram matrices decomposes them all,
+    and each gets the same bits as from its own ``eigh``.
+    """
+    Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
+    if any(X.ndim != 2 for X in Xs):
+        raise ShapeMismatchError("X must be a 2-d matrix")
+    if not Xs:
+        return []
+    d = Xs[0].shape[1]
+    if any(X.shape[1] != d for X in Xs):
+        raise ShapeMismatchError("designs must share their number of columns")
+    # Each Gram matrix goes straight into the stack the designs keep.
+    G = np.empty((len(Xs), d, d))
+    for X, G_i in zip(Xs, G):
+        np.matmul(X.T, X, out=G_i)
+    lam, V = np.linalg.eigh(G)
+    return [Design(*parts) for parts in zip(Xs, G, lam, V)]
+
+
+def _design(X: np.ndarray | Design) -> Design:
+    return X if isinstance(X, Design) else build_designs([X])[0]
+
+
+def _power_top_eig(design: Design, tol: float, max_iter: int) -> float:
+    """Power iteration's estimate of the largest eigenvalue of S = design.G.
 
     The estimate of the loop that starts at v0 = 1/sqrt(d), sets
     v_k = S v_{k-1} / |S v_{k-1}| and returns the first Rayleigh quotient
     q_k = v_k . S v_k with |q_k - q_{k-1}| <= tol * max(1, |q_k|) (q_0 = 0),
     or q_max_iter, or 0 when S v0 = 0. Here q_k comes in closed form from
-    one ``eigh``, for a block of k at a time: blocks grow from 64 to 256
-    steps, so the cost follows the stop index and no block is large.
+    the design's eigendecomposition, for a block of k at a time: blocks
+    grow from 128 to 256 steps, so the cost follows the stop index and no
+    block is large.
 
     The weight of direction i in q_k is a_i^2 mu_i^(2k) with mu = lam /
     max|lam|, formed as a log and shifted by its maximum over the directions
@@ -62,11 +108,11 @@ def _power_top_eig(S: np.ndarray, tol: float, max_iter: int) -> float:
     a_i = 0 or lam_i = 0 drop out; round-off eigenvalues below zero keep
     their sign.
     """
+    S, lam, V = design.G, design.lam, design.V
     d = S.shape[0]
     v0 = np.full(d, 1.0 / np.sqrt(d))
     if not S.dot(v0).any():
         return 0.0
-    lam, V = np.linalg.eigh(S)
     a2 = np.square(v0 @ V)
     keep = (a2 > 0.0) & (lam != 0.0)
     if not keep.any():
@@ -74,7 +120,7 @@ def _power_top_eig(S: np.ndarray, tol: float, max_iter: int) -> float:
     scale = np.abs(lam).max()
     mu = lam[keep] / scale
     log_a2, log_mu2 = np.log(a2[keep]), np.log(np.square(mu))
-    q_prev, k0, size = 0.0, 1, 64
+    q_prev, k0, size = 0.0, 1, 128
     while k0 <= max_iter:
         k = np.arange(k0, min(k0 + size, max_iter + 1), dtype=np.float64)
         log_w = log_a2[:, None] + log_mu2[:, None] * k
@@ -89,18 +135,18 @@ def _power_top_eig(S: np.ndarray, tol: float, max_iter: int) -> float:
     return q_prev
 
 
-def lambda_max(X: np.ndarray) -> float:
+def lambda_max(X: np.ndarray | Design) -> float:
     """Power iteration's estimate of the largest eigenvalue of X^T X.
 
     All-ones start, relative tolerance ``_POWER_TOL``, at most
-    ``_POWER_MAX_ITER`` steps, evaluated in closed form from one ``eigh`` of
-    the Gram matrix (see :func:`_power_top_eig`). Raises
+    ``_POWER_MAX_ITER`` steps, evaluated in closed form from the design's
+    eigendecomposition (see :func:`_power_top_eig`). Raises
     DegenerateDesignError for a zero design.
     """
-    G = _gram(X)
-    if not np.any(G):
+    design = _design(X)
+    if not np.any(design.G):
         raise DegenerateDesignError("X^T X is the zero matrix")
-    return _power_top_eig(G, _POWER_TOL, _POWER_MAX_ITER)
+    return _power_top_eig(design, _POWER_TOL, _POWER_MAX_ITER)
 
 
 def _scaled_spectrum(lam: np.ndarray, eta: float) -> np.ndarray:
@@ -113,23 +159,24 @@ def _scaled_spectrum(lam: np.ndarray, eta: float) -> np.ndarray:
     return eta * np.maximum(lam, 0.0)
 
 
-def contraction_rate(X: np.ndarray, eta: float) -> float:
+def contraction_rate(X: np.ndarray | Design, eta: float) -> float:
     """Spectral norm of M = I - eta X^T X, i.e. max_i |1 - eta lam_i|."""
-    lam = np.linalg.eigvalsh(_gram(X))
+    lam = _design(X).lam
     return float(np.max(np.abs(1.0 - _scaled_spectrum(lam, eta))))
 
 
 def refine(
     theta0: np.ndarray,
-    X: np.ndarray,
+    X: np.ndarray | Design,
     y: np.ndarray,
     b: int,
     eta: float,
 ) -> np.ndarray:
     """The result of b full-batch gradient steps of size eta from theta0.
 
-    Evaluated in closed form from one eigendecomposition of X^T X (see the
-    module docstring), so the cost is O(d^3) independent of b. b = 0
+    Evaluated in closed form from the eigendecomposition of X^T X (see the
+    module docstring), so the cost is independent of b: O(d^2) per column
+    given a Design, plus the O(d^3) decomposition given a plain array. b = 0
     returns a copy of theta0. Raises DivergenceError when b >= 1 and
     eta * lambda_max > 2, where the iteration would grow without bound, or
     when the result is not finite.
@@ -139,7 +186,8 @@ def refine(
     column j on targets y[:, j], from the one eigendecomposition; the
     checks apply to the whole stack.
     """
-    X = np.asarray(X, dtype=np.float64)
+    design = X if isinstance(X, Design) else None
+    X = np.asarray(X if design is None else design.X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     theta = np.array(theta0, dtype=np.float64, copy=True)
     if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
@@ -151,7 +199,9 @@ def refine(
         raise ValueError(f"budget must be nonnegative, got {b}")
     if b == 0:
         return theta
-    lam, V = np.linalg.eigh(_gram(X))
+    if design is None:
+        design = _design(X)
+    lam, V = design.lam, design.V
     h = _scaled_spectrum(lam, eta)
     r = 1.0 - h
     if r.min() < -1.0:

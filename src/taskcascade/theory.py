@@ -9,19 +9,22 @@ comparison evaluates the closed-form condition under which the cascaded
 bound is tighter than one discounted long transfer.
 
 :func:`verify_bounds` checks the bounds on synthetic chains by refining
-each task of the chain with :func:`linmodel.refine`; in noisy mode every
+each task of the chain with :func:`linmodel.refine`. Each chain design is
+decomposed once, and its step size, contraction rate, noise operator norm
+and refinements all read that decomposition. In noisy mode every
 noise draw is one column of a stack, so each task is refined once for all
 draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .linmodel import contraction_rate, lambda_max, refine
+from .linmodel import Design, build_designs, contraction_rate, lambda_max, refine
 from .seeding import substream
 
 
@@ -174,7 +177,7 @@ class BoundCheck:
 
 @dataclass
 class _Chain:
-    designs: list[np.ndarray]
+    designs: list[Design]
     thetas: list[np.ndarray]
     etas: list[float]
     rhos: list[float]
@@ -188,13 +191,15 @@ def _build_chain(config: ChainConfig) -> _Chain:
     direction /= np.linalg.norm(direction)
     m = config.length
     thetas = [theta0 + (i / m) * config.spacing * direction for i in range(m + 1)]
-    designs = [rng.standard_normal((config.n, config.dim)) for _ in range(m + 1)]
+    designs = build_designs(
+        [rng.standard_normal((config.n, config.dim)) for _ in range(m + 1)]
+    )
     etas, rhos, a_frob = [], [], []
-    for X in designs:
-        etas.append(1.0 / lambda_max(X))
-        rhos.append(contraction_rate(X, etas[-1]))
-        A = np.linalg.solve(X.T @ X, X.T)
-        a_frob.append(float(np.linalg.norm(A, ord="fro")))
+    for design in designs:
+        etas.append(1.0 / lambda_max(design))
+        rhos.append(contraction_rate(design, etas[-1]))
+        # ||(X^T X)^-1 X^T||_F^2 = trace((X^T X)^-1) = sum_i 1/lam_i
+        a_frob.append(math.sqrt(float(np.sum(1.0 / design.lam))))
     return _Chain(designs, thetas, etas, rhos, a_frob)
 
 
@@ -217,7 +222,7 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
         float(np.linalg.norm(chain.thetas[i] - chain.thetas[i - 1]))
         for i in range(1, m + 1)
     ]
-    targets = [X @ theta for X, theta in zip(chain.designs, chain.thetas)]
+    targets = [design.X @ theta for design, theta in zip(chain.designs, chain.thetas)]
 
     if config.noise_sigma == 0.0:
         root_b = config.root_budget if config.root_budget is not None else b

@@ -1,10 +1,11 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from taskcascade.budget import BudgetAllocation, uniform_default
-from taskcascade import cascade
+from taskcascade import cascade, linmodel
 from taskcascade.cascade import (
     METHODS,
     ExperimentConfig,
@@ -279,6 +280,50 @@ class TestRunExperiment:
                                       seed=2)
             run_experiment(config, jobs=1)
             assert len(calls) == 5, method  # one per task, not one per replicate
+
+    @staticmethod
+    def count_design_builds(monkeypatch, log):
+        """Log the process id of every build_designs call to the file ``log``.
+
+        A file, so that the calls of forked pool workers show up too.
+        """
+        original = linmodel.build_designs
+
+        def counted(Xs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(Xs)}\n")
+            return original(Xs)
+
+        for module in (linmodel, cascade):
+            monkeypatch.setattr(module, "build_designs", counted)
+        return lambda: log.read_text().splitlines() if log.exists() else []
+
+    def test_a_synthetic_replicate_builds_its_designs_once(self, tmp_path, monkeypatch):
+        builds = self.count_design_builds(monkeypatch, tmp_path / "builds")
+        lambdas = []
+        monkeypatch.setattr(cascade, "lambda_max",
+                            lambda X: lambdas.append(1) or lambda_max(X))
+        for method, metric in [("individual", None), ("mst", "gradient")]:
+            (tmp_path / "builds").unlink(missing_ok=True)
+            lambdas.clear()
+            config = ExperimentConfig(method=method, metric_name=metric, budget=40,
+                                      num_seeds=3, synthetic=self.synthetic(), seed=2)
+            run_experiment(config, jobs=1)
+            # one stack of all 5 tasks per replicate, one lambda_max per task
+            assert builds() == [f"{os.getpid()} 5"] * 3, method
+            assert len(lambdas) == 15, method
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_loaded_collection_designs_are_built_once_per_run(self, rng, tmp_path,
+                                                              monkeypatch, jobs):
+        save_collection(make_collection(rng, T=5), tmp_path / "col")
+        builds = self.count_design_builds(monkeypatch, tmp_path / "builds")
+        config = ExperimentConfig(method="mst", metric_name="gradient", budget=40,
+                                  num_seeds=3, data_path=str(tmp_path / "col"), seed=2)
+        report = run_experiment(config, jobs=jobs)
+        assert len(report.results) == 3
+        # built in this process before any replicate runs, never in a worker
+        assert builds() == [f"{os.getpid()} 5"]
 
     def test_loaded_collection_pooled_equals_serial(self, rng, tmp_path):
         save_collection(make_collection(rng, T=5), tmp_path / "col")

@@ -547,6 +547,11 @@ SMALL_CHAIN = {"mode": "noiseless", "length": 2}
     (["bench", "{cfg}", "--jobs", "0"], SMALL_BENCH, "--jobs"),
     (["dist", "{col}", "--metric", "gradient", "--params", "{cfg}"], {"rff_dim": "8"},
      "'rff_dim'"),
+    (["run", "{cfg}"],
+     {**SMALL_RUN, "scheme": {"kind": "depth_increasing", "alpha": float("nan")}},
+     "'alpha'"),
+    (["verify", "{cfg}"], {**SMALL_CHAIN, "spacing": float("nan")}, "'spacing'"),
+    (["gen", "{cfg}"], {"num_tasks": 4, "tau_within": float("inf")}, "'tau_within'"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, config, named, gen_config, tmp_path,
                                                capsys):

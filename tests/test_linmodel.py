@@ -9,6 +9,8 @@ from taskcascade.errors import (
 )
 from taskcascade import linmodel
 from taskcascade.linmodel import (
+    Design,
+    build_designs,
     contraction_rate,
     lambda_max,
     refine,
@@ -69,7 +71,7 @@ def power_top_eig_two_matvecs(S, tol, max_iter):
 
 @st.composite
 def gram_designs(draw):
-    """X^T X of a random, rank-deficient or wide (n < d) design, scale 10^+-3."""
+    """The Design of a random, rank-deficient or wide (n < d) X, scale 10^+-3."""
     kind = draw(st.sampled_from(["random", "rank_deficient", "wide"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 30))
@@ -78,7 +80,79 @@ def gram_designs(draw):
     if kind == "rank_deficient":  # rank max(d // 2, 1)
         r = max(d // 2, 1)
         X[:, r:] = X[:, :r] @ rng.standard_normal((r, d - r))
-    return X.T @ X
+    return build_designs([X])[0]
+
+
+@st.composite
+def design_stacks(draw):
+    """Matrices with d columns and mixed row counts: random, rank-deficient,
+    wide (n < d) or zero, each at its own scale 10^+-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 12))
+    Xs = []
+    for kind in draw(st.lists(
+        st.sampled_from(["random", "rank_deficient", "wide", "zero"]),
+        min_size=1, max_size=8,
+    )):
+        wide = kind == "wide" and d > 1
+        n = int(rng.integers(1, d) if wide else rng.integers(d, 3 * d + 5))
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if kind == "rank_deficient":
+            r = max(d // 2, 1)
+            X[:, r:] = X[:, :r] @ rng.standard_normal((r, d - r))
+        elif kind == "zero":
+            X[:] = 0.0
+        Xs.append(X)
+    return Xs
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBuildDesigns:
+    @settings(max_examples=150, deadline=None)
+    @given(Xs=design_stacks())
+    def test_stack_equals_one_eigh_per_matrix(self, Xs):
+        designs = build_designs(Xs)
+        assert len(designs) == len(Xs)
+        for X, got in zip(Xs, designs):
+            G = X.T @ X
+            lam, V = np.linalg.eigh(G)
+            assert isinstance(got, Design)
+            assert same_bits(got.X, X) and same_bits(got.G, G)
+            assert same_bits(got.lam, lam) and same_bits(got.V, V)
+
+    @settings(max_examples=100, deadline=None)
+    @given(Xs=design_stacks(), b=st.integers(1, 500), k=st.integers(1, 4),
+           scale=st.floats(0.1, 1.9))
+    def test_a_design_gives_the_bits_of_its_array(self, Xs, b, k, scale):
+        rng = np.random.default_rng(b)
+        for X, design in zip(Xs, build_designs(Xs)):
+            if not X.any():
+                for arg in (X, design):
+                    with pytest.raises(DegenerateDesignError):
+                        lambda_max(arg)
+                eta = 0.5
+            else:
+                assert same_bits(lambda_max(design), lambda_max(X))
+                eta = scale / lambda_max(X)
+            assert same_bits(contraction_rate(design, eta), contraction_rate(X, eta))
+            n, d = X.shape
+            theta0, y = rng.standard_normal(d), rng.standard_normal(n)
+            assert same_bits(refine(theta0, design, y, b, eta), refine(theta0, X, y, b, eta))
+            theta0, Y = rng.standard_normal((d, k)), rng.standard_normal((n, k))
+            assert same_bits(refine(theta0, design, Y, b, eta), refine(theta0, X, Y, b, eta))
+
+    def test_no_matrices_give_no_designs(self):
+        assert build_designs([]) == []
+
+    def test_column_counts_must_agree(self):
+        with pytest.raises(ShapeMismatchError, match="columns"):
+            build_designs([np.ones((4, 2)), np.ones((4, 3))])
+        with pytest.raises(ShapeMismatchError):
+            build_designs([np.ones(4)])
 
 
 class TestLambdaMax:
@@ -111,7 +185,7 @@ class TestLambdaMax:
     @given(design=gram_designs(), max_iter=st.sampled_from([1, 2, 10]))
     def test_closed_form_equals_the_loop_at_a_fixed_step_count(self, design, max_iter):
         # tol = 0 runs the loop for max_iter steps (or to an exact repeat)
-        want = power_top_eig_two_matvecs(design, 0.0, max_iter)
+        want = power_top_eig_two_matvecs(design.G, 0.0, max_iter)
         got = linmodel._power_top_eig(design, 0.0, max_iter)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -121,7 +195,7 @@ class TestLambdaMax:
         # Both sequences change by at most tol near the stop, so a stop
         # one step apart moves the estimate by less than tol, relatively.
         tol, max_iter = linmodel._POWER_TOL, linmodel._POWER_MAX_ITER
-        want = power_top_eig_two_matvecs(design, tol, max_iter)
+        want = power_top_eig_two_matvecs(design.G, tol, max_iter)
         got = linmodel._power_top_eig(design, tol, max_iter)
         assert abs(got - want) <= 2 * tol * max(1.0, abs(want))
 
@@ -129,14 +203,14 @@ class TestLambdaMax:
     @given(design=gram_designs())
     def test_estimate_never_exceeds_the_top_eigenvalue(self, design):
         tol, max_iter = linmodel._POWER_TOL, linmodel._POWER_MAX_ITER
-        top = np.linalg.eigvalsh(design)[-1]
+        top = np.linalg.eigvalsh(design.G)[-1]
         assert linmodel._power_top_eig(design, tol, max_iter) <= top * (1 + 1e-12)
 
     def test_zero_direction_stops_at_zero(self):
         # the start vector is in the kernel: both loops return 0 at once
-        S = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert linmodel._power_top_eig(S, 1e-10, 10) == 0.0
-        assert power_top_eig_two_matvecs(S, 1e-10, 10) == 0.0
+        design = build_designs([np.array([[1.0, -1.0]])])[0]
+        assert linmodel._power_top_eig(design, 1e-10, 10) == 0.0
+        assert power_top_eig_two_matvecs(design.G, 1e-10, 10) == 0.0
 
 
 class TestDefaultStepSize:

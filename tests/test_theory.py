@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from taskcascade.graph import RootedTree
 from taskcascade.linmodel import contraction_rate, lambda_max
 from taskcascade.seeding import substream
 from taskcascade.tasks import TaskCollection, TaskDataset
+from taskcascade import theory
 from taskcascade.theory import (
     ChainConfig,
     NoisySpec,
@@ -57,8 +59,7 @@ def per_draw_verify_bounds(config: ChainConfig) -> tuple[float, float, bool, flo
     for i, X in enumerate(designs):
         etas[i] = 1.0 / lambda_max(X)
         rhos.append(contraction_rate(X, etas[i]))
-        A = np.linalg.solve(X.T @ X, X.T)
-        a_frob.append(float(np.linalg.norm(A, ord="fro")))
+        a_frob.append(math.sqrt(float(np.sum(1.0 / np.linalg.eigh(X.T @ X)[0]))))
 
     def collection(noises):
         tasks = []
@@ -315,6 +316,26 @@ class TestVerifyBounds:
             check = verify_bounds(config)
             got = (check.empirical, check.bound, check.satisfied, check.mc_stderr)
             assert got == per_draw_verify_bounds(config)
+
+    @pytest.mark.parametrize("config", [
+        ChainConfig(length=5, seed=42),
+        ChainConfig(length=3, dim=8, n=8, seed=1234),
+        ChainConfig(length=2, dim=1, n=3, seed=3),
+        ChainConfig(length=4, dim=20, n=200, spacing=4.0, seed=7),
+    ])
+    def test_chain_spectra_match_their_direct_forms(self, config):
+        # a_frob = sqrt(sum 1/lam) is ||(X^T X)^-1 X^T||_F, and rho comes
+        # from the eigenvalues of eigh, not those of eigvalsh
+        chain = theory._build_chain(config)
+        for design, eta, rho, a in zip(chain.designs, chain.etas, chain.rhos,
+                                       chain.a_frob):
+            X = design.X
+            A = np.linalg.solve(X.T @ X, X.T)
+            assert a == pytest.approx(np.linalg.norm(A, ord="fro"), rel=1e-12, abs=0)
+            lam = np.linalg.eigvalsh(X.T @ X)
+            want = np.max(np.abs(1.0 - eta * np.maximum(lam, 0.0)))
+            assert rho == pytest.approx(want, rel=1e-12, abs=0)
+            assert eta == 1.0 / lambda_max(X)
 
     def test_invalid_chain_rejected(self):
         with pytest.raises(ConfigError):
