@@ -41,6 +41,7 @@ _EXPORTS = {
         "DivergenceError",
         "GraphError",
         "InfeasibleBudgetError",
+        "NonFiniteGramError",
         "ShapeMismatchError",
         "TaskCascadeError",
     ),

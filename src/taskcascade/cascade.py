@@ -23,7 +23,7 @@ import numpy as np
 
 from .budget import AllocationScheme, BudgetAllocation, allocate, split_uniform
 from .distances import DistanceParams, METRIC_NAMES, compute_distance_matrix
-from .errors import ConfigError, ShapeMismatchError, TaskCascadeError
+from .errors import ConfigError, NonFiniteGramError, ShapeMismatchError, TaskCascadeError
 from .graph import RootedTree, build_tree, depths, save_tree, topological_order
 from .linmodel import Design, build_designs, lambda_max, refine, rmse
 from .seeding import derive_seed, substream
@@ -101,8 +101,15 @@ def _check_budgets(collection: TaskCollection, budgets: BudgetAllocation) -> Non
 
 
 def _designs(collection: TaskCollection) -> list[Design]:
-    """Every task's training design, from one stacked eigendecomposition."""
-    return build_designs([task.X_train for task in collection])
+    """Every task's training design, from one stacked eigendecomposition.
+
+    A Gram matrix that overflows names its task.
+    """
+    try:
+        return build_designs([task.X_train for task in collection])
+    except NonFiniteGramError as exc:
+        task = collection[exc.index]
+        raise NonFiniteGramError(f"task {task.id!r}: {exc}", exc.index) from exc
 
 
 def default_step_sizes(

@@ -18,8 +18,9 @@ or random Fourier projection with within-task distances) and a row
 reduction, the distances from one summary to a list of others.
 :func:`compute_distance_matrix` summarizes each task once and then reduces
 one row at a time, summary i against every later summary. The Euclidean
-metrics (``target``, ``gradient``, ``model``) do a whole row as one batched
-dot product, with the same arithmetic as ``np.linalg.norm`` of each
+metrics (``target``, ``gradient``, ``model``) stack their summaries once per
+matrix and do a whole row, a slice of that stack, as one batched dot
+product, with the same arithmetic as ``np.linalg.norm`` of each
 difference; the others apply their pair distance along the row.
 :func:`task_distance` is the same computation on two tasks, so a pair call
 equals the matching matrix entry exactly.
@@ -320,39 +321,48 @@ def _rows(pair: Callable) -> Callable:
     return row
 
 
-def _euclidean(u: np.ndarray, later: Sequence, params: DistanceParams) -> np.ndarray:
+def _stack(summaries: list) -> np.ndarray:
+    """The vector summaries of a matrix as the rows of one array.
+
+    Vectors of unequal lengths fail in the first row that meets them, row 0,
+    so the error names the pair of summary 0 and the first summary whose
+    length differs, as a row of :func:`_euclidean` would.
+    """
+    for k, v in enumerate(summaries[1:]):
+        if v.shape != summaries[0].shape:
+            raise _PairError(k, ShapeMismatchError(
+                f"Euclidean distance needs equal lengths, got "
+                f"{summaries[0].shape[0]} and {v.shape[0]}"
+            ))
+    return np.array(summaries)
+
+
+def _euclidean(u: np.ndarray, later: np.ndarray, params: DistanceParams) -> np.ndarray:
     """Euclidean distances from u to each later vector, one batched dot per row.
 
-    Each entry is sqrt of the dot product of u - v with itself, as
+    ``later`` holds the later vectors as rows: a slice of the summary stack
+    that :func:`_pairwise` builds once per matrix with :func:`_stack`. Each
+    entry is sqrt of the dot product of u - v with itself, as
     ``np.linalg.norm(u - v)`` computes it, so it equals the per-pair value.
     """
-    try:
-        V = np.array(later)
-    except ValueError:  # later vectors of unequal lengths
-        V = None
-    if V is None or V.shape[1:] != u.shape:
-        k = next(k for k, v in enumerate(later) if v.shape != u.shape)
-        raise _PairError(k, ShapeMismatchError(
-            f"Euclidean distance needs equal lengths, got {u.shape[0]} "
-            f"and {later[k].shape[0]}"
-        ))
-    diff = u - V
+    diff = u - later
     return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
 
 
 # metric -> (summary of one task's training split,
-#            distances from one summary to a list of later ones)
-_METRICS: dict[str, tuple[Callable, Callable]] = {
-    "feature": (_features, _rows(_feature_distance)),
-    "mmd": (_rff_summary, _rows(_mmd_rff)),
-    "gauss_meancov": (_mean_cov, _rows(_gauss_meancov)),
-    "cka": (_sample_features, _rows(_cka_distance)),
-    "target": (_targets, _euclidean),
-    "sym_kl": (_targets, _rows(_sym_kl)),
-    "js": (_targets, _rows(_js)),
-    "wasserstein": (_sorted_targets, _rows(_wasserstein)),
-    "gradient": (_gradient, _euclidean),
-    "model": (_ridge, _euclidean),
+#            the container a matrix keeps its summaries in, which rows slice,
+#            distances from one summary to the later ones)
+_METRICS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "feature": (_features, list, _rows(_feature_distance)),
+    "mmd": (_rff_summary, list, _rows(_mmd_rff)),
+    "gauss_meancov": (_mean_cov, list, _rows(_gauss_meancov)),
+    "cka": (_sample_features, list, _rows(_cka_distance)),
+    "target": (_targets, _stack, _euclidean),
+    "sym_kl": (_targets, list, _rows(_sym_kl)),
+    "js": (_targets, list, _rows(_js)),
+    "wasserstein": (_sorted_targets, list, _rows(_wasserstein)),
+    "gradient": (_gradient, _stack, _euclidean),
+    "model": (_ridge, _stack, _euclidean),
 }
 
 
@@ -367,7 +377,7 @@ def _pairwise(
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
-    summarize, reduce_row = _METRICS[metric]
+    summarize, collect, reduce_row = _METRICS[metric]
     params = params or DistanceParams()
     summaries = []
     for task in tasks:
@@ -377,14 +387,16 @@ def _pairwise(
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
     T = len(tasks)
     values = np.zeros((T, T))
-    for i in range(T - 1):
-        try:
+    i = 0  # a summary stack that cannot be built fails in row 0
+    try:
+        summaries = collect(summaries)
+        for i in range(T - 1):
             row = reduce_row(summaries[i], summaries[i + 1:], params)
-        except _PairError as failure:
-            exc, j = failure.error, i + 1 + failure.offset
-            raise type(exc)(f"pair ({tasks[i].id!r}, {tasks[j].id!r}): {exc}") from exc
-        values[i, i + 1:] = row
-        values[i + 1:, i] = row
+            values[i, i + 1:] = row
+            values[i + 1:, i] = row
+    except _PairError as failure:
+        exc, j = failure.error, i + 1 + failure.offset
+        raise type(exc)(f"pair ({tasks[i].id!r}, {tasks[j].id!r}): {exc}") from exc
     return values
 
 

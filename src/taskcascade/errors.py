@@ -21,6 +21,15 @@ class DegenerateDesignError(TaskCascadeError, ValueError):
     """Design matrices that are zero or singular where invertibility is required."""
 
 
+class NonFiniteGramError(DegenerateDesignError):
+    """A design whose Gram matrix X^T X overflows; ``index`` is its position
+    among the designs built together, when known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
 class DivergenceError(TaskCascadeError, RuntimeError):
     """Refinement produced non-finite or runaway parameter values."""
 

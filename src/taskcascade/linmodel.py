@@ -23,30 +23,40 @@ a = V^T v0, its k-th Rayleigh quotient is
 
     q_k = sum_i a_i^2 lam_i^(2k+1) / sum_i a_i^2 lam_i^(2k),
 
-so :func:`lambda_max` evaluates the sequence and its stop rule in blocks of
-k from one eigendecomposition instead of one matrix-vector product per step.
+so the sequence and its stop rule can be evaluated in blocks of k from one
+eigendecomposition instead of one matrix-vector product per step.
 
 Both read the same eigendecomposition. A :class:`Design` holds X, its Gram
-matrix G = X^T X and eigh(G) = (lam, V), and :func:`build_designs` builds
-the designs of many matrices with one ``eigh`` over their (T, d, d) Gram
-stack, which gives every matrix the bits of its own ``eigh``. It is the
-only place here that decomposes a Gram matrix: :func:`lambda_max`,
-:func:`refine` and :func:`contraction_rate` read a Design, and given a plain
-array they build its design through :func:`build_designs`.
+matrix G = X^T X, eigh(G) = (lam, V) and power iteration's estimate of
+lambda_max. :func:`build_designs` builds the designs of many matrices with
+one ``eigh`` over their (T, d, d) Gram stack, which gives every matrix the
+bits of its own ``eigh``, and then evaluates every design's power iteration
+in one pass over the same stack. It is the only place here that decomposes
+a Gram matrix or estimates lambda_max: :func:`lambda_max`, :func:`refine`
+and :func:`contraction_rate` read a Design, and given a plain array they
+build its design through :func:`build_designs`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDesignError, DivergenceError, ShapeMismatchError
+from .errors import (
+    DegenerateDesignError,
+    DivergenceError,
+    NonFiniteGramError,
+    ShapeMismatchError,
+)
 
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
+# Designs whose power iterations _power_estimates evaluates together. It
+# bounds the size of the temporaries; larger chunks ran no faster.
+_POWER_CHUNK = 16
 
 
 def _gram(X: np.ndarray) -> np.ndarray:
@@ -57,19 +67,25 @@ def _gram(X: np.ndarray) -> np.ndarray:
 
 
 class Design(NamedTuple):
-    """A design X with its Gram matrix G = X^T X and eigh(G) = (lam, V)."""
+    """A design X with its Gram matrix G = X^T X, eigh(G) = (lam, V), and
+    power iteration's estimate ``lam_est`` of the largest eigenvalue of G."""
 
     X: np.ndarray
     G: np.ndarray
     lam: np.ndarray
     V: np.ndarray
+    lam_est: float
 
 
 def build_designs(Xs: Sequence[np.ndarray]) -> list[Design]:
     """The designs of the matrices ``Xs``, which share their column count.
 
     One ``eigh`` over the stack of their Gram matrices decomposes them all,
-    and each gets the same bits as from its own ``eigh``.
+    and each gets the same bits as from its own ``eigh``. One pass of
+    :func:`_power_estimates` over the same stack gives every design its
+    estimate of lambda_max. Raises NonFiniteGramError, with the position of
+    the first such design, when a Gram matrix is not finite (its entries
+    overflow), which ``eigh`` would turn into NaN or a LinAlgError.
     """
     Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
     if any(X.ndim != 2 for X in Xs):
@@ -79,74 +95,160 @@ def build_designs(Xs: Sequence[np.ndarray]) -> list[Design]:
     d = Xs[0].shape[1]
     if any(X.shape[1] != d for X in Xs):
         raise ShapeMismatchError("designs must share their number of columns")
-    # Each Gram matrix goes straight into the stack the designs keep.
+    # Each Gram matrix goes straight into the stack the designs keep. An
+    # overflow is caught by the check that follows.
     G = np.empty((len(Xs), d, d))
-    for X, G_i in zip(Xs, G):
-        np.matmul(X.T, X, out=G_i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for X, G_i in zip(Xs, G):
+            np.matmul(X.T, X, out=G_i)
+    finite = np.isfinite(G).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteGramError(
+            "X^T X is not finite; the design's entries are too large",
+            int(finite.argmin()),
+        )
     lam, V = np.linalg.eigh(G)
-    return [Design(*parts) for parts in zip(Xs, G, lam, V)]
+    estimates = _power_estimates(G, lam, V, _POWER_TOL, _POWER_MAX_ITER)
+    return [Design(*parts) for parts in zip(Xs, G, lam, V, estimates.tolist())]
 
 
 def _design(X: np.ndarray | Design) -> Design:
     return X if isinstance(X, Design) else build_designs([X])[0]
 
 
-def _power_top_eig(design: Design, tol: float, max_iter: int) -> float:
-    """Power iteration's estimate of the largest eigenvalue of S = design.G.
+def _sum_in_order(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of arrays of one shape, added one after another.
 
-    The estimate of the loop that starts at v0 = 1/sqrt(d), sets
-    v_k = S v_{k-1} / |S v_{k-1}| and returns the first Rayleigh quotient
-    q_k = v_k . S v_k with |q_k - q_{k-1}| <= tol * max(1, |q_k|) (q_0 = 0),
-    or q_max_iter, or 0 when S v0 = 0. Here q_k comes in closed form from
-    the design's eigendecomposition, for a block of k at a time: blocks
-    grow from 128 to 256 steps, so the cost follows the stop index and no
-    block is large.
+    Unlike a matmul or ``np.sum``, the order of the additions never depends
+    on the shape, so each entry of a stack sums to the same bits alone or in
+    it. An array is summed over its first axis.
+    """
+    parts = iter(parts)
+    total = np.array(next(parts))
+    for part in parts:
+        total += part
+    return total
+
+
+def _power_estimates(
+    G: np.ndarray, lam: np.ndarray, V: np.ndarray, tol: float, max_iter: int
+) -> np.ndarray:
+    """Power iteration's estimate of the largest eigenvalue of each S = G[t].
+
+    G[t] = V[t] diag(lam[t]) V[t]^T. The estimate is that of the loop that
+    starts at v0 = 1/sqrt(d), sets v_k = S v_{k-1} / |S v_{k-1}| and returns
+    the first Rayleigh quotient q_k = v_k . S v_k with
+    |q_k - q_{k-1}| <= tol * max(1, |q_k|) (q_0 = 0), or q_max_iter, or 0
+    when S v0 = 0. Here q_k comes in closed form from the eigendecomposition
+    (see the module docstring), for ``_POWER_CHUNK`` designs and a block of
+    k at a time (see :func:`_power_chunk`).
 
     The weight of direction i in q_k is a_i^2 mu_i^(2k) with mu = lam /
     max|lam|, formed as a log and shifted by its maximum over the directions
     at each k, so nothing under- or overflows at large k. Directions with
-    a_i = 0 or lam_i = 0 drop out; round-off eigenvalues below zero keep
-    their sign.
+    a_i = 0 or lam_i = 0 weigh zero; round-off eigenvalues below zero keep
+    their sign. Arrays put the direction axis first, and every sum over it
+    runs in index order (see :func:`_sum_in_order`), so a design gets the
+    same bits alone, in any stack and in any chunk.
     """
-    S, lam, V = design.G, design.lam, design.V
-    d = S.shape[0]
-    v0 = np.full(d, 1.0 / np.sqrt(d))
-    if not S.dot(v0).any():
-        return 0.0
-    a2 = np.square(v0 @ V)
+    T, d = lam.shape
+    estimates = np.zeros(T)
+    if d == 0:
+        return estimates
+    # a = V^T v0 and S v0 for v0 = 1/sqrt(d), one column of V or S at a time.
+    # Only the designs in ``rows`` have a start vector that moves and a
+    # direction of weight.
+    v0 = 1.0 / np.sqrt(d)
+    a2 = np.square(_sum_in_order(V[:, j] * v0 for j in range(d))).T
+    moves = _sum_in_order(G[:, :, j] * v0 for j in range(d)).any(axis=1)
+    lam = lam.T
     keep = (a2 > 0.0) & (lam != 0.0)
-    if not keep.any():
-        return 0.0
-    scale = np.abs(lam).max()
-    mu = lam[keep] / scale
-    log_a2, log_mu2 = np.log(a2[keep]), np.log(np.square(mu))
-    q_prev, k0, size = 0.0, 1, 128
-    while k0 <= max_iter:
+    rows = np.flatnonzero(moves & keep.any(axis=0))
+    scale = np.abs(lam[:, rows]).max(axis=0)
+    mu = lam[:, rows] / scale
+    with np.errstate(divide="ignore"):  # log(0) = -inf: weight zero
+        log_a2 = np.log(np.where(keep[:, rows], a2[:, rows], 0.0))[:, :, None]
+        log_mu2 = np.log(np.square(mu))[:, :, None]
+    mu = mu[:, :, None]
+    for lo in range(0, rows.size, _POWER_CHUNK):
+        c = slice(lo, lo + _POWER_CHUNK)
+        estimates[rows[c]] = _power_chunk(
+            scale[c], mu[:, c], log_a2[:, c], log_mu2[:, c], tol, max_iter
+        )
+    return estimates
+
+
+def _power_chunk(
+    scale: np.ndarray,
+    mu: np.ndarray,
+    log_a2: np.ndarray,
+    log_mu2: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> np.ndarray:
+    """The estimates of :func:`_power_estimates` for one chunk of designs.
+
+    ``mu``, ``log_a2`` and ``log_mu2`` have shape (d, chunk, 1). Blocks of
+    k grow from 32 to 512 steps, and a design leaves the chunk at its stop,
+    so the cost follows the stop indices.
+
+    Every direction's weight falls with k, so within a block the largest
+    weight at each k is at least the largest at the block's last k. A
+    direction whose weight at the block's first k is below e^-100 of that
+    stays below it in the whole block, far under the last bit of the sums,
+    and the block leaves it out. The largest weight, and so the shift, is
+    unchanged.
+    """
+    n = scale.size
+    estimates = np.zeros(n)
+    rows = np.arange(n)
+    q_prev, k0, size = np.zeros(n), 1, 32
+    while k0 <= max_iter and rows.size:
         k = np.arange(k0, min(k0 + size, max_iter + 1), dtype=np.float64)
-        log_w = log_a2[:, None] + log_mu2[:, None] * k
-        w = np.exp(log_w - np.maximum.reduce(log_w))
-        q = scale * (mu @ w) / np.add.reduce(w)
-        change = np.abs(q - np.concatenate(([q_prev], q[:-1])))
+        first_w, last_w = log_mu2 * k[0], log_mu2 * k[-1]
+        first_w += log_a2
+        last_w += log_a2
+        live = first_w >= np.maximum.reduce(last_w) - 100.0
+        low = int(live.any(axis=(1, 2)).argmax())  # no live direction below
+        w = log_mu2[low:] * k
+        w += np.where(live[low:], log_a2[low:], -np.inf)
+        w -= np.maximum.reduce(w)
+        np.exp(w, out=w)
+        q = scale[:, None] * _sum_in_order(mu[low:] * w) / _sum_in_order(w)
+        change = np.abs(q - np.concatenate((q_prev[:, None], q[:, :-1]), axis=1))
         stops = change <= tol * np.maximum(1.0, np.abs(q))
-        first = int(stops.argmax())
-        if stops[first]:
-            return float(q[first])
-        q_prev, k0, size = float(q[-1]), k0 + size, min(2 * size, 256)
-    return q_prev
+        first = stops.argmax(axis=1)
+        done = stops[np.arange(rows.size), first]
+        estimates[rows[done]] = q[done, first[done]]
+        going = ~done
+        rows, scale, q_prev = rows[going], scale[going], q[going, -1]
+        mu, log_a2, log_mu2 = mu[:, going], log_a2[:, going], log_mu2[:, going]
+        k0, size = k0 + size, min(2 * size, 512)
+    estimates[rows] = q_prev
+    return estimates
 
 
 def lambda_max(X: np.ndarray | Design) -> float:
     """Power iteration's estimate of the largest eigenvalue of X^T X.
 
     All-ones start, relative tolerance ``_POWER_TOL``, at most
-    ``_POWER_MAX_ITER`` steps, evaluated in closed form from the design's
-    eigendecomposition (see :func:`_power_top_eig`). Raises
-    DegenerateDesignError for a zero design.
+    ``_POWER_MAX_ITER`` steps. The estimate is the one the design carries:
+    :func:`build_designs` computes it for a whole stack of designs at once
+    (see :func:`_power_estimates`), and a plain array gets its design built
+    here. Raises DegenerateDesignError for a zero design, and for one whose
+    estimate is not a positive finite number, such as a design whose start
+    vector lies in the kernel of X^T X.
     """
     design = _design(X)
     if not np.any(design.G):
         raise DegenerateDesignError("X^T X is the zero matrix")
-    return _power_top_eig(design, _POWER_TOL, _POWER_MAX_ITER)
+    if not 0.0 < design.lam_est < math.inf:
+        raise DegenerateDesignError(
+            f"power iteration's estimate of lambda_max is {design.lam_est!r}, "
+            "not a positive finite number; its all-ones start vector may lie in "
+            "the kernel of X^T X"
+        )
+    return design.lam_est
 
 
 def _scaled_spectrum(lam: np.ndarray, eta: float) -> np.ndarray:

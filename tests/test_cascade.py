@@ -228,6 +228,21 @@ class TestDefaultStepSizes:
         with pytest.raises(DegenerateDesignError, match="task 'task1': X\\^T X is the zero"):
             default_step_sizes(collection)
 
+    @pytest.mark.parametrize("X_train, problem", [
+        (np.full((4, 2), 1e200), "X\\^T X is not finite"),  # the Gram matrix overflows
+        (np.array([[1.0, -1.0]]), "power iteration's estimate of lambda_max is 0.0"),
+    ])
+    def test_degenerate_design_names_the_task(self, rng, X_train, problem):
+        collection = make_collection(rng, T=3, d=2)
+        task = collection[1]
+        collection.tasks[1] = TaskDataset("bad", X_train, np.ones(len(X_train)),
+                                          task.X_test, task.y_test)
+        with pytest.raises(DegenerateDesignError, match=f"task 'bad': {problem}"):
+            default_step_sizes(collection)
+        config = ExperimentConfig(method="individual", budget=30, data_path="unused")
+        with pytest.raises(DegenerateDesignError, match=f"task 'bad': {problem}"):
+            run_method(config, collection)
+
 
 class TestRunExperiment:
     def synthetic(self, **overrides):

@@ -16,7 +16,7 @@ from taskcascade.distances import (
     compute_distance_matrix,
     load_distance_matrix,
 )
-from taskcascade.tasks import load_collection
+from taskcascade.tasks import TaskCollection, TaskDataset, load_collection, save_collection
 
 
 def write_json(path, payload):
@@ -325,6 +325,27 @@ class TestRun:
         })
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "task 'task2': X^T X is the zero matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("X_train, problem", [
+        (np.full((4, 2), 1e200), "X^T X is not finite"),  # the Gram matrix overflows
+        (np.array([[1.0, -1.0]]), "estimate of lambda_max is 0.0"),  # v0 in the kernel
+    ])
+    def test_degenerate_design_exits_2_naming_the_task(self, tmp_path, capsys, X_train,
+                                                       problem):
+        rng = np.random.default_rng(0)
+        tasks = [TaskDataset(name, X, np.ones(len(X)), rng.standard_normal((3, 2)),
+                             np.ones(3))
+                 for name, X in [("a", rng.standard_normal((4, 2))), ("bad", X_train),
+                                 ("c", rng.standard_normal((4, 2)))]]
+        save_collection(TaskCollection(tasks, 2), tmp_path / "col")
+        cfg = write_json(tmp_path / "run.json", {
+            "method": "mst", "metric_name": "gradient", "budget": 30, "num_seeds": 1,
+            "data_path": str(tmp_path / "col"),
+        })
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]  # one line, no warning or traceback
+        assert err.startswith("error: task 'bad': ") and problem in err
 
     def test_individual_has_no_tree_file(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", {

@@ -293,15 +293,17 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(seed)
         summaries = list(rng.standard_normal((T, n)) * 10.0**log_scale)
         summaries[-1] = summaries[0].copy()  # one exact zero distance
+        stack = distances._stack(summaries)
         values = np.zeros((T, T))
         for i in range(T - 1):
-            row = distances._euclidean(summaries[i], summaries[i + 1:], None)
+            row = distances._euclidean(stack[i], stack[i + 1:], None)
             values[i, i + 1:] = values[i + 1:, i] = row
         assert np.array_equal(values, pairwise_norms(summaries))
 
     @pytest.mark.parametrize("metric", ["target", "gradient", "model"])
     def test_euclidean_metrics_equal_per_pair_norms(self, rng, metric):
-        collection = make_collection(rng, T=25, n=16, d=5)
+        # rows are slices of one summary stack; T = 48 makes them long
+        collection = make_collection(rng, T=48, n=16, d=5)
         params = DistanceParams()
         summarize = distances._METRICS[metric][0]
         want = pairwise_norms([summarize(task, params) for task in collection])
@@ -318,6 +320,17 @@ class TestDistanceMatrix:
         pair = [tasks[0], make_task(rng, n=1, d=3, task_id="c")]
         with pytest.raises(ShapeMismatchError, match=r"pair \('a', 'c'\): .* 6 and 1"):
             compute_distance_matrix(TaskCollection(pair, 3), "target")
+
+    @pytest.mark.parametrize("lengths, pair, got", [
+        ([6, 6, 9, 6, 7], ("t0", "t2"), "6 and 9"),
+        ([5, 6, 6], ("t0", "t1"), "5 and 6"),  # the later summaries agree
+        ([4, 4, 4, 4, 3], ("t0", "t4"), "4 and 3"),
+    ])
+    def test_unequal_target_lengths_name_a_pair_of_row_0(self, rng, lengths, pair, got):
+        tasks = [make_task(rng, n=n, d=3, task_id=f"t{i}") for i, n in enumerate(lengths)]
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"pair \('{pair[0]}', '{pair[1]}'\): .* {got}$"):
+            compute_distance_matrix(TaskCollection(tasks, 3), "target")
 
     def test_lifted_pair_distance_reports_its_offset(self):
         def pair(u, v, params):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from taskcascade.errors import (
     DegenerateDesignError,
     DivergenceError,
+    NonFiniteGramError,
     ShapeMismatchError,
 )
 from taskcascade import linmodel
@@ -70,20 +73,6 @@ def power_top_eig_two_matvecs(S, tol, max_iter):
 
 
 @st.composite
-def gram_designs(draw):
-    """The Design of a random, rank-deficient or wide (n < d) X, scale 10^+-3."""
-    kind = draw(st.sampled_from(["random", "rank_deficient", "wide"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 30))
-    n = max(d // 2, 1) if kind == "wide" else d + 10
-    X = rng.standard_normal((n, d)) * 10.0 ** draw(st.floats(-3.0, 3.0))
-    if kind == "rank_deficient":  # rank max(d // 2, 1)
-        r = max(d // 2, 1)
-        X[:, r:] = X[:, :r] @ rng.standard_normal((r, d - r))
-    return build_designs([X])[0]
-
-
-@st.composite
 def design_stacks(draw):
     """Matrices with d columns and mixed row counts: random, rank-deficient,
     wide (n < d) or zero, each at its own scale 10^+-3."""
@@ -111,6 +100,12 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def spectra(Xs):
+    """The stacks of X^T X and of its eigenvalues and eigenvectors."""
+    G = np.stack([X.T @ X for X in Xs])
+    return (G, *np.linalg.eigh(G))
+
+
 class TestBuildDesigns:
     @settings(max_examples=150, deadline=None)
     @given(Xs=design_stacks())
@@ -129,6 +124,9 @@ class TestBuildDesigns:
            scale=st.floats(0.1, 1.9))
     def test_a_design_gives_the_bits_of_its_array(self, Xs, b, k, scale):
         rng = np.random.default_rng(b)
+        # Longer than one chunk of the power estimate, with every matrix at
+        # several places in it, so that each must get the bits it gets alone.
+        Xs = Xs * (linmodel._POWER_CHUNK // len(Xs) + 1)
         for X, design in zip(Xs, build_designs(Xs)):
             if not X.any():
                 for arg in (X, design):
@@ -182,35 +180,56 @@ class TestLambdaMax:
             lambda_max(np.zeros((4, 3)))
 
     @settings(max_examples=200, deadline=None)
-    @given(design=gram_designs(), max_iter=st.sampled_from([1, 2, 10]))
-    def test_closed_form_equals_the_loop_at_a_fixed_step_count(self, design, max_iter):
+    @given(Xs=design_stacks(), max_iter=st.sampled_from([1, 2, 10]))
+    def test_closed_form_equals_the_loop_at_a_fixed_step_count(self, Xs, max_iter):
         # tol = 0 runs the loop for max_iter steps (or to an exact repeat)
-        want = power_top_eig_two_matvecs(design.G, 0.0, max_iter)
-        got = linmodel._power_top_eig(design, 0.0, max_iter)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        G, lam, V = spectra(Xs)
+        got = linmodel._power_estimates(G, lam, V, 0.0, max_iter)
+        for S, estimate in zip(G, got):
+            want = power_top_eig_two_matvecs(S, 0.0, max_iter)
+            assert abs(estimate - want) <= 1e-12 * abs(want)
 
     @settings(max_examples=200, deadline=None)
-    @given(design=gram_designs())
-    def test_closed_form_stops_where_the_loop_does(self, design):
+    @given(Xs=design_stacks())
+    def test_closed_form_stops_where_the_loop_does(self, Xs):
         # Both sequences change by at most tol near the stop, so a stop
         # one step apart moves the estimate by less than tol, relatively.
         tol, max_iter = linmodel._POWER_TOL, linmodel._POWER_MAX_ITER
-        want = power_top_eig_two_matvecs(design.G, tol, max_iter)
-        got = linmodel._power_top_eig(design, tol, max_iter)
-        assert abs(got - want) <= 2 * tol * max(1.0, abs(want))
+        G, lam, V = spectra(Xs)
+        got = linmodel._power_estimates(G, lam, V, tol, max_iter)
+        for S, estimate in zip(G, got):
+            want = power_top_eig_two_matvecs(S, tol, max_iter)
+            assert abs(estimate - want) <= 2 * tol * max(1.0, abs(want))
 
     @settings(max_examples=200, deadline=None)
-    @given(design=gram_designs())
-    def test_estimate_never_exceeds_the_top_eigenvalue(self, design):
+    @given(Xs=design_stacks())
+    def test_estimate_never_exceeds_the_top_eigenvalue(self, Xs):
         tol, max_iter = linmodel._POWER_TOL, linmodel._POWER_MAX_ITER
-        top = np.linalg.eigvalsh(design.G)[-1]
-        assert linmodel._power_top_eig(design, tol, max_iter) <= top * (1 + 1e-12)
+        G, lam, V = spectra(Xs)
+        got = linmodel._power_estimates(G, lam, V, tol, max_iter)
+        for S, estimate in zip(G, got):
+            assert estimate <= np.linalg.eigvalsh(S)[-1] * (1 + 1e-12)
 
     def test_zero_direction_stops_at_zero(self):
-        # the start vector is in the kernel: both loops return 0 at once
-        design = build_designs([np.array([[1.0, -1.0]])])[0]
-        assert linmodel._power_top_eig(design, 1e-10, 10) == 0.0
-        assert power_top_eig_two_matvecs(design.G, 1e-10, 10) == 0.0
+        # the start vector is in the kernel: both loops return 0 at once,
+        # which lambda_max rejects
+        X = np.array([[1.0, -1.0]])
+        assert linmodel._power_estimates(*spectra([X]), 1e-10, 10).tolist() == [0.0]
+        assert power_top_eig_two_matvecs(X.T @ X, 1e-10, 10) == 0.0
+        with pytest.raises(DegenerateDesignError, match="estimate of lambda_max is 0.0"):
+            lambda_max(X)
+
+    def test_overflowing_gram_matrix_is_rejected_before_eigh(self):
+        rng = np.random.default_rng(3)
+        Xs = [rng.standard_normal((4, 2)), np.full((4, 2), 1e200),
+              rng.standard_normal((4, 2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and the overflow warns nothing
+            with pytest.raises(NonFiniteGramError, match="not finite") as info:
+                build_designs(Xs)
+            assert info.value.index == 1
+            with pytest.raises(DegenerateDesignError, match="not finite"):
+                lambda_max(Xs[1])
 
 
 class TestDefaultStepSize:
