@@ -5,17 +5,17 @@ from its parent's refined parameters and refining it for its allocated
 budget with a per-task step size of 1/lambda_max. Every task's training
 design is decomposed once per collection, in one stack with the others, and
 its step size and refinement both read that decomposition. Every method
-runs on one executor: ``individual`` is the forest in which every task is a
-root refined from the initial parameters, and ``star`` and ``random_tree``
-cascade over trivial or uninformed trees rooted at the medoid of the
-distance matrix.
+runs on one executor, the one place that turns a design into its step
+size: ``individual`` is the forest in which every task is a root refined
+from the initial parameters, and ``star`` and ``random_tree`` cascade over
+trivial or uninformed trees rooted at the medoid of the distance matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -112,53 +112,38 @@ def _designs(collection: TaskCollection) -> list[Design]:
         raise NonFiniteGramError(f"task {task.id!r}: {exc}", exc.index) from exc
 
 
-def default_step_sizes(
-    collection: TaskCollection, designs: Sequence[Design] | None = None
-) -> dict[int, float]:
-    """Every task's default step size 1/lambda_max(X_train), by task index.
-
-    Each comes from the task's entry in ``designs`` (by default built
-    here). :func:`run_cascade` and :func:`run_individual` use these when
-    they are given no step sizes. An error names its task.
-    """
-    if designs is None:
-        designs = _designs(collection)
-    step_sizes = {}
-    for i, task in enumerate(collection):
-        try:
-            step_sizes[i] = 1.0 / lambda_max(designs[i])
-        except TaskCascadeError as exc:
-            raise type(exc)(f"task {task.id!r}: {exc}") from exc
-    return step_sizes
-
-
 def _refine_forest(
     collection: TaskCollection,
     budgets: BudgetAllocation,
-    parent: Mapping[int, int],
-    order: Iterable[int],
+    tree: RootedTree | None,
     theta_init: np.ndarray | None,
-    step_sizes: Mapping[int, float] | None,
     designs: Sequence[Design] | None,
+    metric_name: str,
 ) -> CascadeResult:
-    """Refine every task in ``order`` and evaluate the results.
+    """Refine every task, each from its parent's parameters, and evaluate.
 
-    A task with an entry in ``parent`` starts from its parent's refined
-    parameters, which ``order`` must have produced already; every other
-    task starts from ``theta_init`` (zeros by default). The result has no
-    tree and no metric name; callers fill them in.
+    With a tree, tasks run in its topological order and each child starts
+    from its parent's refined parameters; without one (``None``) every task
+    is a root, refined in task order. A root starts from ``theta_init``
+    (zeros by default). Every task steps by 1/lambda_max of its own design,
+    all computed in task order before the first refine; an error names its
+    task.
     """
     _check_budgets(collection, budgets)
     if designs is None:
         designs = _designs(collection)
     elif len(designs) != len(collection):
         raise ConfigError("designs do not cover the collection")
-    if step_sizes is None:
-        step_sizes = default_step_sizes(collection, designs)
-    elif set(step_sizes) != set(range(len(collection))):
-        raise ConfigError("step sizes do not cover the collection")
+    etas = []
+    for design, task in zip(designs, collection):
+        try:
+            etas.append(1.0 / lambda_max(design))
+        except TaskCascadeError as exc:
+            raise type(exc)(f"task {task.id!r}: {exc}") from exc
     if theta_init is None:
         theta_init = np.zeros(collection.dim)
+    parent = tree.parent if tree is not None else {}
+    order = topological_order(tree) if tree is not None else range(len(collection))
 
     params: dict[int, np.ndarray] = {}
     steps = 0
@@ -167,7 +152,7 @@ def _refine_forest(
         task = collection[v]
         b = budgets.per_task[v]
         try:
-            params[v] = refine(start_theta, designs[v], task.y_train, b, step_sizes[v])
+            params[v] = refine(start_theta, designs[v], task.y_train, b, etas[v])
         except TaskCascadeError as exc:
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
         steps += b
@@ -176,9 +161,9 @@ def _refine_forest(
         params=params,
         test_rmse=test_rmse,
         train_rmse=train_rmse,
-        tree=None,
+        tree=tree,
         budgets=budgets,
-        metric_name="",
+        metric_name=metric_name,
         seed=0,
         task_ids=collection.ids,
         steps_executed=steps,
@@ -191,23 +176,16 @@ def run_cascade(
     budgets: BudgetAllocation,
     theta_init: np.ndarray | None = None,
     *,
-    step_sizes: Mapping[int, float] | None = None,
     designs: Sequence[Design] | None = None,
 ) -> CascadeResult:
     """Execute one cascade over ``tree`` with the given budgets.
 
-    The root's dummy parent is ``theta_init`` (zeros by default).
-    ``step_sizes`` maps every task index to its step size; by default each
-    task uses 1/lambda_max of its training design. ``designs`` holds every
+    The root's dummy parent is ``theta_init`` (zeros by default). Each task
+    steps by 1/lambda_max of its training design. ``designs`` holds every
     task's training design in task order (see :func:`build_designs`); by
     default they are built here.
     """
-    order = topological_order(tree)
-    result = _refine_forest(
-        collection, budgets, tree.parent, order, theta_init, step_sizes, designs
-    )
-    result.tree = tree
-    return result
+    return _refine_forest(collection, budgets, tree, theta_init, designs, "")
 
 
 def run_individual(
@@ -215,19 +193,14 @@ def run_individual(
     budgets: BudgetAllocation,
     theta_init: np.ndarray | None = None,
     *,
-    step_sizes: Mapping[int, float] | None = None,
     designs: Sequence[Design] | None = None,
 ) -> CascadeResult:
     """No-transfer baseline: the forest in which every task is a root.
 
     Every task is refined from ``theta_init`` (zeros by default) on its own
-    budget; ``step_sizes`` and ``designs`` are as for :func:`run_cascade`.
+    budget; ``designs`` is as for :func:`run_cascade`.
     """
-    result = _refine_forest(
-        collection, budgets, {}, range(len(collection)), theta_init, step_sizes, designs
-    )
-    result.metric_name = "none"
-    return result
+    return _refine_forest(collection, budgets, None, theta_init, designs, "none")
 
 
 def _tree(
@@ -258,16 +231,14 @@ def run_method(
     collection: TaskCollection,
     seed: int | None = None,
     *,
-    step_sizes: Mapping[int, float] | None = None,
     designs: Sequence[Design] | None = None,
     tree: RootedTree | None = None,
 ) -> CascadeResult:
     """Dispatch one run of the configured method on a concrete collection.
 
     Distances (hence trees and the medoid root) are computed from training
-    splits only. ``step_sizes`` and ``designs`` are as for
-    :func:`run_cascade`. A cascade method given ``tree`` refines over it
-    instead of building its own.
+    splits only. ``designs`` is as for :func:`run_cascade`. A cascade
+    method given ``tree`` refines over it instead of building its own.
     """
     seed = config.seed if seed is None else seed
     T = len(collection)
@@ -279,47 +250,36 @@ def run_method(
         budgets = BudgetAllocation(
             dict(enumerate(split_uniform(T, config.budget))), config.budget
         )
-        result = run_individual(
-            collection, budgets, theta_init, step_sizes=step_sizes, designs=designs
-        )
-        result.seed = seed
-        return result
-
-    if tree is None:
-        tree = _tree(config, collection, seed)
-    budgets = allocate(tree, config.budget, config.scheme)
-    result = run_cascade(
-        collection, tree, budgets, theta_init, step_sizes=step_sizes, designs=designs
-    )
-    result.metric_name = config.metric_name or DEFAULT_MEDOID_METRIC
+        result = run_individual(collection, budgets, theta_init, designs=designs)
+    else:
+        if tree is None:
+            tree = _tree(config, collection, seed)
+        budgets = allocate(tree, config.budget, config.scheme)
+        result = run_cascade(collection, tree, budgets, theta_init, designs=designs)
+        result.metric_name = config.metric_name or DEFAULT_MEDOID_METRIC
     result.seed = seed
     return result
 
 
 # What every replicate of a data_path run shares: the loaded collection, its
-# designs, its step sizes and the tree when no replicate seed enters it (see
-# _tree). All None for a synthetic run, whose replicates each generate their
-# own collection.
-_Shared = tuple[
-    TaskCollection | None, list[Design] | None, dict[int, float] | None, RootedTree | None
-]
+# designs and the tree when no replicate seed enters it (see _tree). All None
+# for a synthetic run, whose replicates each generate their own collection.
+_Shared = tuple[TaskCollection | None, list[Design] | None, RootedTree | None]
 
 
 def _run_replicate(args: tuple[ExperimentConfig, int, _Shared]) -> CascadeResult:
     """Replicate ``r`` on the loaded collection, or on its own synthetic one."""
-    config, r, (collection, designs, step_sizes, tree) = args
+    config, r, (collection, designs, tree) = args
     rep_seed = derive_seed(config.seed, "replicate", r)
     if collection is None:
         collection, _ = generate_synthetic(replace(config.synthetic, seed=rep_seed))
-    return run_method(
-        config, collection, seed=rep_seed, step_sizes=step_sizes, designs=designs, tree=tree
-    )
+    return run_method(config, collection, seed=rep_seed, designs=designs, tree=tree)
 
 
 # A pool worker's copy of what the replicates share, set once by the pool
 # initializer: a forked worker inherits it in memory, where putting it in
 # every work item would pickle the whole collection once per replicate.
-_worker_shared: _Shared = (None, None, None, None)
+_worker_shared: _Shared = (None, None, None)
 
 
 def _init_worker(*shared) -> None:
@@ -348,18 +308,17 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 
     Replicates are independent: each derives its own seed, regenerates the
     synthetic data, and runs the method. A data path is loaded once and
-    shared as-is, with its designs, its step sizes and, where no replicate
-    seed enters it, its tree. With ``jobs > 1`` replicates run in a process
-    pool; the output is identical for any jobs value.
+    shared as-is, with its designs and, where no replicate seed enters it,
+    its tree; each replicate reads its step sizes from the shared designs.
+    With ``jobs > 1`` replicates run in a process pool; the output is
+    identical for any jobs value.
     """
-    shared: _Shared = (None, None, None, None)
+    shared: _Shared = (None, None, None)
     if config.data_path is not None:
         # Every replicate refines the one loaded collection, so what does
         # not depend on the replicate seed is computed once here.
         loaded = load_collection(config.data_path)
-        designs = _designs(loaded)
-        steps = default_step_sizes(loaded, designs)
-        shared = (loaded, designs, steps, _tree(config, loaded, None))
+        shared = (loaded, _designs(loaded), _tree(config, loaded, None))
     if jobs == 1 or config.num_seeds == 1:
         results = [_run_replicate((config, r, shared)) for r in range(config.num_seeds)]
     else:

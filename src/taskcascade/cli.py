@@ -25,7 +25,6 @@ import dataclasses
 import gc
 import json
 import math
-import os
 import sys
 import time
 import typing
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="verify propagation bounds on chains")
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="bench config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_bench)
     return parser
 

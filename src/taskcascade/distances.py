@@ -25,6 +25,11 @@ difference; the others apply their pair distance along the row.
 :func:`task_distance` is the same computation on two tasks, so a pair call
 equals the matching matrix entry exactly.
 
+Bad input is caught per task, in its summary, and the error names the task:
+too few samples, or an X^T y or X^T X that overflows. The only pair error
+left is a stack of unequal target lengths, named by the first pair of row 0
+that meets it.
+
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
 """
@@ -285,55 +290,44 @@ def _wasserstein(su: np.ndarray, sv: np.ndarray, params: DistanceParams) -> floa
 
 
 def _gradient(task: TaskDataset, params: DistanceParams) -> np.ndarray:
-    g = task.X_train.T @ task.y_train
-    norm = np.linalg.norm(g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = task.X_train.T @ task.y_train
+        norm = np.linalg.norm(g)
+    if not (np.isfinite(g).all() and np.isfinite(norm)):
+        raise DegenerateDesignError("X^T y is not finite; the task's entries are too large")
     return g / norm if params.normalize_gradients and norm > 0 else g
 
 
 def _ridge(task: TaskDataset, params: DistanceParams) -> np.ndarray:
     lam = params.ridge_lambda
     if lam is None:
-        lam = default_ridge_lambda(task.X_train)
+        with np.errstate(over="ignore"):  # ridge_solution rejects what overflows
+            lam = default_ridge_lambda(task.X_train)
     return ridge_solution(task.X_train, task.y_train, lam)
-
-
-class _PairError(Exception):
-    """A row reduction failed at its ``offset``-th later summary."""
-
-    def __init__(self, offset: int, error: TaskCascadeError):
-        super().__init__(offset, error)
-        self.offset = offset
-        self.error = error
 
 
 def _rows(pair: Callable) -> Callable:
     """Lift a distance of two summaries to a row: one summary against a list."""
 
     def row(u, later: Sequence, params: DistanceParams) -> np.ndarray:
-        out = np.empty(len(later))
-        for k, v in enumerate(later):
-            try:
-                out[k] = pair(u, v, params)
-            except TaskCascadeError as exc:
-                raise _PairError(k, exc) from exc
-        return out
+        return np.array([pair(u, v, params) for v in later], dtype=float)
 
     return row
 
 
-def _stack(summaries: list) -> np.ndarray:
-    """The vector summaries of a matrix as the rows of one array.
+def _stack(summaries: list, ids: Sequence[str]) -> np.ndarray:
+    """The vector summaries of a matrix, one per id, as the rows of one array.
 
     Vectors of unequal lengths fail in the first row that meets them, row 0,
-    so the error names the pair of summary 0 and the first summary whose
+    so the error names the pair of id 0 and the first id whose summary
     length differs, as a row of :func:`_euclidean` would.
     """
-    for k, v in enumerate(summaries[1:]):
+    for v, other in zip(summaries[1:], ids[1:]):
         if v.shape != summaries[0].shape:
-            raise _PairError(k, ShapeMismatchError(
-                f"Euclidean distance needs equal lengths, got "
-                f"{summaries[0].shape[0]} and {v.shape[0]}"
-            ))
+            raise ShapeMismatchError(
+                f"pair ({ids[0]!r}, {other!r}): Euclidean distance needs "
+                f"equal lengths, got {summaries[0].shape[0]} and {v.shape[0]}"
+            )
     return np.array(summaries)
 
 
@@ -350,19 +344,19 @@ def _euclidean(u: np.ndarray, later: np.ndarray, params: DistanceParams) -> np.n
 
 
 # metric -> (summary of one task's training split,
-#            the container a matrix keeps its summaries in, which rows slice,
+#            whether rows slice one stack of the summaries (else a list),
 #            distances from one summary to the later ones)
-_METRICS: dict[str, tuple[Callable, Callable, Callable]] = {
-    "feature": (_features, list, _rows(_feature_distance)),
-    "mmd": (_rff_summary, list, _rows(_mmd_rff)),
-    "gauss_meancov": (_mean_cov, list, _rows(_gauss_meancov)),
-    "cka": (_sample_features, list, _rows(_cka_distance)),
-    "target": (_targets, _stack, _euclidean),
-    "sym_kl": (_targets, list, _rows(_sym_kl)),
-    "js": (_targets, list, _rows(_js)),
-    "wasserstein": (_sorted_targets, list, _rows(_wasserstein)),
-    "gradient": (_gradient, _stack, _euclidean),
-    "model": (_ridge, _stack, _euclidean),
+_METRICS: dict[str, tuple[Callable, bool, Callable]] = {
+    "feature": (_features, False, _rows(_feature_distance)),
+    "mmd": (_rff_summary, False, _rows(_mmd_rff)),
+    "gauss_meancov": (_mean_cov, False, _rows(_gauss_meancov)),
+    "cka": (_sample_features, False, _rows(_cka_distance)),
+    "target": (_targets, True, _euclidean),
+    "sym_kl": (_targets, False, _rows(_sym_kl)),
+    "js": (_targets, False, _rows(_js)),
+    "wasserstein": (_sorted_targets, False, _rows(_wasserstein)),
+    "gradient": (_gradient, True, _euclidean),
+    "model": (_ridge, True, _euclidean),
 }
 
 
@@ -373,11 +367,12 @@ def _pairwise(
 
     Row i holds summary i against every later summary, so the matrix takes
     T - 1 row reductions and no temporary larger than T summaries. Errors
-    name the task whose summary failed, or the pair whose distance did.
+    name the task whose summary failed, or, for stacked summaries of unequal
+    lengths, the first pair of row 0 that meets them.
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
-    summarize, collect, reduce_row = _METRICS[metric]
+    summarize, stacked, reduce_row = _METRICS[metric]
     params = params or DistanceParams()
     summaries = []
     for task in tasks:
@@ -385,18 +380,14 @@ def _pairwise(
             summaries.append(summarize(task, params))
         except TaskCascadeError as exc:
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
+    if stacked:
+        summaries = _stack(summaries, [task.id for task in tasks])
     T = len(tasks)
     values = np.zeros((T, T))
-    i = 0  # a summary stack that cannot be built fails in row 0
-    try:
-        summaries = collect(summaries)
-        for i in range(T - 1):
-            row = reduce_row(summaries[i], summaries[i + 1:], params)
-            values[i, i + 1:] = row
-            values[i + 1:, i] = row
-    except _PairError as failure:
-        exc, j = failure.error, i + 1 + failure.offset
-        raise type(exc)(f"pair ({tasks[i].id!r}, {tasks[j].id!r}): {exc}") from exc
+    for i in range(T - 1):
+        row = reduce_row(summaries[i], summaries[i + 1:], params)
+        values[i, i + 1:] = row
+        values[i + 1:, i] = row
     return values
 
 

@@ -329,14 +329,21 @@ def refine(
 
 
 def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
-    """Solve (X^T X + lam I) theta = X^T y with its Cholesky factor L L^T."""
+    """Solve (X^T X + lam I) theta = X^T y with its Cholesky factor L L^T.
+
+    Raises NonFiniteGramError when X^T X + lam I overflows."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
         raise ShapeMismatchError(f"X {X.shape} and y {y.shape} do not agree")
     if lam < 0:
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
-    G = _gram(X) + lam * np.eye(X.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _gram(X) + lam * np.eye(X.shape[1])
+    if not np.isfinite(G).all():
+        raise NonFiniteGramError(
+            "X^T X + lam I is not finite; the design's entries are too large"
+        )
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:

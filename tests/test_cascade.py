@@ -9,15 +9,14 @@ from taskcascade import cascade, linmodel
 from taskcascade.cascade import (
     METHODS,
     ExperimentConfig,
-    default_step_sizes,
     run_cascade,
     run_experiment,
     run_individual,
     run_method,
 )
 from taskcascade.errors import ConfigError, DegenerateDesignError
-from taskcascade.graph import depths, root_tree, star_tree
-from taskcascade.linmodel import contraction_rate, lambda_max
+from taskcascade.graph import depths, root_tree, star_tree, topological_order
+from taskcascade.linmodel import contraction_rate, lambda_max, refine
 from taskcascade.seeding import derive_seed
 from taskcascade.tasks import SyntheticConfig, TaskCollection, TaskDataset, save_collection
 from taskcascade.theory import PathSpec, path_bound
@@ -99,21 +98,6 @@ class TestRunCascade:
         b = run_cascade(swapped, tree, budgets)
         for v in range(4):
             assert np.array_equal(a.params[v], b.params[v])
-
-    def test_given_step_sizes_replace_lambda_max(self, rng):
-        collection = make_collection(rng, T=4, n=16, d=3)
-        tree = star_tree(4, 0)
-        budgets = uniform_default(tree, 40)
-        etas = {v: 1.0 / lambda_max(t.X_train) for v, t in enumerate(collection)}
-        default = run_cascade(collection, tree, budgets)
-        given = run_cascade(collection, tree, budgets, step_sizes=etas)
-        for v in range(4):
-            assert np.array_equal(default.params[v], given.params[v])
-        halved = run_cascade(collection, tree, budgets,
-                             step_sizes={v: e / 2 for v, e in etas.items()})
-        assert not np.array_equal(default.params[1], halved.params[1])
-        with pytest.raises(ConfigError):
-            run_cascade(collection, tree, budgets, step_sizes={0: etas[0]})
 
 
 class TestRunIndividual:
@@ -204,29 +188,47 @@ class TestRunMethod:
 
 
 class TestDefaultStepSizes:
-    def test_one_over_lambda_max_per_task(self, rng):
+    """The executor steps every task by 1/lambda_max of its own design."""
+
+    def test_one_over_lambda_max_per_task(self, rng, monkeypatch):
         collection = make_collection(rng, T=4)
-        assert default_step_sizes(collection) == {
-            i: 1.0 / lambda_max(task.X_train) for i, task in enumerate(collection)
-        }
+        seen = []
+        monkeypatch.setattr(cascade, "lambda_max",
+                            lambda design: seen.append(design.X) or lambda_max(design))
+        # the star's topological order starts at task 2; step sizes go in task order
+        tree = star_tree(4, 2)
+        run_cascade(collection, tree, uniform_default(tree, 20))
+        assert len(seen) == 4
+        assert all(X is task.X_train for X, task in zip(seen, collection))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_given_defaults_change_nothing(self, rng, method):
+        # each method's params equal a hand walk of refine at 1/lambda_max
         collection = make_collection(rng, T=5)
         config = ExperimentConfig(method=method, metric_name="gradient", budget=30,
                                   data_path="unused", seed=4)
-        a = run_method(config, collection)
-        b = run_method(config, collection, step_sizes=default_step_sizes(collection))
-        assert a.test_rmse == b.test_rmse
-        assert all(np.array_equal(a.params[v], b.params[v]) for v in a.params)
+        result = run_method(config, collection)
+        tree = result.tree
+        order = range(5) if tree is None else topological_order(tree)
+        parent = {} if tree is None else tree.parent
+        walked = {}
+        for v in order:
+            task = collection[v]
+            start = walked[parent[v]] if v in parent else np.zeros(collection.dim)
+            walked[v] = refine(start, task.X_train, task.y_train,
+                               result.budgets.per_task[v], 1.0 / lambda_max(task.X_train))
+        assert all(np.array_equal(result.params[v], walked[v]) for v in range(5))
 
     def test_zero_design_names_the_task(self, rng):
         collection = make_collection(rng, T=3)
-        task = collection[1]
-        collection.tasks[1] = TaskDataset(task.id, np.zeros_like(task.X_train),
-                                          task.y_train, task.X_test, task.y_test)
+        for v in (1, 2):
+            task = collection[v]
+            collection.tasks[v] = TaskDataset(task.id, np.zeros_like(task.X_train),
+                                              task.y_train, task.X_test, task.y_test)
+        # the tree visits task 2 first, but the first zero design in task order is named
+        tree = star_tree(3, 2)
         with pytest.raises(DegenerateDesignError, match="task 'task1': X\\^T X is the zero"):
-            default_step_sizes(collection)
+            run_cascade(collection, tree, uniform_default(tree, 30))
 
     @pytest.mark.parametrize("X_train, problem", [
         (np.full((4, 2), 1e200), "X\\^T X is not finite"),  # the Gram matrix overflows
@@ -237,8 +239,9 @@ class TestDefaultStepSizes:
         task = collection[1]
         collection.tasks[1] = TaskDataset("bad", X_train, np.ones(len(X_train)),
                                           task.X_test, task.y_test)
+        tree = star_tree(3, 0)
         with pytest.raises(DegenerateDesignError, match=f"task 'bad': {problem}"):
-            default_step_sizes(collection)
+            run_cascade(collection, tree, uniform_default(tree, 30))
         config = ExperimentConfig(method="individual", budget=30, data_path="unused")
         with pytest.raises(DegenerateDesignError, match=f"task 'bad': {problem}"):
             run_method(config, collection)
@@ -282,8 +285,8 @@ class TestRunExperiment:
         parallel = run_experiment(config, jobs=3)
         assert serial.per_seed_mean_rmse == parallel.per_seed_mean_rmse
 
-    def test_loaded_collection_step_sizes_are_computed_once(self, rng, tmp_path,
-                                                            monkeypatch):
+    def test_loaded_collection_step_sizes_are_read_per_replicate(self, rng, tmp_path,
+                                                                 monkeypatch):
         save_collection(make_collection(rng, T=5), tmp_path / "col")
         calls = []
         monkeypatch.setattr(cascade, "lambda_max",
@@ -294,7 +297,8 @@ class TestRunExperiment:
                                       num_seeds=3, data_path=str(tmp_path / "col"),
                                       seed=2)
             run_experiment(config, jobs=1)
-            assert len(calls) == 5, method  # one per task, not one per replicate
+            # one per task and replicate, read from the designs built once per run
+            assert len(calls) == 5 * 3, method
 
     @staticmethod
     def count_design_builds(monkeypatch, log):

@@ -527,6 +527,36 @@ def test_module_entry_exits_with_the_command_code(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
 
 
+@pytest.mark.parametrize("metric", ["gradient", "model"])
+def test_dist_of_an_overflowing_task_exits_2_naming_it(tmp_path, metric):
+    rng = np.random.default_rng(0)
+    tasks = [TaskDataset(name, X, rng.standard_normal(6), X, np.ones(6))
+             for name, X in [("a", rng.standard_normal((6, 3))),
+                             ("bad", np.full((6, 3), 1e200)),
+                             ("c", rng.standard_normal((6, 3)))]]
+    save_collection(TaskCollection(tasks, 3), tmp_path / "col")
+    out = _fresh_python(["-m", "taskcascade.cli", "dist", "col", "--metric", metric,
+                         "--out", "d.csv"], cwd=tmp_path)
+    assert out.returncode == 2
+    # one line, no numpy warning or traceback
+    assert out.stderr.splitlines() == [out.stderr.strip()]
+    assert out.stderr.startswith("error: task 'bad': ") and "not finite" in out.stderr
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_run_without_jobs_never_imports_the_process_pool(tmp_path):
+    cfg = write_json(tmp_path / "run.json", {**SMALL_RUN, "num_seeds": 3})
+    out = _fresh_python(["-c", (
+        "import sys\n"
+        "from taskcascade.cli import main\n"
+        f"assert main(['run', {cfg!r}, '--out', 'out']) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+    )], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Only run --jobs > 1 uses the pool, so no other command pays its import.
     code = (

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,7 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(seed)
         summaries = list(rng.standard_normal((T, n)) * 10.0**log_scale)
         summaries[-1] = summaries[0].copy()  # one exact zero distance
-        stack = distances._stack(summaries)
+        stack = distances._stack(summaries, [f"t{i}" for i in range(T)])
         values = np.zeros((T, T))
         for i in range(T - 1):
             row = distances._euclidean(stack[i], stack[i + 1:], None)
@@ -332,18 +333,24 @@ class TestDistanceMatrix:
                            match=rf"pair \('{pair[0]}', '{pair[1]}'\): .* {got}$"):
             compute_distance_matrix(TaskCollection(tasks, 3), "target")
 
-    def test_lifted_pair_distance_reports_its_offset(self):
-        def pair(u, v, params):
-            if v < 0:
-                raise ShapeMismatchError("negative")
-            return float(u + v)
+    def test_lifted_pair_distance_fills_a_row(self):
+        row = distances._rows(lambda u, v, params: u + v)
+        got = row(1, [2, 3], None)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [3.0, 4.0])
 
-        row = distances._rows(pair)
-        assert np.array_equal(row(1, [2, 3], None), [3.0, 4.0])
-        with pytest.raises(distances._PairError) as info:
-            row(1, [2, -1, -2], None)
-        assert info.value.offset == 1
-        assert isinstance(info.value.error, ShapeMismatchError)
+    @pytest.mark.parametrize("metric, problem", [
+        ("gradient", "X\\^T y is not finite"),
+        ("model", "X\\^T X \\+ lam I is not finite"),
+    ])
+    def test_overflowing_summary_names_the_task(self, rng, metric, problem):
+        tasks = [make_task(rng, n=6, d=3, task_id=name) for name in ("a", "bad", "c")]
+        tasks[1] = TaskDataset("bad", np.full((6, 3), 1e200), tasks[1].y_train,
+                               tasks[1].X_test, tasks[1].y_test)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is caught, not warned about
+            with pytest.raises(DegenerateDesignError, match=f"^task 'bad': {problem}"):
+                compute_distance_matrix(TaskCollection(tasks, 3), metric)
 
     def test_axioms_over_random_collections(self):
         # symmetry, zero diagonal, nonnegativity, finiteness; the constructor

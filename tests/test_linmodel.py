@@ -391,6 +391,14 @@ class TestRidge:
         with pytest.raises(DegenerateDesignError):
             ridge_solution(X, np.array([1.0, 2.0, 3.0]), 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_overflowing_gram_is_rejected_without_a_warning(self, lam):
+        X = np.full((4, 2), 1e200)  # X^T X overflows; X^T y does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGramError, match="X\\^T X \\+ lam I is not finite"):
+                ridge_solution(X, np.ones(4), lam)
+
 
 class TestContractionRate:
     def test_identity_half_step(self):

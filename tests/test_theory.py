@@ -55,10 +55,9 @@ def per_draw_verify_bounds(config: ChainConfig) -> tuple[float, float, bool, flo
     thetas = [theta0 + (i / m) * config.spacing * direction for i in range(m + 1)]
     designs = [rng.standard_normal((config.n, config.dim)) for _ in range(m + 1)]
     probes = [rng.standard_normal((4, config.dim)) for _ in range(m + 1)]
-    etas, rhos, a_frob = {}, [], []
-    for i, X in enumerate(designs):
-        etas[i] = 1.0 / lambda_max(X)
-        rhos.append(contraction_rate(X, etas[i]))
+    rhos, a_frob = [], []
+    for X in designs:
+        rhos.append(contraction_rate(X, 1.0 / lambda_max(X)))
         a_frob.append(math.sqrt(float(np.sum(1.0 / np.linalg.eigh(X.T @ X)[0]))))
 
     def collection(noises):
@@ -81,7 +80,7 @@ def per_draw_verify_bounds(config: ChainConfig) -> tuple[float, float, bool, flo
         if config.root_budget is not None:
             budgets_list[0] = config.root_budget
         budgets = BudgetAllocation(dict(enumerate(budgets_list)), sum(budgets_list))
-        result = run_cascade(collection(None), tree, budgets, step_sizes=etas)
+        result = run_cascade(collection(None), tree, budgets)
         init_error = float(np.linalg.norm(result.params[0] - thetas[0]))
         bound = path_bound(PathSpec(rhos[1:], budgets_list[1:], deltas, init_error))
         empirical = float(np.linalg.norm(result.params[m] - thetas[m]))
@@ -96,9 +95,7 @@ def per_draw_verify_bounds(config: ChainConfig) -> tuple[float, float, bool, flo
             config.noise_sigma * noise_rng.standard_normal(config.n) for _ in range(m + 1)
         ]
         noises[0][:] = 0.0
-        result = run_cascade(
-            collection(noises), tree, budgets, theta_init=thetas[0], step_sizes=etas
-        )
+        result = run_cascade(collection(noises), tree, budgets, theta_init=thetas[0])
         errors.append(float(np.linalg.norm(result.params[m] - thetas[m])))
     errors_arr = np.asarray(errors)
     mc_mean = float(errors_arr.mean())
