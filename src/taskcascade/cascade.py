@@ -39,7 +39,6 @@ class CascadeResult:
 
     params: dict[int, np.ndarray]
     test_rmse: dict[int, float]
-    train_rmse: dict[int, float]
     tree: RootedTree | None  # None marks the no-transfer baseline
     budgets: BudgetAllocation
     metric_name: str
@@ -85,14 +84,13 @@ class ExperimentConfig:
 
 def _evaluate(
     collection: TaskCollection, params: dict[int, np.ndarray]
-) -> tuple[dict[int, float], dict[int, float]]:
-    test_rmse, train_rmse = {}, {}
+) -> dict[int, float]:
+    test_rmse = {}
     for i, task in enumerate(collection):
         if task.n_test == 0:
             raise ShapeMismatchError(f"task {task.id!r} has no test split to evaluate")
         test_rmse[i] = rmse(params[i], task.X_test, task.y_test)
-        train_rmse[i] = rmse(params[i], task.X_train, task.y_train)
-    return test_rmse, train_rmse
+    return test_rmse
 
 
 def _check_budgets(collection: TaskCollection, budgets: BudgetAllocation) -> None:
@@ -156,11 +154,9 @@ def _refine_forest(
         except TaskCascadeError as exc:
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
         steps += b
-    test_rmse, train_rmse = _evaluate(collection, params)
     return CascadeResult(
         params=params,
-        test_rmse=test_rmse,
-        train_rmse=train_rmse,
+        test_rmse=_evaluate(collection, params),
         tree=tree,
         budgets=budgets,
         metric_name=metric_name,

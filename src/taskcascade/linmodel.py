@@ -26,15 +26,15 @@ a = V^T v0, its k-th Rayleigh quotient is
 so the sequence and its stop rule can be evaluated in blocks of k from one
 eigendecomposition instead of one matrix-vector product per step.
 
-Both read the same eigendecomposition. A :class:`Design` holds X, its Gram
-matrix G = X^T X, eigh(G) = (lam, V) and power iteration's estimate of
-lambda_max. :func:`build_designs` builds the designs of many matrices with
-one ``eigh`` over their (T, d, d) Gram stack, which gives every matrix the
-bits of its own ``eigh``, and then evaluates every design's power iteration
-in one pass over the same stack. It is the only place here that decomposes
-a Gram matrix or estimates lambda_max: :func:`lambda_max`, :func:`refine`
-and :func:`contraction_rate` read a Design, and given a plain array they
-build its design through :func:`build_designs`.
+Both read the same eigendecomposition. A :class:`Design` holds X,
+eigh(X^T X) = (lam, V) and power iteration's estimate of lambda_max.
+:func:`build_designs` builds the designs of many matrices with one ``eigh``
+over their (T, d, d) Gram stack, which gives every matrix the bits of its
+own ``eigh``, and then evaluates every design's power iteration in one pass
+over the same stack. It is the only place here that decomposes a Gram
+matrix or estimates lambda_max: :func:`lambda_max`, :func:`refine` and
+:func:`contraction_rate` read a Design, and given a plain array they build
+its design through :func:`build_designs`.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ def _gram(X: np.ndarray) -> np.ndarray:
 
 
 class Design(NamedTuple):
-    """A design X with its Gram matrix G = X^T X, eigh(G) = (lam, V), and
-    power iteration's estimate ``lam_est`` of the largest eigenvalue of G."""
+    """A design X with eigh(X^T X) = (lam, V) and power iteration's
+    estimate ``lam_est`` of the largest eigenvalue of X^T X."""
 
     X: np.ndarray
-    G: np.ndarray
     lam: np.ndarray
     V: np.ndarray
     lam_est: float
@@ -95,8 +94,8 @@ def build_designs(Xs: Sequence[np.ndarray]) -> list[Design]:
     d = Xs[0].shape[1]
     if any(X.shape[1] != d for X in Xs):
         raise ShapeMismatchError("designs must share their number of columns")
-    # Each Gram matrix goes straight into the stack the designs keep. An
-    # overflow is caught by the check that follows.
+    # Each Gram matrix goes straight into one stack, which no design keeps.
+    # An overflow is caught by the check that follows.
     G = np.empty((len(Xs), d, d))
     with np.errstate(over="ignore", invalid="ignore"):
         for X, G_i in zip(Xs, G):
@@ -109,7 +108,7 @@ def build_designs(Xs: Sequence[np.ndarray]) -> list[Design]:
         )
     lam, V = np.linalg.eigh(G)
     estimates = _power_estimates(G, lam, V, _POWER_TOL, _POWER_MAX_ITER)
-    return [Design(*parts) for parts in zip(Xs, G, lam, V, estimates.tolist())]
+    return [Design(*parts) for parts in zip(Xs, lam, V, estimates.tolist())]
 
 
 def _design(X: np.ndarray | Design) -> Design:
@@ -235,12 +234,12 @@ def lambda_max(X: np.ndarray | Design) -> float:
     ``_POWER_MAX_ITER`` steps. The estimate is the one the design carries:
     :func:`build_designs` computes it for a whole stack of designs at once
     (see :func:`_power_estimates`), and a plain array gets its design built
-    here. Raises DegenerateDesignError for a zero design, and for one whose
-    estimate is not a positive finite number, such as a design whose start
-    vector lies in the kernel of X^T X.
+    here. Raises DegenerateDesignError for a zero design, whose eigenvalues
+    are all exactly zero, and for one whose estimate is not a positive finite
+    number, such as a design whose start vector lies in the kernel of X^T X.
     """
     design = _design(X)
-    if not np.any(design.G):
+    if not design.lam.any():
         raise DegenerateDesignError("X^T X is the zero matrix")
     if not 0.0 < design.lam_est < math.inf:
         raise DegenerateDesignError(

@@ -113,10 +113,9 @@ class TestBuildDesigns:
         designs = build_designs(Xs)
         assert len(designs) == len(Xs)
         for X, got in zip(Xs, designs):
-            G = X.T @ X
-            lam, V = np.linalg.eigh(G)
+            lam, V = np.linalg.eigh(X.T @ X)
             assert isinstance(got, Design)
-            assert same_bits(got.X, X) and same_bits(got.G, G)
+            assert same_bits(got.X, X)
             assert same_bits(got.lam, lam) and same_bits(got.V, V)
 
     @settings(max_examples=100, deadline=None)
@@ -178,6 +177,24 @@ class TestLambdaMax:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateDesignError):
             lambda_max(np.zeros((4, 3)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(Xs=design_stacks())
+    def test_rejected_as_zero_exactly_when_the_gram_matrix_is(self, Xs):
+        # the "zero" kind included; a design keeps only X^T X's spectrum
+        for X, design in zip(Xs, build_designs(Xs)):
+            try:
+                lambda_max(design)
+                zero = False
+            except DegenerateDesignError as exc:
+                zero = "X^T X is the zero matrix" in str(exc)
+            assert zero == (not np.any(X.T @ X))
+
+    def test_gram_matrix_that_underflows_is_zero(self):
+        # X^T X of entries 1e-200 underflows to exact zeros, and so does its
+        # spectrum
+        with pytest.raises(DegenerateDesignError, match="X\\^T X is the zero matrix"):
+            lambda_max(np.full((4, 3), 1e-200))
 
     @settings(max_examples=200, deadline=None)
     @given(Xs=design_stacks(), max_iter=st.sampled_from([1, 2, 10]))
