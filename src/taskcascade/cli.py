@@ -14,8 +14,11 @@ config keys. All randomness derives from the single resolved seed, so
 reruns with the same config are byte-identical (the run manifest, which
 carries timestamps and wall time, is the one exception). Exit codes:
 0 success, 1 runtime failure, 2 usage, config or input-data error (a
-malformed collection or distance matrix, or a task whose design is zero or
-singular).
+malformed collection or distance matrix, a task whose design is zero or
+singular, or values that overflow or underflow: an X^T X or a distance
+that overflows, an X^T y that overflows in the ``gradient`` or ``model``
+metric, or an X^T X so small that 1/lambda_max overflows). The error names
+the task, or the pair of tasks for a distance.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ difference; the others apply their pair distance along the row.
 equals the matching matrix entry exactly.
 
 Bad input is caught per task, in its summary, and the error names the task:
-too few samples, or an X^T y or X^T X that overflows. The only pair error
-left is a stack of unequal target lengths, named by the first pair of row 0
-that meets it.
+too few samples, or an X^T y or X^T X that overflows. Two pair errors are
+left. A stack of unequal target lengths is named by the first pair of row 0
+that meets it. A distance that is not finite, such as that of two targets
+whose squared difference overflows, is found once the whole matrix is done
+and named by the first such pair in row order.
 
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
@@ -367,8 +369,9 @@ def _pairwise(
 
     Row i holds summary i against every later summary, so the matrix takes
     T - 1 row reductions and no temporary larger than T summaries. Errors
-    name the task whose summary failed, or, for stacked summaries of unequal
-    lengths, the first pair of row 0 that meets them.
+    name the task whose summary failed; for stacked summaries of unequal
+    lengths, the first pair of row 0 that meets them; and for distances that
+    are not finite, the first such pair in row order.
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
@@ -384,10 +387,19 @@ def _pairwise(
         summaries = _stack(summaries, [task.id for task in tasks])
     T = len(tasks)
     values = np.zeros((T, T))
-    for i in range(T - 1):
-        row = reduce_row(summaries[i], summaries[i + 1:], params)
-        values[i, i + 1:] = row
-        values[i + 1:, i] = row
+    # An overflow or NaN shows in the finished matrix, which is checked once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(T - 1):
+            row = reduce_row(summaries[i], summaries[i + 1:], params)
+            values[i, i + 1:] = row
+            values[i + 1:, i] = row
+    if not np.isfinite(values).all():
+        # The first in row order lies above the diagonal: pair (i, j), i < j.
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DegenerateDesignError(
+            f"pair ({tasks[i].id!r}, {tasks[j].id!r}): distance is {float(values[i, j])!r}, "
+            "not finite: it overflows at the scale of the tasks' values"
+        )
     return values
 
 

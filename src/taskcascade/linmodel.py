@@ -94,8 +94,8 @@ def build_designs(Xs: Sequence[np.ndarray]) -> list[Design]:
     d = Xs[0].shape[1]
     if any(X.shape[1] != d for X in Xs):
         raise ShapeMismatchError("designs must share their number of columns")
-    # Each Gram matrix goes straight into one stack, which no design keeps.
-    # An overflow is caught by the check that follows.
+    # Each Gram matrix goes straight into one stack. An overflow is caught by
+    # the check that follows.
     G = np.empty((len(Xs), d, d))
     with np.errstate(over="ignore", invalid="ignore"):
         for X, G_i in zip(Xs, G):
@@ -236,18 +236,21 @@ def lambda_max(X: np.ndarray | Design) -> float:
     (see :func:`_power_estimates`), and a plain array gets its design built
     here. Raises DegenerateDesignError for a zero design, whose eigenvalues
     are all exactly zero, and for one whose estimate is not a positive finite
-    number, such as a design whose start vector lies in the kernel of X^T X.
+    number with a finite step size 1/estimate: a design whose start vector
+    lies in the kernel of X^T X, or whose X^T X is subnormal.
     """
     design = _design(X)
     if not design.lam.any():
         raise DegenerateDesignError("X^T X is the zero matrix")
-    if not 0.0 < design.lam_est < math.inf:
+    estimate = design.lam_est
+    if not (0.0 < estimate < math.inf and 1.0 / estimate < math.inf):
         raise DegenerateDesignError(
-            f"power iteration's estimate of lambda_max is {design.lam_est!r}, "
-            "not a positive finite number; its all-ones start vector may lie in "
+            f"power iteration's estimate of lambda_max is {estimate!r}, not a "
+            "positive finite number with a finite reciprocal; the design's "
+            "entries may be too small, or its all-ones start vector may lie in "
             "the kernel of X^T X"
         )
-    return design.lam_est
+    return estimate
 
 
 def _scaled_spectrum(lam: np.ndarray, eta: float) -> np.ndarray:
@@ -330,7 +333,8 @@ def refine(
 def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
     """Solve (X^T X + lam I) theta = X^T y with its Cholesky factor L L^T.
 
-    Raises NonFiniteGramError when X^T X + lam I overflows."""
+    Raises NonFiniteGramError when X^T X + lam I overflows, and
+    DegenerateDesignError when X^T y does."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
@@ -339,17 +343,20 @@ def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
     with np.errstate(over="ignore", invalid="ignore"):
         G = _gram(X) + lam * np.eye(X.shape[1])
+        Xty = X.T @ y
     if not np.isfinite(G).all():
         raise NonFiniteGramError(
             "X^T X + lam I is not finite; the design's entries are too large"
         )
+    if not np.isfinite(Xty).all():
+        raise DegenerateDesignError("X^T y is not finite; the task's entries are too large")
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise DegenerateDesignError(
             "X^T X + lam I is singular; increase lam or check the design"
         ) from None
-    return np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
+    return np.linalg.solve(L.T, np.linalg.solve(L, Xty))
 
 
 def default_ridge_lambda(X: np.ndarray) -> float:

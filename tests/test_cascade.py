@@ -233,6 +233,8 @@ class TestDefaultStepSizes:
     @pytest.mark.parametrize("X_train, problem", [
         (np.full((4, 2), 1e200), "X\\^T X is not finite"),  # the Gram matrix overflows
         (np.array([[1.0, -1.0]]), "power iteration's estimate of lambda_max is 0.0"),
+        # X^T X is subnormal, and the step size 1/lambda_max would overflow
+        (np.full((4, 2), 1e-160), "power iteration's estimate of lambda_max is .*e-3"),
     ])
     def test_degenerate_design_names_the_task(self, rng, X_train, problem):
         collection = make_collection(rng, T=3, d=2)

@@ -544,6 +544,50 @@ def test_dist_of_an_overflowing_task_exits_2_naming_it(tmp_path, metric):
     assert not (tmp_path / "d.csv").exists()
 
 
+def _collection_with(tmp_path, X=None, y=None):
+    """A 3-task collection on disk whose task t1 has the given X or y."""
+    rng = np.random.default_rng(0)
+    tasks = []
+    for i in range(3):
+        X_i, y_i = rng.standard_normal((6, 3)), rng.standard_normal(6)
+        if i == 1:
+            X_i = X_i if X is None else X
+            y_i = y_i if y is None else y
+        tasks.append(TaskDataset(f"t{i}", X_i, y_i, rng.standard_normal((4, 3)),
+                                 rng.standard_normal(4)))
+    save_collection(TaskCollection(tasks, 3), tmp_path / "col")
+
+
+@pytest.mark.parametrize("metric, problem", [
+    ("model", "error: task 't1': X^T y is not finite"),
+    ("target", "error: pair ('t0', 't1'): distance is inf, not finite"),
+])
+def test_dist_of_overflowing_targets_exits_2_naming_the_task(tmp_path, metric, problem):
+    _collection_with(tmp_path, y=np.full(6, 1e308))
+    out = _fresh_python(["-m", "taskcascade.cli", "dist", "col", "--metric", metric,
+                         "--out", "d.csv"], cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [out.stderr.strip()]  # no numpy warning
+    assert out.stderr.startswith(problem)
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["individual", "mst"])
+def test_run_on_a_subnormal_design_exits_2_naming_the_task(tmp_path, method):
+    # X^T X of entries 1e-160 is subnormal, and 1/lambda_max would overflow
+    _collection_with(tmp_path, X=np.full((6, 3), 1e-160))
+    cfg = write_json(tmp_path / "run.json", {
+        "method": method, "metric_name": "target", "budget": 30, "num_seeds": 1,
+        "data_path": "col",
+    })
+    out = _fresh_python(["-m", "taskcascade.cli", "run", cfg, "--out", "out"],
+                        cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [out.stderr.strip()]  # no numpy warning
+    assert out.stderr.startswith("error: task 't1': power iteration's estimate")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_without_jobs_never_imports_the_process_pool(tmp_path):
     cfg = write_json(tmp_path / "run.json", {**SMALL_RUN, "num_seeds": 3})
     out = _fresh_python(["-c", (

@@ -352,6 +352,25 @@ class TestDistanceMatrix:
             with pytest.raises(DegenerateDesignError, match=f"^task 'bad': {problem}"):
                 compute_distance_matrix(TaskCollection(tasks, 3), metric)
 
+    @pytest.mark.parametrize("metric, problem", [
+        ("model", "task 't1': X\\^T y is not finite"),
+        # both pairs of t1 overflow; the first in row order is named
+        ("target", "pair \\('t0', 't1'\\): distance is inf, not finite"),
+    ])
+    def test_overflowing_targets_are_named(self, rng, metric, problem):
+        tasks = [make_task(rng, n=6, d=3, task_id=f"t{i}") for i in range(3)]
+        tasks[1] = TaskDataset("t1", tasks[1].X_train, np.full(6, 1e308),
+                               tasks[1].X_test, tasks[1].y_test)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is caught, not warned about
+            with pytest.raises(DegenerateDesignError, match=f"^{problem}"):
+                compute_distance_matrix(TaskCollection(tasks, 3), metric)
+
+    def test_loaded_matrix_with_a_non_finite_entry_is_rejected(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a,b\n0.0,inf\ninf,0.0\n")
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_distance_matrix(tmp_path / "d.csv")
+
     def test_axioms_over_random_collections(self):
         # symmetry, zero diagonal, nonnegativity, finiteness; the constructor
         # enforces them, so constructing is the assertion

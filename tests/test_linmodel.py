@@ -236,6 +236,17 @@ class TestLambdaMax:
         with pytest.raises(DegenerateDesignError, match="estimate of lambda_max is 0.0"):
             lambda_max(X)
 
+    def test_subnormal_gram_matrix_is_rejected(self):
+        # X^T X of entries 1e-160 is subnormal: its estimate is positive and
+        # finite, but the step size 1/lambda_max overflows
+        X = np.full((6, 3), 1e-160)
+        assert 0.0 < build_designs([X])[0].lam_est < 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDesignError,
+                               match="estimate of lambda_max is .*e-319, not a positive"):
+                lambda_max(X)
+
     def test_overflowing_gram_matrix_is_rejected_before_eigh(self):
         rng = np.random.default_rng(3)
         Xs = [rng.standard_normal((4, 2)), np.full((4, 2), 1e200),
@@ -415,6 +426,14 @@ class TestRidge:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteGramError, match="X\\^T X \\+ lam I is not finite"):
                 ridge_solution(X, np.ones(4), lam)
+
+    def test_overflowing_x_t_y_is_rejected_without_a_warning(self):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((6, 3))  # X^T X is fine; X^T y overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDesignError, match="X\\^T y is not finite"):
+                ridge_solution(X, np.full(6, 1e308), 1.0)
 
 
 class TestContractionRate:
