@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -23,7 +24,8 @@ import numpy as np
 
 from .budget import AllocationScheme, BudgetAllocation, allocate, split_uniform
 from .distances import DistanceParams, METRIC_NAMES, compute_distance_matrix
-from .errors import ConfigError, NonFiniteGramError, ShapeMismatchError, TaskCascadeError
+from .errors import ConfigError, DegenerateDesignError, NonFiniteGramError
+from .errors import ShapeMismatchError, TaskCascadeError
 from .graph import RootedTree, build_tree, depths, save_tree, topological_order
 from .linmodel import Design, build_designs, lambda_max, refine, rmse
 from .seeding import derive_seed, substream
@@ -42,7 +44,6 @@ class CascadeResult:
     tree: RootedTree | None  # None marks the no-transfer baseline
     budgets: BudgetAllocation
     metric_name: str
-    seed: int
     task_ids: list[str] = field(default_factory=list)
     steps_executed: int = 0
 
@@ -90,6 +91,11 @@ def _evaluate(
         if task.n_test == 0:
             raise ShapeMismatchError(f"task {task.id!r} has no test split to evaluate")
         test_rmse[i] = rmse(params[i], task.X_test, task.y_test)
+        if not math.isfinite(test_rmse[i]):
+            raise DegenerateDesignError(
+                f"task {task.id!r}: test RMSE is {test_rmse[i]!r}, not finite; "
+                "the task's test entries are too large"
+            )
     return test_rmse
 
 
@@ -110,6 +116,9 @@ def _designs(collection: TaskCollection) -> list[Design]:
         raise NonFiniteGramError(f"task {task.id!r}: {exc}", exc.index) from exc
 
 
+# An overflow in refinement or evaluation shows as parameters or a test RMSE
+# that are not finite, and both are checked, so numpy need not warn of it.
+@np.errstate(over="ignore", invalid="ignore")
 def _refine_forest(
     collection: TaskCollection,
     budgets: BudgetAllocation,
@@ -160,7 +169,6 @@ def _refine_forest(
         tree=tree,
         budgets=budgets,
         metric_name=metric_name,
-        seed=0,
         task_ids=collection.ids,
         steps_executed=steps,
     )
@@ -253,7 +261,6 @@ def run_method(
         budgets = allocate(tree, config.budget, config.scheme)
         result = run_cascade(collection, tree, budgets, theta_init, designs=designs)
         result.metric_name = config.metric_name or DEFAULT_MEDOID_METRIC
-    result.seed = seed
     return result
 
 

@@ -13,12 +13,12 @@ Every command takes a JSON config; ``--seed`` and ``--jobs`` flags override
 config keys. All randomness derives from the single resolved seed, so
 reruns with the same config are byte-identical (the run manifest, which
 carries timestamps and wall time, is the one exception). Exit codes:
-0 success, 1 runtime failure, 2 usage, config or input-data error (a
-malformed collection or distance matrix, a task whose design is zero or
-singular, or values that overflow or underflow: an X^T X or a distance
-that overflows, an X^T y that overflows in the ``gradient`` or ``model``
-metric, or an X^T X so small that 1/lambda_max overflows). The error names
-the task, or the pair of tasks for a distance.
+0 success, 1 runtime failure (refinement that diverges), 2 usage, config
+or input-data error: every package error that is a ``ValueError``, such as
+a malformed collection or distance matrix, tasks of unequal shapes, a
+missing test split, a design that is zero or singular, or values that
+overflow or underflow. The error names the task, the pair of tasks for a
+distance, or the config key.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, DataFormatError, DegenerateDesignError, TaskCascadeError
-from .errors import InfeasibleBudgetError
+from .errors import ConfigError, TaskCascadeError
 
 # Every command runs in a fresh interpreter, so each one imports the layers it
 # uses when it starts: ``gen`` never compiles the cascade or the theory code.
@@ -237,19 +236,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for k in range(num_chains):
         config = dataclasses.replace(base, seed=derive_seed(base.seed, "chain", k))
         checks.append(verify_bounds(config))
-    doc = [
-        {
-            "config": dataclasses.asdict(c.config),
-            "empirical": c.empirical,
-            "bound": c.bound,
-            "satisfied": c.satisfied,
-            "mode": c.mode,
-            "mc_stderr": c.mc_stderr,
-        }
-        for c in checks
-    ]
     with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump([dataclasses.asdict(c) for c in checks], fh, indent=2)
         fh.write("\n")
 
     violations = [c for c in checks if not c.satisfied]
@@ -371,13 +359,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, DegenerateDesignError,
-            InfeasibleBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TaskCascadeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # Every package error that describes input or config is a ValueError;
+        # the one runtime failure, DivergenceError, is not.
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def entry() -> None:

@@ -26,11 +26,13 @@ difference; the others apply their pair distance along the row.
 equals the matching matrix entry exactly.
 
 Bad input is caught per task, in its summary, and the error names the task:
-too few samples, or an X^T y or X^T X that overflows. Two pair errors are
-left. A stack of unequal target lengths is named by the first pair of row 0
-that meets it. A distance that is not finite, such as that of two targets
-whose squared difference overflows, is found once the whole matrix is done
-and named by the first such pair in row order.
+too few samples, an X^T y, X^T X or standard deviation that overflows, or
+any other summary value that is not finite (summaries are computed under one
+``np.errstate`` and each is checked once). Two pair errors are left. A stack
+of unequal target lengths is named by the first pair of row 0 that meets it.
+A distance that is not finite, such as that of two targets whose squared
+difference overflows, is found once the whole matrix is done and named by
+the first such pair in row order.
 
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
@@ -119,6 +121,12 @@ class DistanceMatrix:
 def _standardized(X: np.ndarray) -> np.ndarray:
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
+    # An overflowing std would scale the task's features to zeros, which the
+    # summary check cannot tell from a constant task.
+    if not np.isfinite(sd).all():
+        raise DegenerateDesignError(
+            "the standard deviation of X is not finite; the task's entries are too large"
+        )
     sd = np.where(sd > 0, sd, 1.0)
     return (X - mu) / sd
 
@@ -292,19 +300,19 @@ def _wasserstein(su: np.ndarray, sv: np.ndarray, params: DistanceParams) -> floa
 
 
 def _gradient(task: TaskDataset, params: DistanceParams) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = task.X_train.T @ task.y_train
-        norm = np.linalg.norm(g)
-    if not (np.isfinite(g).all() and np.isfinite(norm)):
+    g = task.X_train.T @ task.y_train
+    norm = np.linalg.norm(g)
+    # A finite X^T y whose norm overflows would normalize to zeros; one that
+    # is not finite fails here before the summary check.
+    if not np.isfinite(norm):
         raise DegenerateDesignError("X^T y is not finite; the task's entries are too large")
     return g / norm if params.normalize_gradients and norm > 0 else g
 
 
 def _ridge(task: TaskDataset, params: DistanceParams) -> np.ndarray:
     lam = params.ridge_lambda
-    if lam is None:
-        with np.errstate(over="ignore"):  # ridge_solution rejects what overflows
-            lam = default_ridge_lambda(task.X_train)
+    if lam is None:  # ridge_solution rejects a penalty that overflows
+        lam = default_ridge_lambda(task.X_train)
     return ridge_solution(task.X_train, task.y_train, lam)
 
 
@@ -369,26 +377,34 @@ def _pairwise(
 
     Row i holds summary i against every later summary, so the matrix takes
     T - 1 row reductions and no temporary larger than T summaries. Errors
-    name the task whose summary failed; for stacked summaries of unequal
-    lengths, the first pair of row 0 that meets them; and for distances that
-    are not finite, the first such pair in row order.
+    name the task whose summary failed or is not finite; for stacked
+    summaries of unequal lengths, the first pair of row 0 that meets them;
+    and for distances that are not finite, the first such pair in row order.
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
     summarize, stacked, reduce_row = _METRICS[metric]
     params = params or DistanceParams()
-    summaries = []
-    for task in tasks:
-        try:
-            summaries.append(summarize(task, params))
-        except TaskCascadeError as exc:
-            raise type(exc)(f"task {task.id!r}: {exc}") from exc
-    if stacked:
-        summaries = _stack(summaries, [task.id for task in tasks])
     T = len(tasks)
     values = np.zeros((T, T))
-    # An overflow or NaN shows in the finished matrix, which is checked once.
+    # An overflow or NaN shows in a summary or in the finished matrix, and
+    # each is checked once.
     with np.errstate(over="ignore", invalid="ignore"):
+        summaries = []
+        for task in tasks:
+            try:
+                summary = summarize(task, params)
+            except TaskCascadeError as exc:
+                raise type(exc)(f"task {task.id!r}: {exc}") from exc
+            parts = summary if isinstance(summary, tuple) else (summary,)
+            if not all(np.isfinite(part).all() for part in parts):
+                raise DegenerateDesignError(
+                    f"task {task.id!r}: its {metric} summary is not finite; "
+                    "the task's entries are too large"
+                )
+            summaries.append(summary)
+        if stacked:
+            summaries = _stack(summaries, [task.id for task in tasks])
         for i in range(T - 1):
             row = reduce_row(summaries[i], summaries[i + 1:], params)
             values[i, i + 1:] = row

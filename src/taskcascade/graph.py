@@ -276,25 +276,3 @@ def save_tree(tree: RootedTree, path: str | Path, ids: list[str] | None = None) 
             par = tree.parent[child]
             fh.write(f"{ids[par]},{ids[child]},{tree.edge_length[child]!r}\n")
 
-
-def load_tree(path: str | Path, ids: list[str] | None = None) -> RootedTree:
-    """Read a tree CSV written by :func:`save_tree`; ids map back to indices."""
-    # Split at the "\n" that save_tree writes; splitlines would also split
-    # ids at characters such as U+2028.
-    lines = Path(path).read_text().split("\n")
-    if len(lines) < 2 or not lines[0].startswith("# root="):
-        raise GraphError(f"{path}: missing '# root=' header")
-    root_id = lines[0][len("# root="):]
-    rows = [line.split(",") for line in lines[2:] if line]
-    if any(len(row) != 3 for row in rows):
-        raise GraphError(f"{path}: expected parent,child,edge_length rows")
-    if ids is None:
-        seen = {root_id} | {cell for row in rows for cell in row[:2]}
-        ids = sorted(seen)
-    index = {task_id: i for i, task_id in enumerate(ids)}
-    try:
-        parent = {index[c]: index[p] for p, c, _ in rows}
-        edge_length = {index[c]: float(w) for _, c, w in rows}
-        return RootedTree(index[root_id], parent, edge_length)
-    except (KeyError, ValueError) as exc:
-        raise GraphError(f"{path}: bad row ({exc})") from None

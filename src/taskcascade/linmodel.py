@@ -59,13 +59,6 @@ _POWER_MAX_ITER = 10_000
 _POWER_CHUNK = 16
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError("X must be a 2-d matrix")
-    return X.T @ X
-
-
 class Design(NamedTuple):
     """A design X with eigh(X^T X) = (lam, V) and power iteration's
     estimate ``lam_est`` of the largest eigenvalue of X^T X."""
@@ -283,7 +276,8 @@ def refine(
     given a Design, plus the O(d^3) decomposition given a plain array. b = 0
     returns a copy of theta0. Raises DivergenceError when b >= 1 and
     eta * lambda_max > 2, where the iteration would grow without bound, or
-    when the result is not finite.
+    when the result is not finite; DegenerateDesignError instead when that
+    is because X^T y is not finite (its entries overflow).
 
     theta0 of shape (d,) with y of shape (n,) refines one parameter vector.
     theta0 of shape (d, k) with y of shape (n, k) refines k columns at once,
@@ -326,6 +320,10 @@ def refine(
     target = np.divide(c, lam[rows], out=z0.copy(), where=(lam > 0.0)[rows])
     theta = V @ (z0 + progress[rows] * (target - z0))
     if not np.isfinite(theta).all():
+        if not np.isfinite(c).all():
+            raise DegenerateDesignError(
+                "X^T y is not finite; the task's entries are too large"
+            )
         raise DivergenceError("refinement produced non-finite parameters")
     return theta
 
@@ -337,12 +335,14 @@ def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray
     DegenerateDesignError when X^T y does."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeMismatchError("X must be a 2-d matrix")
     if X.shape[0] != y.shape[0]:
         raise ShapeMismatchError(f"X {X.shape} and y {y.shape} do not agree")
     if lam < 0:
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _gram(X) + lam * np.eye(X.shape[1])
+        G = X.T @ X + lam * np.eye(X.shape[1])
         Xty = X.T @ y
     if not np.isfinite(G).all():
         raise NonFiniteGramError(

@@ -181,6 +181,9 @@ class GroundTruth:
     cluster: dict[str, int] = field(default_factory=dict)
 
 
+# Values that overflow (a tau near 1e308) fail each task's finite check, which
+# names the task; numpy's warnings about them would only precede that error.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundTruth]:
     """Generate a clustered collection of linear-regression tasks.
 

@@ -213,16 +213,24 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
     bound's initial term vanishes exactly), adds Gaussian noise to every
     other task's targets, and checks the Monte-Carlo mean of the leaf error
     against the expected-error bound plus two standard errors. All draws
-    are refined together, as the columns of one stack per task.
+    are refined together, as the columns of one stack per task. A spacing
+    whose targets or edge lengths overflow raises ConfigError.
     """
-    chain = _build_chain(config)
     m = config.length
     b = config.budget_per_node
-    deltas = [
-        float(np.linalg.norm(chain.thetas[i] - chain.thetas[i - 1]))
-        for i in range(1, m + 1)
-    ]
-    targets = [design.X @ theta for design, theta in zip(chain.designs, chain.thetas)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = _build_chain(config)
+        deltas = [
+            float(np.linalg.norm(chain.thetas[i] - chain.thetas[i - 1]))
+            for i in range(1, m + 1)
+        ]
+        targets = [design.X @ theta for design, theta in zip(chain.designs, chain.thetas)]
+    for i, y in enumerate(targets):
+        if not (np.isfinite(y).all() and (i == 0 or math.isfinite(deltas[i - 1]))):
+            raise ConfigError(
+                f"spacing {config.spacing!r} is too large: chain task {i}'s targets "
+                "or edge length are not finite"
+            )
 
     if config.noise_sigma == 0.0:
         root_b = config.root_budget if config.root_budget is not None else b

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,19 @@ def make_task(rng, n=24, d=4, task_id="t", n_test=8, sigma=0.1):
 def make_collection(rng, T=6, n=24, d=4, sigma=0.1):
     tasks = [make_task(rng, n=n, d=d, task_id=f"task{i}", sigma=sigma) for i in range(T)]
     return TaskCollection(tasks, d)
+
+
+def read_tree_csv(path):
+    """The root id and {child id: (parent id, edge length)} of a tree CSV.
+
+    Splits at the "\n" that ``save_tree`` writes; ``splitlines`` would also
+    split ids at characters such as U+2028.
+    """
+    lines = Path(path).read_text().split("\n")
+    assert lines[0].startswith("# root=") and lines[1] == "parent,child,edge_length"
+    rows = [line.split(",") for line in lines[2:] if line]
+    assert all(len(row) == 3 for row in rows)
+    return lines[0][len("# root="):], {c: (p, float(w)) for p, c, w in rows}
 
 
 @pytest.fixture

@@ -248,6 +248,23 @@ class TestDefaultStepSizes:
         with pytest.raises(DegenerateDesignError, match=f"task 'bad': {problem}"):
             run_method(config, collection)
 
+    @pytest.mark.parametrize("method, metric", [("individual", None), ("mst", "feature")])
+    @pytest.mark.parametrize("split, value, problem", [
+        ("y_train", 1e308, r"X\^T y is not finite"),  # and so is refinement
+        ("y_test", 1e300, r"test RMSE is inf, not finite"),
+    ])
+    def test_overflowing_targets_name_the_task(self, rng, method, metric, split, value,
+                                               problem):
+        # run under the suite's error::RuntimeWarning filter: nothing is warned
+        collection = make_collection(rng, T=3, n=8, d=3)
+        task = collection[1]
+        collection.tasks[1] = dataclasses.replace(
+            task, **{split: np.full(len(getattr(task, split)), value)})
+        config = ExperimentConfig(method=method, metric_name=metric, budget=30,
+                                  data_path="unused")
+        with pytest.raises(DegenerateDesignError, match=f"^task 'task1': {problem}"):
+            run_method(config, collection)
+
 
 class TestRunExperiment:
     def synthetic(self, **overrides):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskcascade import errors
 from taskcascade.cli import main
 from taskcascade.distances import (
     METRIC_NAMES,
@@ -457,11 +458,58 @@ def test_version_flag(capsys):
 
 
 def _fresh_python(code, cwd=None):
+    """Run Python on ``code`` in a new interpreter that turns a RuntimeWarning,
+    such as numpy's overflow warnings, into an error, as the suite does."""
     import taskcascade
 
     env = {**os.environ, "PYTHONPATH": str(Path(taskcascade.__file__).parents[1])}
-    return subprocess.run([sys.executable, *code], capture_output=True, text=True,
-                          env=env, cwd=cwd)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *code],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def _cli(args, cwd):
+    return _fresh_python(["-m", "taskcascade.cli", *args], cwd=cwd)
+
+
+def _rejected(out, problem, output):
+    """``out`` exited 2 with one stderr line that starts with ``problem``, and
+    ``output`` was not written."""
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [out.stderr.strip()]  # no numpy warning
+    assert out.stderr.startswith(problem), out.stderr
+    assert not output.exists()
+
+
+def test_valid_pipeline_writes_nothing_to_stderr(tmp_path, gen_config):
+    run = write_json(tmp_path / "run.json", {
+        "method": "mst", "metric_name": "mmd", "budget": 40, "num_seeds": 2,
+        "data_path": "col"})
+    verify = write_json(tmp_path / "verify.json", {"mode": "noiseless", "length": 3})
+    for args in (["gen", gen_config, "--out", "col"],
+                 ["dist", "col", "--metric", "gradient", "--out", "d.csv"],
+                 ["tree", "d.csv", "--out", "t.csv"],
+                 ["run", run, "--out", "out"],
+                 ["verify", verify, "--out", "v.json"]):
+        out = _cli(args, tmp_path)
+        assert (out.returncode, out.stderr) == (0, ""), args
+        assert out.stdout.startswith(("wrote ", "mst: ", "1/1 chains"))
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.ConfigError, 2), (errors.DataFormatError, 2), (errors.ShapeMismatchError, 2),
+    (errors.DegenerateDesignError, 2), (errors.NonFiniteGramError, 2),
+    (errors.GraphError, 2), (errors.InfeasibleBudgetError, 2),
+    (errors.DivergenceError, 1),  # the one runtime failure
+])
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
+    from taskcascade import cli
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_tree", fail)
+    assert main(["tree", "d.csv", "--out", "t.csv"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_package_import_loads_no_layer_until_a_name_is_used():
@@ -535,26 +583,19 @@ def test_dist_of_an_overflowing_task_exits_2_naming_it(tmp_path, metric):
                              ("bad", np.full((6, 3), 1e200)),
                              ("c", rng.standard_normal((6, 3)))]]
     save_collection(TaskCollection(tasks, 3), tmp_path / "col")
-    out = _fresh_python(["-m", "taskcascade.cli", "dist", "col", "--metric", metric,
-                         "--out", "d.csv"], cwd=tmp_path)
-    assert out.returncode == 2
-    # one line, no numpy warning or traceback
-    assert out.stderr.splitlines() == [out.stderr.strip()]
-    assert out.stderr.startswith("error: task 'bad': ") and "not finite" in out.stderr
-    assert not (tmp_path / "d.csv").exists()
+    out = _cli(["dist", "col", "--metric", metric, "--out", "d.csv"], tmp_path)
+    _rejected(out, "error: task 'bad': ", tmp_path / "d.csv")
+    assert "not finite" in out.stderr
 
 
-def _collection_with(tmp_path, X=None, y=None):
-    """A 3-task collection on disk whose task t1 has the given X or y."""
+def _collection_with(tmp_path, **t1):
+    """A 3-task collection on disk whose task t1 has the given splits."""
     rng = np.random.default_rng(0)
     tasks = []
     for i in range(3):
-        X_i, y_i = rng.standard_normal((6, 3)), rng.standard_normal(6)
-        if i == 1:
-            X_i = X_i if X is None else X
-            y_i = y_i if y is None else y
-        tasks.append(TaskDataset(f"t{i}", X_i, y_i, rng.standard_normal((4, 3)),
-                                 rng.standard_normal(4)))
+        splits = dict(X_train=rng.standard_normal((6, 3)), y_train=rng.standard_normal(6),
+                      X_test=rng.standard_normal((4, 3)), y_test=rng.standard_normal(4))
+        tasks.append(TaskDataset(f"t{i}", **{**splits, **(t1 if i == 1 else {})}))
     save_collection(TaskCollection(tasks, 3), tmp_path / "col")
 
 
@@ -563,29 +604,80 @@ def _collection_with(tmp_path, X=None, y=None):
     ("target", "error: pair ('t0', 't1'): distance is inf, not finite"),
 ])
 def test_dist_of_overflowing_targets_exits_2_naming_the_task(tmp_path, metric, problem):
-    _collection_with(tmp_path, y=np.full(6, 1e308))
-    out = _fresh_python(["-m", "taskcascade.cli", "dist", "col", "--metric", metric,
-                         "--out", "d.csv"], cwd=tmp_path)
-    assert out.returncode == 2
-    assert out.stderr.splitlines() == [out.stderr.strip()]  # no numpy warning
-    assert out.stderr.startswith(problem)
-    assert not (tmp_path / "d.csv").exists()
+    _collection_with(tmp_path, y_train=np.full(6, 1e308))
+    out = _cli(["dist", "col", "--metric", metric, "--out", "d.csv"], tmp_path)
+    _rejected(out, problem, tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("metric, params, problem", [
+    ("mmd", {}, "its mmd summary is not finite"),
+    ("gauss_meancov", {}, "its gauss_meancov summary is not finite"),
+    *[(metric, {"standardize": True}, "the standard deviation of X is not finite")
+      for metric in ("feature", "mmd", "cka", "gauss_meancov")],
+])
+def test_dist_of_overflowing_features_exits_2_naming_the_task(tmp_path, metric, params,
+                                                              problem):
+    X = np.random.default_rng(1).standard_normal((6, 3))
+    _collection_with(tmp_path, X_train=X * 1e200)
+    write_json(tmp_path / "params.json", params)
+    out = _cli(["dist", "col", "--metric", metric, "--params", "params.json",
+                "--out", "d.csv"], tmp_path)
+    _rejected(out, f"error: task 't1': {problem}", tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("method, t1, problem", [
+    # refinement's X^T y overflows, for a root and for a cascade
+    ("individual", {"y_train": np.full(6, 1e308)}, "task 't1': X^T y is not finite"),
+    ("mst", {"y_train": np.full(6, 1e308)}, "task 't1': X^T y is not finite"),
+    ("individual", {"y_test": np.full(4, 1e300)}, "task 't1': test RMSE is inf, not finite"),
+    ("individual", {"X_test": np.empty((0, 3)), "y_test": np.empty(0)},
+     "task 't1' has no test split to evaluate"),
+    ("mst", {"X_train": np.ones((8, 3)), "y_train": np.ones(8)},
+     "pair ('t0', 't1'): Euclidean distance needs equal lengths, got 6 and 8"),
+])
+def test_run_of_bad_input_exits_2_naming_the_task(tmp_path, method, t1, problem):
+    _collection_with(tmp_path, **t1)
+    metric = "target" if "pair" in problem else "feature"
+    cfg = write_json(tmp_path / "run.json", {
+        "method": method, "metric_name": metric, "budget": 30, "num_seeds": 2,
+        "data_path": "col",
+    })
+    _rejected(_cli(["run", cfg, "--out", "out"], tmp_path), f"error: {problem}",
+              tmp_path / "out")
+
+
+def test_dist_of_unequal_target_lengths_exits_2_naming_the_pair(tmp_path):
+    _collection_with(tmp_path, X_train=np.ones((8, 3)), y_train=np.ones(8))
+    out = _cli(["dist", "col", "--metric", "target", "--out", "d.csv"], tmp_path)
+    _rejected(out, "error: pair ('t0', 't1'): Euclidean distance needs equal lengths",
+              tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("key", ["tau_between", "tau_within"])
+def test_gen_of_an_overflowing_scale_exits_2_naming_the_task(tmp_path, key):
+    cfg = write_json(tmp_path / "gen.json", {"num_tasks": 3, "dim": 3, "n_train": 8,
+                                             "num_clusters": 2, key: 1e308})
+    _rejected(_cli(["gen", cfg, "--out", "col"], tmp_path),
+              "error: task 'task0': non-finite entry in y_train", tmp_path / "col")
+
+
+def test_verify_of_an_overflowing_spacing_exits_2_naming_it(tmp_path):
+    cfg = write_json(tmp_path / "verify.json", {"mode": "noiseless", "length": 3, "dim": 3,
+                                                "n": 8, "spacing": 1e308})
+    _rejected(_cli(["verify", cfg, "--out", "v.json"], tmp_path),
+              "error: spacing 1e+308 is too large: chain task 1's", tmp_path / "v.json")
 
 
 @pytest.mark.parametrize("method", ["individual", "mst"])
 def test_run_on_a_subnormal_design_exits_2_naming_the_task(tmp_path, method):
     # X^T X of entries 1e-160 is subnormal, and 1/lambda_max would overflow
-    _collection_with(tmp_path, X=np.full((6, 3), 1e-160))
+    _collection_with(tmp_path, X_train=np.full((6, 3), 1e-160))
     cfg = write_json(tmp_path / "run.json", {
         "method": method, "metric_name": "target", "budget": 30, "num_seeds": 1,
         "data_path": "col",
     })
-    out = _fresh_python(["-m", "taskcascade.cli", "run", cfg, "--out", "out"],
-                        cwd=tmp_path)
-    assert out.returncode == 2
-    assert out.stderr.splitlines() == [out.stderr.strip()]  # no numpy warning
-    assert out.stderr.startswith("error: task 't1': power iteration's estimate")
-    assert not (tmp_path / "out").exists()
+    _rejected(_cli(["run", cfg, "--out", "out"], tmp_path),
+              "error: task 't1': power iteration's estimate", tmp_path / "out")
 
 
 def test_run_without_jobs_never_imports_the_process_pool(tmp_path):
@@ -609,11 +701,8 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
         " if m in sys.modules))\n"
     )
-    import taskcascade
-
-    env = {**os.environ, "PYTHONPATH": str(Path(taskcascade.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
+    out = _fresh_python(["-c", code])
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 

@@ -366,6 +366,33 @@ class TestDistanceMatrix:
             with pytest.raises(DegenerateDesignError, match=f"^{problem}"):
                 compute_distance_matrix(TaskCollection(tasks, 3), metric)
 
+    @pytest.mark.parametrize("metric, standardize, problem", [
+        # t1's within-task distances overflow, and its bandwidth with them
+        ("mmd", False, "its mmd summary is not finite"),
+        ("gauss_meancov", False, "its gauss_meancov summary is not finite"),
+        # an overflowing std would scale t1's features to zeros
+        *[(metric, True, "the standard deviation of X is not finite")
+          for metric in ("feature", "mmd", "cka", "gauss_meancov")],
+    ])
+    def test_overflowing_features_name_the_task(self, rng, metric, standardize, problem):
+        # run under the suite's error::RuntimeWarning filter: nothing is warned
+        tasks = [make_task(rng, n=8, d=3, task_id=f"t{i}") for i in range(3)]
+        tasks[1] = TaskDataset("t1", tasks[1].X_train * 1e200, tasks[1].y_train,
+                               tasks[1].X_test, tasks[1].y_test)
+        with pytest.raises(DegenerateDesignError, match=f"^task 't1': {problem}"):
+            compute_distance_matrix(TaskCollection(tasks, 3), metric,
+                                    DistanceParams(standardize=standardize))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_gradient_whose_norm_overflows_names_the_task(self, rng, normalize):
+        # X^T y = (1e155, 1e155, 1e155) is finite, but its norm is not
+        tasks = [make_task(rng, n=3, d=3, task_id=f"t{i}") for i in range(3)]
+        tasks[1] = TaskDataset("t1", np.eye(3), np.full(3, 1e155),
+                               tasks[1].X_test, tasks[1].y_test)
+        with pytest.raises(DegenerateDesignError, match=r"^task 't1': X\^T y is not finite"):
+            compute_distance_matrix(TaskCollection(tasks, 3), "gradient",
+                                    DistanceParams(normalize_gradients=normalize))
+
     def test_loaded_matrix_with_a_non_finite_entry_is_rejected(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,b\n0.0,inf\ninf,0.0\n")
         with pytest.raises(ConfigError, match="non-finite"):

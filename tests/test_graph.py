@@ -11,7 +11,6 @@ from taskcascade.graph import (
     build_tree,
     decode_pruefer,
     depths,
-    load_tree,
     medoid,
     mst,
     random_spanning_tree,
@@ -21,6 +20,8 @@ from taskcascade.graph import (
     topological_order,
 )
 from taskcascade.seeding import substream
+
+from conftest import read_tree_csv
 
 
 def encode_pruefer(edges, T):
@@ -353,7 +354,6 @@ def test_tree_csv_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == f"# root={ids[tree.root]}"
     assert text[1] == "parent,child,edge_length"
-    loaded = load_tree(path, ids)
-    assert loaded.root == tree.root
-    assert loaded.parent == tree.parent
-    assert loaded.edge_length == pytest.approx(tree.edge_length)
+    root, rows = read_tree_csv(path)
+    assert root == ids[tree.root]
+    assert rows == {ids[c]: (ids[p], tree.edge_length[c]) for c, p in tree.parent.items()}

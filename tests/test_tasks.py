@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from taskcascade.distances import DistanceMatrix, load_distance_matrix, save_distance_matrix
 from taskcascade.errors import ConfigError, DataFormatError
-from taskcascade.graph import load_tree, random_spanning_tree, root_tree, save_tree
+from taskcascade.graph import random_spanning_tree, root_tree, save_tree
 from taskcascade.tasks import (
     SyntheticConfig,
     TaskCollection,
@@ -22,7 +22,7 @@ from taskcascade.tasks import (
     save_collection,
 )
 
-from conftest import make_collection
+from conftest import make_collection, read_tree_csv
 
 
 def test_noiseless_degenerate_case_fits_exactly():
@@ -74,6 +74,16 @@ def test_within_cluster_variance_matches_tau():
     thetas = np.array(list(truth.theta_star.values()))
     variances = thetas.var(axis=0, ddof=1)
     assert np.all(np.abs(variances - tau**2) < 0.15 * tau**2)
+
+
+@pytest.mark.parametrize("key", ["tau_between", "tau_within"])
+def test_overflowing_scale_names_the_first_task(key):
+    # run under the suite's error::RuntimeWarning filter: nothing is warned
+    config = SyntheticConfig(num_tasks=3, dim=3, n_train=8, n_test=4, num_clusters=2,
+                             **{key: 1e308})
+    with pytest.raises(DataFormatError,
+                       match="^task 'task0': non-finite entry in y_train"):
+        generate_synthetic(config)
 
 
 def test_round_robin_cluster_assignment():
@@ -373,7 +383,7 @@ def test_adversarial_ids_round_trip(ids, seed, quoted):
         save_distance_matrix(matrix, Path(tmp) / "dist.csv")
         loaded_matrix = load_distance_matrix(Path(tmp) / "dist.csv")
         save_tree(tree, Path(tmp) / "tree.csv", ids=list(ids))
-        loaded_tree = load_tree(Path(tmp) / "tree.csv", ids=list(ids))
+        tree_root, tree_rows = read_tree_csv(Path(tmp) / "tree.csv")
     assert loaded.ids == ids
     for a, b in zip(collection, loaded):
         for x, y in ((a.X_train, b.X_train), (a.y_train, b.y_train),
@@ -381,5 +391,6 @@ def test_adversarial_ids_round_trip(ids, seed, quoted):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
     assert loaded_matrix.task_ids == ids
     assert loaded_matrix.values.tobytes() == matrix.values.tobytes()
-    assert (loaded_tree.root, loaded_tree.parent) == (tree.root, tree.parent)
-    assert loaded_tree.edge_length == tree.edge_length
+    assert tree_root == ids[tree.root]
+    assert tree_rows == {ids[c]: (ids[p], tree.edge_length[c])
+                         for c, p in tree.parent.items()}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,16 @@ class TestVerifyBounds:
         assert check.mode == "noisy"
         assert check.mc_stderr > 0.0
         assert check.satisfied
+
+    @pytest.mark.parametrize("mode", [{}, {"noise_sigma": 0.5, "noise_draws": 5}])
+    @pytest.mark.parametrize("spacing", [1e308, 1e200])
+    def test_overflowing_spacing_is_named(self, mode, spacing):
+        # run under the suite's error::RuntimeWarning filter: nothing is warned.
+        # At 1e200 only the edge lengths overflow, at 1e308 the targets too.
+        config = ChainConfig(length=3, dim=3, n=8, spacing=spacing, **mode)
+        problem = re.escape(f"spacing {spacing!r} is too large: chain task 1's")
+        with pytest.raises(ConfigError, match=f"^{problem}"):
+            verify_bounds(config)
 
     def test_one_draw_call_is_the_per_draw_sequence(self):
         K, m1, n = 7, 4, 9
