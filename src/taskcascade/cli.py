@@ -266,8 +266,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for key, value in (("methods", methods), ("metrics", metrics), ("budgets", budgets)):
         if not isinstance(value, list):
             raise ConfigError(f"bench key {key!r} must be a list, got {json.dumps(value)}")
-    if not methods or not budgets:
-        raise ConfigError("bench config needs non-empty 'methods' and 'budgets'")
+    if not methods or not metrics or not budgets:
+        raise ConfigError("bench config needs non-empty 'methods', 'metrics' and 'budgets'")
     sweep = [
         {**data, "method": method, "metric_name": metric, "budget": B}
         for method in methods

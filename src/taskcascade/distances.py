@@ -31,8 +31,9 @@ any other summary value that is not finite (summaries are computed under one
 ``np.errstate`` and each is checked once). Two pair errors are left. A stack
 of unequal target lengths is named by the first pair of row 0 that meets it.
 A distance that is not finite, such as that of two targets whose squared
-difference overflows, is found once the whole matrix is done and named by
-the first such pair in row order.
+difference overflows, of an ``mmd`` pair whose median bandwidth does or of
+a ``sym_kl`` or ``js`` pair whose joint target range does, is found once
+the whole matrix is done and named by the first such pair in row order.
 
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
@@ -198,6 +199,8 @@ def _mmd_rff(u, v, params: DistanceParams) -> float:
     (Xu, Wu, Pu, phases), (Xv, Wv, Pv, _) = u, v
     cross = _sq_distances(Xu, Xv).ravel()
     sigma = _median_distance(np.concatenate([Wu, Wv, cross]))
+    if not np.isfinite(sigma):  # at an infinite bandwidth both embeddings agree
+        return np.inf
     scale = np.sqrt(2.0 / params.rff_dim)
 
     def embed(P: np.ndarray) -> np.ndarray:
@@ -255,9 +258,11 @@ def _targets(task: TaskDataset, params: DistanceParams) -> np.ndarray:
 def _pair_histograms(
     yu: np.ndarray, yv: np.ndarray, params: DistanceParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed histograms of two target vectors over their joint range."""
+    """Smoothed histograms of two targets over their joint range (NaN if it overflows)."""
     lo = min(yu.min(), yv.min())
     hi = max(yu.max(), yv.max())
+    if not np.isfinite(hi - lo):
+        return np.full(params.hist_bins, np.nan), np.full(params.hist_bins, np.nan)
     if lo == hi:
         p = np.zeros(params.hist_bins)
         p[0] = 1.0
@@ -457,8 +462,9 @@ def save_distance_matrix(matrix: DistanceMatrix, path) -> None:
 def load_distance_matrix(path, metric_name: str = "unknown") -> DistanceMatrix:
     """Read a matrix written by :func:`save_distance_matrix`.
 
-    A row with a non-numeric cell, or with more or fewer cells than the
-    header has ids, raises :class:`DataFormatError` naming the file and line.
+    A header with an empty or repeated id, or a row with a non-numeric cell
+    or with more or fewer cells than the header has ids, raises
+    :class:`DataFormatError` naming the file and line.
     """
     with open(path) as fh:
         # Only the line break comes off: an id may begin or end in a space.
@@ -466,6 +472,12 @@ def load_distance_matrix(path, metric_name: str = "unknown") -> DistanceMatrix:
         if not header:
             raise ConfigError(f"empty distance matrix file {path}")
         ids = header.split(",")
+        seen: set[str] = set()
+        for task_id in ids:
+            if not task_id or task_id in seen:
+                problem = "repeats the id" if task_id else "has an empty id"
+                raise DataFormatError(f"{path}: line 1 {problem} {task_id!r}")
+            seen.add(task_id)
         rows = []
         for line_no, line in enumerate(fh, start=2):
             cells = line.strip().split(",")

@@ -4,6 +4,11 @@ Trees are rooted by orienting all edges away from a chosen seed task; the
 default seed is the medoid of the distance matrix. Undirected edge sets are
 lists of (u, v) index pairs with u < v, sorted, so construction is
 deterministic across platforms.
+
+A :class:`RootedTree` checks and orders itself once, when it is built: one
+breadth-first pass from the root confirms that every task reaches it and
+stores the cascade order, which the executor, budget allocation and
+:func:`save_tree` read as ``tree.order``.
 """
 
 from __future__ import annotations
@@ -27,12 +32,15 @@ class RootedTree:
     """Parent map plus root, encoding a cascade order over task indices.
 
     ``parent`` maps every non-root task to its parent; ``edge_length`` holds
-    the distance from each non-root task to its parent.
+    the distance from each non-root task to its parent. ``order`` is the
+    breadth-first order from the root, children in ascending index, so each
+    depth is one contiguous block after the depth above it.
     """
 
     root: int
     parent: dict[int, int]
     edge_length: dict[int, float] = field(default_factory=dict)
+    order: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.root in self.parent:
@@ -41,30 +49,21 @@ class RootedTree:
             self.edge_length = {v: 0.0 for v in self.parent}
         if set(self.edge_length) != set(self.parent):
             raise GraphError("edge_length keys must match parent keys")
-        # every parent chain must reach the root in < size steps
-        size = len(self.parent) + 1
-        for v in self.parent:
-            node, hops = v, 0
-            while node != self.root:
-                if node not in self.parent or hops >= size:
-                    raise GraphError(f"node {v} does not reach the root")
-                node = self.parent[node]
-                hops += 1
+        children: dict[int, list[int]] = {}
+        for v in sorted(self.parent):
+            children.setdefault(self.parent[v], []).append(v)
+        # Each node is appended once, by its parent, so the loop ends; the
+        # nodes it never reaches lie on a cycle or below a missing parent.
+        self.order = [self.root]
+        for node in self.order:
+            self.order.extend(children.get(node, ()))
+        if len(self.order) != self.size:
+            missed = min(set(self.parent).difference(self.order))
+            raise GraphError(f"node {missed} does not reach the root")
 
     @property
     def size(self) -> int:
         return len(self.parent) + 1
-
-    def nodes(self) -> list[int]:
-        return sorted([self.root, *self.parent])
-
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in self.nodes()}
-        for child, par in self.parent.items():
-            out[par].append(child)
-        for kids in out.values():
-            kids.sort()
-        return out
 
 
 def _weights(dist: DistanceMatrix | np.ndarray) -> np.ndarray:
@@ -150,20 +149,15 @@ def root_tree(
 
     w = _weights(dist) if dist is not None else None
     parent: dict[int, int] = {}
-    edge_length: dict[int, float] = {}
-    visited = {root}
-    frontier = [root]
-    while frontier:
-        node = frontier.pop(0)
+    order = [root]
+    for node in order:
         for nxt in sorted(adjacency[node]):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            parent[nxt] = node
-            edge_length[nxt] = float(w[node, nxt]) if w is not None else 0.0
-            frontier.append(nxt)
-    if len(visited) != T:
+            if nxt != root and nxt not in parent:
+                parent[nxt] = node
+                order.append(nxt)
+    if len(order) != T:
         raise GraphError("edge set is disconnected or contains a cycle")
+    edge_length = {v: float(w[p, v]) for v, p in parent.items()} if w is not None else {}
     return RootedTree(root=root, parent=parent, edge_length=edge_length)
 
 
@@ -246,21 +240,13 @@ def build_tree(dist: DistanceMatrix, kind: str, seed: int = 0) -> RootedTree:
 
 def topological_order(tree: RootedTree) -> list[int]:
     """Root-first order with children visited in ascending index (BFS)."""
-    children = tree.children()
-    order = [tree.root]
-    frontier = [tree.root]
-    while frontier:
-        node = frontier.pop(0)
-        for child in children[node]:
-            order.append(child)
-            frontier.append(child)
-    return order
+    return list(tree.order)
 
 
 def depths(tree: RootedTree) -> dict[int, int]:
     """Depth of every node; root is 0, each child one deeper than its parent."""
     out = {tree.root: 0}
-    for node in topological_order(tree)[1:]:
+    for node in tree.order[1:]:
         out[node] = out[tree.parent[node]] + 1
     return out
 
@@ -272,7 +258,6 @@ def save_tree(tree: RootedTree, path: str | Path, ids: list[str] | None = None) 
     with open(path, "w") as fh:
         fh.write(f"# root={ids[tree.root]}\n")
         fh.write("parent,child,edge_length\n")
-        for child in topological_order(tree)[1:]:
+        for child in tree.order[1:]:
             par = tree.parent[child]
             fh.write(f"{ids[par]},{ids[child]},{tree.edge_length[child]!r}\n")
-

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from taskcascade.graph import decode_pruefer, root_tree
 from taskcascade.tasks import TaskCollection, TaskDataset
 
 
@@ -31,6 +33,18 @@ def read_tree_csv(path):
     rows = [line.split(",") for line in lines[2:] if line]
     assert all(len(row) == 3 for row in rows)
     return lines[0][len("# root="):], {c: (p, float(w)) for p, c, w in rows}
+
+
+@st.composite
+def random_trees(draw):
+    """A uniform labeled tree from a Pruefer sequence, with random edge lengths."""
+    T = draw(st.integers(1, 30))
+    sequence = draw(st.lists(st.integers(0, T - 1), min_size=max(T - 2, 0),
+                             max_size=max(T - 2, 0)))
+    W = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 10.0, (T, T))
+    W[W < 2.0] = 0.0  # some edges of length zero
+    root = draw(st.integers(0, T - 1))
+    return root_tree(decode_pruefer(sequence, T), root, W + W.T)
 
 
 @pytest.fixture

@@ -13,12 +13,13 @@ from taskcascade.budget import (
 )
 from taskcascade.errors import ConfigError, InfeasibleBudgetError
 from taskcascade.graph import (
-    decode_pruefer,
     depths,
     random_spanning_tree,
     root_tree,
     star_tree,
 )
+
+from conftest import random_trees
 
 
 def chain(n):
@@ -146,18 +147,6 @@ class TestAllocate:
             exact = 1 + (B - seed_budget - (T - 1)) / (T - 1)
             for v in tree.parent:
                 assert abs(alloc.per_task[v] - exact) < 1.0
-
-
-@st.composite
-def random_trees(draw):
-    """A uniform labeled tree from a Pruefer sequence, with random edge lengths."""
-    T = draw(st.integers(1, 30))
-    sequence = draw(st.lists(st.integers(0, T - 1), min_size=max(T - 2, 0),
-                             max_size=max(T - 2, 0)))
-    W = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 10.0, (T, T))
-    W[W < 2.0] = 0.0  # some edges of length zero
-    root = draw(st.integers(0, T - 1))
-    return root_tree(decode_pruefer(sequence, T), root, W + W.T)
 
 
 @settings(max_examples=200, deadline=None)

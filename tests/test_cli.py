@@ -646,6 +646,37 @@ def test_run_of_bad_input_exits_2_naming_the_task(tmp_path, method, t1, problem)
               tmp_path / "out")
 
 
+@pytest.mark.parametrize("metric, t1, value", [
+    # t1's own distances are finite; its median bandwidth with any task is not
+    ("mmd", {"X_train": np.random.default_rng(1).standard_normal((6, 3)) + 1e155}, "inf"),
+    # t1's targets span -1e308 to 1e308, so no joint range of its pairs is finite
+    ("sym_kl", {"y_train": np.resize([1e308, -1e308], 6)}, "nan"),
+    ("js", {"y_train": np.resize([1e308, -1e308], 6)}, "nan"),
+])
+def test_dist_of_a_pair_whose_scale_overflows_exits_2_naming_it(tmp_path, metric, t1,
+                                                                 value):
+    _collection_with(tmp_path, **t1)
+    out = _cli(["dist", "col", "--metric", metric, "--out", "d.csv"], tmp_path)
+    _rejected(out, f"error: pair ('t0', 't1'): distance is {value}, not finite",
+              tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("header, problem", [
+    ("a,a,b", "repeats the id 'a'"), ("a,,b", "has an empty id ''"),
+])
+def test_tree_of_a_matrix_with_a_bad_id_exits_2_naming_it(tmp_path, header, problem):
+    (tmp_path / "d.csv").write_text(f"{header}\n0,1,1\n1,0,1\n1,1,0\n")
+    _rejected(_cli(["tree", "d.csv", "--out", "t.csv"], tmp_path),
+              f"error: d.csv: line 1 {problem}", tmp_path / "t.csv")
+
+
+def test_bench_with_no_metrics_exits_2_before_any_run(tmp_path):
+    cfg = write_json(tmp_path / "b.json", {**SMALL_BENCH, "methods": ["individual", "mst"],
+                                           "metrics": []})
+    _rejected(_cli(["bench", cfg, "--out", "o"], tmp_path),
+              "error: bench config needs non-empty 'methods', 'metrics'", tmp_path / "o")
+
+
 def test_dist_of_unequal_target_lengths_exits_2_naming_the_pair(tmp_path):
     _collection_with(tmp_path, X_train=np.ones((8, 3)), y_train=np.ones(8))
     out = _cli(["dist", "col", "--metric", "target", "--out", "d.csv"], tmp_path)
@@ -728,6 +759,7 @@ SMALL_CHAIN = {"mode": "noiseless", "length": 2}
     (["verify", "{cfg}"], {**SMALL_CHAIN, "num_chains": 2.7}, "num_chains"),
     (["bench", "{cfg}"], {**SMALL_BENCH, "budgets": 5}, "'budgets'"),
     (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": ["gradient", "nope"]}, "'nope'"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": []}, "'metrics'"),
     (["bench", "{cfg}", "--jobs", "0"], SMALL_BENCH, "--jobs"),
     (["dist", "{col}", "--metric", "gradient", "--params", "{cfg}"], {"rff_dim": "8"},
      "'rff_dim'"),

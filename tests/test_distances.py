@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -383,6 +384,24 @@ class TestDistanceMatrix:
             compute_distance_matrix(TaskCollection(tasks, 3), metric,
                                     DistanceParams(standardize=standardize))
 
+    @pytest.mark.parametrize("metric, value", [
+        ("mmd", "inf"), ("sym_kl", "nan"), ("js", "nan"),
+    ])
+    def test_pair_whose_scale_overflows_is_named(self, rng, metric, value):
+        # run under the suite's error::RuntimeWarning filter: nothing is warned
+        tasks = [make_task(rng, n=8, d=3, task_id=f"t{i}") for i in range(3)]
+        t1 = tasks[1]
+        if metric == "mmd":
+            # t1's summary is finite, but its cross-block distances, and so
+            # the median bandwidth of each of its pairs, are not
+            tasks[1] = dataclasses.replace(t1, X_train=t1.X_train + 1e155)
+        else:
+            # t1's targets span -1e308 to 1e308: no joint range of its pairs is finite
+            tasks[1] = dataclasses.replace(t1, y_train=np.resize([1e308, -1e308], 8))
+        with pytest.raises(DegenerateDesignError,
+                           match=rf"^pair \('t0', 't1'\): distance is {value}, not finite"):
+            compute_distance_matrix(TaskCollection(tasks, 3), metric)
+
     @pytest.mark.parametrize("normalize", [True, False])
     def test_gradient_whose_norm_overflows_names_the_task(self, rng, normalize):
         # X^T y = (1e155, 1e155, 1e155) is finite, but its norm is not
@@ -490,6 +509,8 @@ class TestDistanceMatrix:
         ("a,b\n0.0,abc\n1.0,0.0\n", "non-numeric cell on line 2"),
         ("a,b\n0.0,1.0\n1.0\n", "line 3 has 1 cells, expected 2"),
         ("a,b\n0.0,1.0,2.0\n1.0,0.0\n", "line 2 has 3 cells, expected 2"),
+        ("a,a,b\n0,1,1\n1,0,1\n1,1,0\n", "line 1 repeats the id 'a'"),
+        ("a,,b\n0,1,1\n1,0,1\n1,1,0\n", "line 1 has an empty id ''"),
     ])
     def test_malformed_csv_names_the_file_and_line(self, tmp_path, text, problem):
         path = tmp_path / "dist.csv"

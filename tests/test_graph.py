@@ -21,7 +21,7 @@ from taskcascade.graph import (
 )
 from taskcascade.seeding import substream
 
-from conftest import read_tree_csv
+from conftest import random_trees, read_tree_csv
 
 
 def encode_pruefer(edges, T):
@@ -342,6 +342,81 @@ class TestRootedTreeValidation:
     def test_unreachable_node_rejected(self):
         with pytest.raises(GraphError):
             RootedTree(0, {1: 2, 2: 1})
+
+
+def reaches_root(v, root, parent):
+    """Reference: the parent-chain walk RootedTree used to validate each node."""
+    size = len(parent) + 1
+    node, hops = v, 0
+    while node != root:
+        if node not in parent or hops >= size:
+            return False
+        node = parent[node]
+        hops += 1
+    return True
+
+
+def children_bfs_order(root, parent):
+    """Reference: the children map and the queue BFS of the old topological_order."""
+    children = {v: [] for v in sorted([root, *parent])}
+    for child, par in parent.items():
+        children[par].append(child)
+    for kids in children.values():
+        kids.sort()
+    order = [root]
+    frontier = [root]
+    while frontier:
+        node = frontier.pop(0)
+        for child in children[node]:
+            order.append(child)
+            frontier.append(child)
+    return order
+
+
+def depths_along(order, parent):
+    """Reference: the old depths, one recurrence step per node of the order."""
+    out = {order[0]: 0}
+    for node in order[1:]:
+        out[node] = out[parent[node]] + 1
+    return out
+
+
+@st.composite
+def shuffled_trees(draw):
+    """A valid tree's (root, parent map), its entries inserted in a drawn order."""
+    tree = draw(random_trees())
+    return tree.root, dict(draw(st.permutations(list(tree.parent.items()))))
+
+
+@st.composite
+def parent_maps(draw):
+    """An arbitrary (root, parent map): cycles, self-parents, parents outside it."""
+    n = draw(st.integers(1, 10))
+    root = draw(st.integers(0, n))
+    keys = draw(st.lists(st.integers(0, n), unique=True, max_size=n + 1))
+    parent = {v: draw(st.integers(0, n + 1)) for v in keys}
+    if draw(st.booleans()):
+        parent.pop(root, None)
+    return root, parent
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=shuffled_trees() | parent_maps())
+def test_one_bfs_accepts_and_orders_as_the_parent_chain_walk_did(case):
+    root, parent = case
+    if root in parent:
+        with pytest.raises(GraphError, match="root must not have a parent"):
+            RootedTree(root, parent)
+        return
+    missed = [v for v in sorted(parent) if not reaches_root(v, root, parent)]
+    if missed:
+        with pytest.raises(GraphError, match=f"^node {missed[0]} does not reach the root$"):
+            RootedTree(root, parent)
+        return
+    tree = RootedTree(root, parent)
+    order = children_bfs_order(root, parent)
+    assert tree.order == topological_order(tree) == order
+    assert depths(tree) == depths_along(order, parent)
 
 
 def test_tree_csv_round_trip(tmp_path):
