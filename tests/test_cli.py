@@ -759,7 +759,6 @@ SMALL_CHAIN = {"mode": "noiseless", "length": 2}
     (["verify", "{cfg}"], {**SMALL_CHAIN, "num_chains": 2.7}, "num_chains"),
     (["bench", "{cfg}"], {**SMALL_BENCH, "budgets": 5}, "'budgets'"),
     (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": ["gradient", "nope"]}, "'nope'"),
-    (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": []}, "'metrics'"),
     (["bench", "{cfg}", "--jobs", "0"], SMALL_BENCH, "--jobs"),
     (["dist", "{col}", "--metric", "gradient", "--params", "{cfg}"], {"rff_dim": "8"},
      "'rff_dim'"),
@@ -768,6 +767,7 @@ SMALL_CHAIN = {"mode": "noiseless", "length": 2}
      "'alpha'"),
     (["verify", "{cfg}"], {**SMALL_CHAIN, "spacing": float("nan")}, "'spacing'"),
     (["gen", "{cfg}"], {"num_tasks": 4, "tau_within": float("inf")}, "'tau_within'"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": []}, "'metrics'"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, config, named, gen_config, tmp_path,
                                                capsys):
