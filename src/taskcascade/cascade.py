@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -24,10 +23,9 @@ import numpy as np
 
 from .budget import AllocationScheme, BudgetAllocation, allocate, split_uniform
 from .distances import DistanceParams, METRIC_NAMES, compute_distance_matrix
-from .errors import ConfigError, DegenerateDesignError, NonFiniteGramError
-from .errors import ShapeMismatchError, TaskCascadeError
+from .errors import ConfigError, DegenerateDesignError, ShapeMismatchError, TaskCascadeError
 from .graph import RootedTree, build_tree, depths, save_tree, topological_order
-from .linmodel import Design, build_designs, lambda_max, refine, rmse
+from .linmodel import lambda_max, refine, rmse
 from .seeding import derive_seed, substream
 from .tasks import SyntheticConfig, TaskCollection, generate_synthetic, load_collection
 
@@ -43,7 +41,6 @@ class CascadeResult:
     test_rmse: dict[int, float]
     tree: RootedTree | None  # None marks the no-transfer baseline
     budgets: BudgetAllocation
-    metric_name: str
     task_ids: list[str] = field(default_factory=list)
     steps_executed: int = 0
 
@@ -104,18 +101,6 @@ def _check_budgets(collection: TaskCollection, budgets: BudgetAllocation) -> Non
         raise ConfigError("budget allocation does not cover the collection")
 
 
-def _designs(collection: TaskCollection) -> list[Design]:
-    """Every task's training design, from one stacked eigendecomposition.
-
-    A Gram matrix that overflows names its task.
-    """
-    try:
-        return build_designs([task.X_train for task in collection])
-    except NonFiniteGramError as exc:
-        task = collection[exc.index]
-        raise NonFiniteGramError(f"task {task.id!r}: {exc}", exc.index) from exc
-
-
 # An overflow in refinement or evaluation shows as parameters or a test RMSE
 # that are not finite, and both are checked, so numpy need not warn of it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -124,8 +109,6 @@ def _refine_forest(
     budgets: BudgetAllocation,
     tree: RootedTree | None,
     theta_init: np.ndarray | None,
-    designs: Sequence[Design] | None,
-    metric_name: str,
 ) -> CascadeResult:
     """Refine every task, each from its parent's parameters, and evaluate.
 
@@ -137,10 +120,7 @@ def _refine_forest(
     task.
     """
     _check_budgets(collection, budgets)
-    if designs is None:
-        designs = _designs(collection)
-    elif len(designs) != len(collection):
-        raise ConfigError("designs do not cover the collection")
+    designs = collection.designs
     etas = []
     for design, task in zip(designs, collection):
         try:
@@ -168,7 +148,6 @@ def _refine_forest(
         test_rmse=_evaluate(collection, params),
         tree=tree,
         budgets=budgets,
-        metric_name=metric_name,
         task_ids=collection.ids,
         steps_executed=steps,
     )
@@ -179,32 +158,25 @@ def run_cascade(
     tree: RootedTree,
     budgets: BudgetAllocation,
     theta_init: np.ndarray | None = None,
-    *,
-    designs: Sequence[Design] | None = None,
 ) -> CascadeResult:
     """Execute one cascade over ``tree`` with the given budgets.
 
     The root's dummy parent is ``theta_init`` (zeros by default). Each task
-    steps by 1/lambda_max of its training design. ``designs`` holds every
-    task's training design in task order (see :func:`build_designs`); by
-    default they are built here.
+    steps by 1/lambda_max of its training design.
     """
-    return _refine_forest(collection, budgets, tree, theta_init, designs, "")
+    return _refine_forest(collection, budgets, tree, theta_init)
 
 
 def run_individual(
     collection: TaskCollection,
     budgets: BudgetAllocation,
     theta_init: np.ndarray | None = None,
-    *,
-    designs: Sequence[Design] | None = None,
 ) -> CascadeResult:
     """No-transfer baseline: the forest in which every task is a root.
 
-    Every task is refined from ``theta_init`` (zeros by default) on its own
-    budget; ``designs`` is as for :func:`run_cascade`.
+    Every task is refined from ``theta_init`` (zeros by default) on its own budget.
     """
-    return _refine_forest(collection, budgets, None, theta_init, designs, "none")
+    return _refine_forest(collection, budgets, None, theta_init)
 
 
 def _tree(
@@ -235,14 +207,13 @@ def run_method(
     collection: TaskCollection,
     seed: int | None = None,
     *,
-    designs: Sequence[Design] | None = None,
     tree: RootedTree | None = None,
 ) -> CascadeResult:
     """Dispatch one run of the configured method on a concrete collection.
 
     Distances (hence trees and the medoid root) are computed from training
-    splits only. ``designs`` is as for :func:`run_cascade`. A cascade
-    method given ``tree`` refines over it instead of building its own.
+    splits only. A cascade method given ``tree`` refines over it instead of
+    building its own.
     """
     seed = config.seed if seed is None else seed
     T = len(collection)
@@ -254,35 +225,32 @@ def run_method(
         budgets = BudgetAllocation(
             dict(enumerate(split_uniform(T, config.budget))), config.budget
         )
-        result = run_individual(collection, budgets, theta_init, designs=designs)
-    else:
-        if tree is None:
-            tree = _tree(config, collection, seed)
-        budgets = allocate(tree, config.budget, config.scheme)
-        result = run_cascade(collection, tree, budgets, theta_init, designs=designs)
-        result.metric_name = config.metric_name or DEFAULT_MEDOID_METRIC
-    return result
+        return run_individual(collection, budgets, theta_init)
+    if tree is None:
+        tree = _tree(config, collection, seed)
+    budgets = allocate(tree, config.budget, config.scheme)
+    return run_cascade(collection, tree, budgets, theta_init)
 
 
-# What every replicate of a data_path run shares: the loaded collection, its
-# designs and the tree when no replicate seed enters it (see _tree). All None
-# for a synthetic run, whose replicates each generate their own collection.
-_Shared = tuple[TaskCollection | None, list[Design] | None, RootedTree | None]
+# What every replicate of a data_path run shares: the loaded collection, with
+# its designs, and the tree when no replicate seed enters it (see _tree). Both
+# None for a synthetic run, whose replicates each generate their own collection.
+_Shared = tuple[TaskCollection | None, RootedTree | None]
 
 
 def _run_replicate(args: tuple[ExperimentConfig, int, _Shared]) -> CascadeResult:
     """Replicate ``r`` on the loaded collection, or on its own synthetic one."""
-    config, r, (collection, designs, tree) = args
+    config, r, (collection, tree) = args
     rep_seed = derive_seed(config.seed, "replicate", r)
     if collection is None:
         collection, _ = generate_synthetic(replace(config.synthetic, seed=rep_seed))
-    return run_method(config, collection, seed=rep_seed, designs=designs, tree=tree)
+    return run_method(config, collection, seed=rep_seed, tree=tree)
 
 
 # A pool worker's copy of what the replicates share, set once by the pool
 # initializer: a forked worker inherits it in memory, where putting it in
 # every work item would pickle the whole collection once per replicate.
-_worker_shared: _Shared = (None, None, None)
+_worker_shared: _Shared = (None, None)
 
 
 def _init_worker(*shared) -> None:
@@ -316,12 +284,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     With ``jobs > 1`` replicates run in a process pool; the output is
     identical for any jobs value.
     """
-    shared: _Shared = (None, None, None)
+    shared: _Shared = (None, None)
     if config.data_path is not None:
         # Every replicate refines the one loaded collection, so what does
         # not depend on the replicate seed is computed once here.
         loaded = load_collection(config.data_path)
-        shared = (loaded, _designs(loaded), _tree(config, loaded, None))
+        loaded.designs  # built and kept before any pool worker starts
+        shared = (loaded, _tree(config, loaded, None))
     if jobs == 1 or config.num_seeds == 1:
         results = [_run_replicate((config, r, shared)) for r in range(config.num_seeds)]
     else:

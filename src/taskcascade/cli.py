@@ -256,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .cascade import ExperimentConfig, run_experiment
+    from .cascade import DEFAULT_MEDOID_METRIC, ExperimentConfig, run_experiment
 
     started = time.time()
     data = _load_config(args.config, args.seed)
@@ -279,7 +279,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for config in configs:
         report = run_experiment(config, jobs=args.jobs)
-        used_metric = report.results[0].metric_name
+        used_metric = "none"  # individual compares no tasks
+        if config.method != "individual":
+            used_metric = config.metric_name or DEFAULT_MEDOID_METRIC
         for r, value in enumerate(report.per_seed_mean_rmse):
             rows.append((config.method, used_metric, config.budget, r, value))
 

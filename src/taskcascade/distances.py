@@ -32,8 +32,9 @@ any other summary value that is not finite (summaries are computed under one
 of unequal target lengths is named by the first pair of row 0 that meets it.
 A distance that is not finite, such as that of two targets whose squared
 difference overflows, of an ``mmd`` pair whose median bandwidth does or of
-a ``sym_kl`` or ``js`` pair whose joint target range does, is found once
-the whole matrix is done and named by the first such pair in row order.
+a ``sym_kl`` or ``js`` pair whose joint target range does or has no distinct
+bin edges, is found once the whole matrix is done and named by the first
+such pair in row order.
 
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
@@ -86,6 +87,10 @@ class DistanceParams:
             raise ConfigError("hist_bins must be positive")
         if self.hist_smoothing <= 0:
             raise ConfigError("hist_smoothing must be positive")
+        if self.ridge_lambda is not None and self.ridge_lambda < 0:
+            raise ConfigError(
+                f"ridge_lambda must be nonnegative, got {self.ridge_lambda!r}"
+            )
 
 
 @dataclass
@@ -223,7 +228,8 @@ def _feature_distance(Xu: np.ndarray, Xv: np.ndarray, params: DistanceParams) ->
 
 def _mean_cov(task: TaskDataset, params: DistanceParams):
     X = _sample_features(task, params)
-    return X.mean(axis=0), np.cov(X, rowvar=False)
+    # np.cov of one column is 0-d; the Frobenius norm needs a matrix
+    return X.mean(axis=0), np.atleast_2d(np.cov(X, rowvar=False))
 
 
 def _gauss_meancov(u, v, params: DistanceParams) -> float:
@@ -258,15 +264,21 @@ def _targets(task: TaskDataset, params: DistanceParams) -> np.ndarray:
 def _pair_histograms(
     yu: np.ndarray, yv: np.ndarray, params: DistanceParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed histograms of two targets over their joint range (NaN if it overflows)."""
+    """Smoothed histograms of two targets over their joint range.
+
+    NaN when the range does not split into ``hist_bins`` bins with distinct,
+    finite edges: it overflows, or it holds too few floats. That is the test
+    ``np.histogram`` itself makes before it raises.
+    """
     lo = min(yu.min(), yv.min())
     hi = max(yu.max(), yv.max())
-    if not np.isfinite(hi - lo):
-        return np.full(params.hist_bins, np.nan), np.full(params.hist_bins, np.nan)
     if lo == hi:
         p = np.zeros(params.hist_bins)
         p[0] = 1.0
         return p.copy(), p.copy()
+    edges = np.linspace(lo, hi, params.hist_bins + 1)
+    if not (edges[:-1] < edges[1:]).all():
+        return np.full(params.hist_bins, np.nan), np.full(params.hist_bins, np.nan)
 
     def hist(y: np.ndarray) -> np.ndarray:
         counts, _ = np.histogram(y, bins=params.hist_bins, range=(lo, hi))
@@ -419,7 +431,7 @@ def _pairwise(
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise DegenerateDesignError(
             f"pair ({tasks[i].id!r}, {tasks[j].id!r}): distance is {float(values[i, j])!r}, "
-            "not finite: it overflows at the scale of the tasks' values"
+            "not finite at the scale of the tasks' values"
         )
     return values
 

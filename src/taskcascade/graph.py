@@ -120,9 +120,18 @@ def _endpoints(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def medoid(dist: DistanceMatrix | np.ndarray) -> int:
-    """Task with the minimal sum of distances to all others (ties: lowest index)."""
+    """Task with the minimal sum of distances to all others (ties: lowest index).
+
+    When a row sum overflows, every row is summed again with its entries
+    divided by a power of two above the largest, which no sum overflows.
+    """
     w = _weights(dist)
-    return int(np.argmin(w.sum(axis=1)))
+    with np.errstate(over="ignore"):
+        sums = w.sum(axis=1)
+    if not np.isfinite(sums).all():
+        _, exponent = np.frexp(w.max())
+        sums = np.ldexp(w, -exponent).sum(axis=1)
+    return int(np.argmin(sums))
 
 
 def root_tree(

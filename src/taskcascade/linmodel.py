@@ -46,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateDesignError,
     DivergenceError,
     NonFiniteGramError,
@@ -130,7 +131,7 @@ def _power_estimates(
     G[t] = V[t] diag(lam[t]) V[t]^T. The estimate is that of the loop that
     starts at v0 = 1/sqrt(d), sets v_k = S v_{k-1} / |S v_{k-1}| and returns
     the first Rayleigh quotient q_k = v_k . S v_k with
-    |q_k - q_{k-1}| <= tol * max(1, |q_k|) (q_0 = 0), or q_max_iter, or 0
+    |q_k - q_{k-1}| <= tol * |q_k| (q_0 = 0), or q_max_iter, or 0
     when S v0 = 0. Here q_k comes in closed form from the eigendecomposition
     (see the module docstring), for ``_POWER_CHUNK`` designs and a block of
     k at a time (see :func:`_power_chunk`).
@@ -208,7 +209,7 @@ def _power_chunk(
         np.exp(w, out=w)
         q = scale[:, None] * _sum_in_order(mu[low:] * w) / _sum_in_order(w)
         change = np.abs(q - np.concatenate((q_prev[:, None], q[:, :-1]), axis=1))
-        stops = change <= tol * np.maximum(1.0, np.abs(q))
+        stops = change <= tol * np.abs(q)
         first = stops.argmax(axis=1)
         done = stops[np.arange(rows.size), first]
         estimates[rows[done]] = q[done, first[done]]
@@ -276,8 +277,9 @@ def refine(
     given a Design, plus the O(d^3) decomposition given a plain array. b = 0
     returns a copy of theta0. Raises DivergenceError when b >= 1 and
     eta * lambda_max > 2, where the iteration would grow without bound, or
-    when the result is not finite; DegenerateDesignError instead when that
-    is because X^T y is not finite (its entries overflow).
+    when theta0 is not finite. A result that is not finite from a finite
+    theta0 raises DegenerateDesignError: X^T y, or the solution c / lam it
+    moves towards, overflows at the scale of the task's entries.
 
     theta0 of shape (d,) with y of shape (n,) refines one parameter vector.
     theta0 of shape (d, k) with y of shape (n, k) refines k columns at once,
@@ -294,7 +296,7 @@ def refine(
     if theta.shape != expected:
         raise ShapeMismatchError(f"theta has shape {theta.shape}, expected {expected}")
     if b < 0:
-        raise ValueError(f"budget must be nonnegative, got {b}")
+        raise ConfigError(f"budget must be nonnegative, got {b}")
     if b == 0:
         return theta
     if design is None:
@@ -318,14 +320,21 @@ def refine(
     c = V.T @ (X.T @ y)
     # lam <= 0 gives r = 1 and progress = 0, so z0 stays there
     target = np.divide(c, lam[rows], out=z0.copy(), where=(lam > 0.0)[rows])
-    theta = V @ (z0 + progress[rows] * (target - z0))
-    if not np.isfinite(theta).all():
+    out = V @ (z0 + progress[rows] * (target - z0))
+    if not np.isfinite(out).all():
+        if not np.isfinite(theta).all():
+            raise DivergenceError(
+                "refinement produced non-finite parameters from a non-finite theta0"
+            )
         if not np.isfinite(c).all():
             raise DegenerateDesignError(
                 "X^T y is not finite; the task's entries are too large"
             )
-        raise DivergenceError("refinement produced non-finite parameters")
-    return theta
+        raise DegenerateDesignError(
+            "the refined parameters are not finite; the task's least-squares "
+            "solution overflows at the scale of its entries"
+        )
+    return out
 
 
 def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
@@ -340,7 +349,7 @@ def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray
     if X.shape[0] != y.shape[0]:
         raise ShapeMismatchError(f"X {X.shape} and y {y.shape} do not agree")
     if lam < 0:
-        raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
+        raise ConfigError(f"ridge penalty must be nonnegative, got {lam}")
     with np.errstate(over="ignore", invalid="ignore"):
         G = X.T @ X + lam * np.eye(X.shape[1])
         Xty = X.T @ y

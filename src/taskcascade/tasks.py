@@ -12,12 +12,17 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, ShapeMismatchError
+from .errors import ConfigError, DataFormatError, NonFiniteGramError, ShapeMismatchError
 from .seeding import substream
+
+if TYPE_CHECKING:
+    from .linmodel import Design
 
 MANIFEST_NAME = "manifest.json"
 # What lets a file name leave the collection directory.
@@ -139,6 +144,22 @@ class TaskCollection:
     @property
     def ids(self) -> list[str]:
         return [t.id for t in self.tasks]
+
+    @cached_property
+    def designs(self) -> list[Design]:
+        """Every task's training design, from one stacked eigendecomposition.
+
+        Built on first use and kept, so every run that refines the collection
+        reads the same designs; its tasks must not be replaced after that. A
+        Gram matrix that overflows names its task.
+        """
+        from .linmodel import build_designs  # so that gen never loads linmodel
+
+        try:
+            return build_designs([task.X_train for task in self.tasks])
+        except NonFiniteGramError as exc:
+            task = self.tasks[exc.index]
+            raise NonFiniteGramError(f"task {task.id!r}: {exc}", exc.index) from exc
 
 
 @dataclass
@@ -329,10 +350,18 @@ def load_collection(path: str | Path, read_test: bool = True) -> TaskCollection:
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"malformed {manifest_path}: {exc}") from None
     try:
-        dim = int(manifest["dim"])
-        entries = manifest["tasks"]
+        dim, entries = manifest["dim"], manifest["tasks"]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{manifest_path} missing key: {exc}") from None
+    if type(dim) is not int or dim < 1:  # a bool is no dimension either
+        raise DataFormatError(
+            f"{manifest_path}: 'dim' must be an integer of at least 1, "
+            f"got {json.dumps(dim)}"
+        )
+    if not isinstance(entries, list) or not entries:
+        raise DataFormatError(
+            f"{manifest_path}: 'tasks' must be a non-empty list, got {json.dumps(entries)}"
+        )
 
     tasks = []
     for entry in entries:

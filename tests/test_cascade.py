@@ -168,13 +168,6 @@ class TestRunMethod:
         with pytest.raises(ConfigError):
             ExperimentConfig(method="magic", budget=10, data_path="x")
 
-    def test_metric_recorded_on_result(self, rng):
-        collection = make_collection(rng, T=3, n=16, d=3)
-        config = ExperimentConfig(method="star", budget=30, data_path="x")
-        assert run_method(config, collection).metric_name == "gradient"
-        config = ExperimentConfig(method="individual", budget=30, data_path="x")
-        assert run_method(config, collection).metric_name == "none"
-
     def test_gaussian_init_changes_underfit_params_deterministically(self, rng):
         collection = make_collection(rng, T=3, n=16, d=3)
         zeros = ExperimentConfig(method="star", budget=3, data_path="x", seed=4)
@@ -246,6 +239,42 @@ class TestDefaultStepSizes:
             run_cascade(collection, tree, uniform_default(tree, 30))
         config = ExperimentConfig(method="individual", budget=30, data_path="unused")
         with pytest.raises(DegenerateDesignError, match=f"task 'bad': {problem}"):
+            run_method(config, collection)
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_step_size_does_not_depend_on_the_scale_of_the_design(self, seed):
+        # Scaling a task's X and y by 1e-150 leaves its gradient descent at
+        # 1/lambda_max unchanged. A power iteration stopped by an absolute
+        # tolerance below lambda_max = 1 took its first iterate for the
+        # estimate, and at these seeds that step size diverged.
+        def collection(scale):
+            rng = np.random.default_rng(seed)
+            tasks = []
+            for i in range(3):
+                X, y = rng.standard_normal((8, 3)), rng.standard_normal(8)
+                if i == 1:
+                    X, y = X * scale, y * scale
+                tasks.append(TaskDataset(f"t{i}", X, y, rng.standard_normal((4, 3)),
+                                         rng.standard_normal(4)))
+            return TaskCollection(tasks, 3)
+
+        budgets = BudgetAllocation({0: 10, 1: 10, 2: 10}, 30)
+        want = run_individual(collection(1.0), budgets).params[1]
+        got = run_individual(collection(1e-150), budgets).params[1]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method, metric", [("individual", None), ("mst", "gradient")])
+    def test_solution_that_overflows_names_the_task(self, rng, method, metric):
+        # eta * lambda_max is about 1, so nothing diverges, but X^T y / lam of
+        # task1, about 1e450, overflows: an input fault, not a divergence
+        collection = make_collection(rng, T=3, n=8, d=3)
+        task = collection[1]
+        collection.tasks[1] = dataclasses.replace(
+            task, X_train=task.X_train * 1e-150, y_train=task.y_train * 1e300)
+        config = ExperimentConfig(method=method, metric_name=metric, budget=30,
+                                  data_path="unused")
+        with pytest.raises(DegenerateDesignError,
+                           match="^task 'task1': the refined parameters are not finite"):
             run_method(config, collection)
 
     @pytest.mark.parametrize("method, metric", [("individual", None), ("mst", "feature")])
@@ -332,8 +361,7 @@ class TestRunExperiment:
                 fh.write(f"{os.getpid()} {len(Xs)}\n")
             return original(Xs)
 
-        for module in (linmodel, cascade):
-            monkeypatch.setattr(module, "build_designs", counted)
+        monkeypatch.setattr(linmodel, "build_designs", counted)
         return lambda: log.read_text().splitlines() if log.exists() else []
 
     def test_a_synthetic_replicate_builds_its_designs_once(self, tmp_path, monkeypatch):

@@ -19,6 +19,8 @@ from taskcascade.distances import (
 )
 from taskcascade.tasks import TaskCollection, TaskDataset, load_collection, save_collection
 
+from conftest import read_tree_csv
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
@@ -436,6 +438,19 @@ class TestBench:
         assert values == report.per_seed_mean_rmse
         assert np.mean(values) == pytest.approx(report.mean_rmse)
 
+    def test_metric_column_names_the_metric_each_method_used(self, tmp_path):
+        cfg = write_json(tmp_path / "b.json", {
+            "methods": ["individual", "star", "mst"], "metrics": ["target"],
+            "budgets": [30], "seed": 8,
+            "synthetic": {"num_tasks": 3, "dim": 2, "n_train": 10, "n_test": 5},
+        })
+        out = tmp_path / "bench"
+        assert main(["bench", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        rows = (out / "bench.csv").read_text().splitlines()[1:]
+        # individual compares no tasks; star roots at the gradient medoid
+        assert [row.split(",")[:2] for row in rows] == [
+            ["individual", "none"], ["star", "gradient"], ["mst", "target"]]
+
     def test_missing_methods_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "b.json", {"budgets": [10]})
         assert main(["bench", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
@@ -532,7 +547,7 @@ def test_missing_package_attribute_raises_attribute_error():
 
 
 @pytest.mark.parametrize("command, unused", [
-    ("gen", {"budget", "cascade", "distances", "graph", "theory"}),
+    ("gen", {"budget", "cascade", "distances", "graph", "linmodel", "theory"}),
     ("tree", {"budget", "cascade", "tasks", "theory"}),
     ("verify", {"budget", "cascade", "distances", "graph", "tasks"}),
 ])
@@ -709,6 +724,100 @@ def test_run_on_a_subnormal_design_exits_2_naming_the_task(tmp_path, method):
     })
     _rejected(_cli(["run", cfg, "--out", "out"], tmp_path),
               "error: task 't1': power iteration's estimate", tmp_path / "out")
+
+
+def _succeeded(out, output):
+    """``out`` exited 0 with nothing on stderr, no numpy warning either, and
+    wrote ``output``."""
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
+    assert output.exists()
+
+
+@pytest.mark.parametrize("method", ["individual", "mst"])
+def test_run_on_a_tiny_scaled_task_succeeds(tmp_path, method):
+    # X and y of t1 times 1e-150 pose t1's problem at another scale; its step
+    # size used to come from power iteration's first iterate, which diverged
+    rng = np.random.default_rng(1)
+    _collection_with(tmp_path, X_train=rng.standard_normal((6, 3)) * 1e-150,
+                     y_train=rng.standard_normal(6) * 1e-150)
+    cfg = write_json(tmp_path / "run.json", {
+        "method": method, "metric_name": "gradient", "budget": 30, "num_seeds": 1,
+        "data_path": "col",
+    })
+    _succeeded(_cli(["run", cfg, "--out", "out"], tmp_path), tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize("method", ["individual", "mst"])
+def test_run_of_a_task_whose_solution_overflows_exits_2_naming_it(tmp_path, method):
+    # X times 1e-150 and y times 1e300 put t1's least-squares solution near 1e450
+    rng = np.random.default_rng(0)
+    _collection_with(tmp_path, X_train=rng.standard_normal((8, 3)) * 1e-150,
+                     y_train=rng.standard_normal(8) * 1e300)
+    cfg = write_json(tmp_path / "run.json", {
+        "method": method, "metric_name": "gradient", "budget": 30, "num_seeds": 1,
+        "data_path": "col",
+    })
+    _rejected(_cli(["run", cfg, "--out", "out"], tmp_path),
+              "error: task 't1': the refined parameters are not finite", tmp_path / "out")
+
+
+@pytest.mark.parametrize("metric", ["sym_kl", "js"])
+def test_dist_of_targets_too_close_for_distinct_bins_exits_2_naming_the_pair(tmp_path,
+                                                                            metric):
+    # targets of 0, 5e-324 and 1e-323 span too few floats for 32 bin edges
+    rng = np.random.default_rng(0)
+    tasks = [TaskDataset(f"t{i}", rng.standard_normal((8, 3)), rng.integers(0, 3, 8) * 5e-324,
+                         np.empty((0, 3)), np.empty(0)) for i in range(3)]
+    save_collection(TaskCollection(tasks, 3), tmp_path / "col")
+    _rejected(_cli(["dist", "col", "--metric", metric, "--out", "d.csv"], tmp_path),
+              "error: pair ('t0', 't1'): distance is nan, not finite", tmp_path / "d.csv")
+
+
+def test_dist_gauss_meancov_of_one_feature_succeeds(tmp_path):
+    cfg = write_json(tmp_path / "gen.json", {"num_tasks": 3, "dim": 1, "n_train": 8})
+    assert _cli(["gen", cfg, "--out", "col"], tmp_path).returncode == 0
+    _succeeded(_cli(["dist", "col", "--metric", "gauss_meancov", "--out", "d.csv"],
+                    tmp_path), tmp_path / "d.csv")
+
+
+def test_tree_of_a_matrix_whose_row_sums_overflow_roots_at_the_true_medoid(tmp_path):
+    # row sums 3e308, 2.5e308 and 2.5e308 all overflow; the medoid is task b
+    (tmp_path / "d.csv").write_text(
+        "a,b,c\n0,1.5e308,1.5e308\n1.5e308,0,1e308\n1.5e308,1e308,0\n")
+    out = _cli(["tree", "d.csv", "--out", "t.csv"], tmp_path)
+    _succeeded(out, tmp_path / "t.csv")
+    assert read_tree_csv(tmp_path / "t.csv")[0] == "b"
+
+
+def test_negative_ridge_lambda_exits_2_naming_the_key(tmp_path):
+    _collection_with(tmp_path)
+    params = write_json(tmp_path / "params.json", {"ridge_lambda": -1.0})
+    _rejected(_cli(["dist", "col", "--metric", "model", "--params", "params.json",
+                    "--out", "d.csv"], tmp_path),
+              "error: ridge_lambda must be nonnegative", tmp_path / "d.csv")
+    cfg = write_json(tmp_path / "run.json", {
+        "method": "mst", "metric_name": "model", "budget": 30, "data_path": "col",
+        "distance_params": {"ridge_lambda": -1.0},
+    })
+    _rejected(_cli(["run", cfg, "--out", "out"], tmp_path),
+              "error: ridge_lambda must be nonnegative", tmp_path / "out")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", "abc"), ("dim", 2.7), ("dim", "2"), ("dim", True), ("tasks", []),
+])
+def test_bad_manifest_exits_2_naming_it(tmp_path, key, value):
+    _collection_with(tmp_path)
+    manifest = json.loads((tmp_path / "col" / "manifest.json").read_text())
+    write_json(tmp_path / "col" / "manifest.json", {**manifest, key: value})
+    problem = f"error: {Path('col', 'manifest.json')}: {key!r} must be"
+    _rejected(_cli(["dist", "col", "--metric", "gradient", "--out", "d.csv"], tmp_path),
+              problem, tmp_path / "d.csv")
+    for method in ("individual", "mst"):
+        cfg = write_json(tmp_path / "run.json", {
+            "method": method, "metric_name": "gradient", "budget": 30, "data_path": "col",
+        })
+        _rejected(_cli(["run", cfg, "--out", "out"], tmp_path), problem, tmp_path / "out")
 
 
 def test_run_without_jobs_never_imports_the_process_pool(tmp_path):

@@ -100,6 +100,21 @@ class TestFeatureFamily:
         v = task_from(np.tile([3.0, 4.0], (4, 1)))
         assert task_distance(u, v, "gauss_meancov") == pytest.approx(5.0)
 
+    def test_gauss_meancov_of_one_feature(self, rng):
+        # np.cov of one column is 0-d, which the Frobenius norm rejected
+        Xu, Xv = rng.standard_normal((6, 1)), rng.standard_normal((9, 1))
+        want = (abs(Xu.mean() - Xv.mean())
+                + abs(np.var(Xu, ddof=1) - np.var(Xv, ddof=1)))
+        got = task_distance(task_from(Xu), task_from(Xv), "gauss_meancov")
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_gauss_meancov_of_several_features_keeps_its_bits(self, rng, d):
+        Xu, Xv = rng.standard_normal((6, d)), rng.standard_normal((9, d))
+        want = float(np.linalg.norm(Xu.mean(axis=0) - Xv.mean(axis=0)) + np.linalg.norm(
+            np.cov(Xu, rowvar=False) - np.cov(Xv, rowvar=False), ord="fro"))
+        assert task_distance(task_from(Xu), task_from(Xv), "gauss_meancov") == want
+
     def test_gauss_meancov_needs_two_samples(self):
         u = task_from(np.zeros((1, 2)))
         v = task_from(np.ones((4, 2)))
@@ -402,6 +417,28 @@ class TestDistanceMatrix:
                            match=rf"^pair \('t0', 't1'\): distance is {value}, not finite"):
             compute_distance_matrix(TaskCollection(tasks, 3), metric)
 
+    @pytest.mark.parametrize("metric", ["sym_kl", "js"])
+    def test_target_range_without_distinct_bin_edges_is_named(self, rng, metric):
+        # t1's targets are 0, 5e-324 and 1e-323: its joint range with t2 holds
+        # three floats, too few for 32 bins, where np.histogram raised a bare
+        # "Too many bins" ValueError
+        tasks = [make_task(rng, n=8, d=3, task_id=f"t{i}") for i in range(3)]
+        tasks[1] = dataclasses.replace(tasks[1],
+                                       y_train=rng.integers(0, 3, 8) * 5e-324)
+        tasks[2] = dataclasses.replace(tasks[2], y_train=np.resize([0.0, 1e-323], 8))
+        with pytest.raises(DegenerateDesignError,
+                           match=r"^pair \('t1', 't2'\): distance is nan, not finite"):
+            compute_distance_matrix(TaskCollection(tasks, 3), metric)
+
+    @pytest.mark.parametrize("metric", ["sym_kl", "js"])
+    def test_narrowest_target_range_with_distinct_bin_edges_is_finite(self, metric):
+        # 2 targets 32 floats apart leave 33 distinct edges, one float per bin
+        y = np.array([1.0, np.nextafter(1.0, 2.0)])
+        for _ in range(31):
+            y[1] = np.nextafter(y[1], 2.0)
+        u, v = task_from(np.ones((2, 1)), y), task_from(np.ones((2, 1)), y[::-1])
+        assert task_distance(u, v, metric) == pytest.approx(0.0, abs=1e-12)
+
     @pytest.mark.parametrize("normalize", [True, False])
     def test_gradient_whose_norm_overflows_names_the_task(self, rng, normalize):
         # X^T y = (1e155, 1e155, 1e155) is finite, but its norm is not
@@ -525,6 +562,14 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[1.0]]), "m")  # nonzero diagonal
         with pytest.raises(ConfigError):
             DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), "m")  # negative
+
+
+def test_negative_ridge_lambda_is_rejected_naming_the_key(rng):
+    with pytest.raises(ConfigError, match="^ridge_lambda must be nonnegative, got -1.0$"):
+        DistanceParams(ridge_lambda=-1.0)
+    collection = make_collection(rng, T=3)
+    assert compute_distance_matrix(collection, "model",
+                                   DistanceParams(ridge_lambda=0.0)).size == 3
 
 
 def test_median_bandwidth_degenerate_fallback():

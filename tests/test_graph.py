@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ class TestMedoid:
         w = symmetric_matrix(rng, 50)
         sums = [sum(w[v, u] for u in range(50)) for v in range(50)]
         assert medoid(w) == sums.index(min(sums))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_sums_that_overflow_give_the_medoid_of_the_true_sums(self, seed):
+        # w * 2^1019 is exact and finite, but its row sums, about 2^1027,
+        # overflow: every row then tied at inf, won by the lowest index, with
+        # numpy's overflow warning
+        w = symmetric_matrix(np.random.default_rng(seed), 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert medoid(np.ldexp(w, 1019)) == medoid(w)
 
 
 class TestRootTree:

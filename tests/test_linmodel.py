@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskcascade.errors import (
+    ConfigError,
     DegenerateDesignError,
     DivergenceError,
     NonFiniteGramError,
@@ -66,7 +67,7 @@ def power_top_eig_two_matvecs(S, tol, max_iter):
             return 0.0
         v = w / norm
         lam_new = float(v @ (S @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= tol * abs(lam_new):
             return lam_new
         lam = lam_new
     return lam
@@ -178,6 +179,17 @@ class TestLambdaMax:
         with pytest.raises(DegenerateDesignError):
             lambda_max(np.zeros((4, 3)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(Xs=design_stacks(), k=st.integers(-60, 60))
+    def test_estimate_scales_with_the_design(self, Xs, k):
+        # X * 2^k scales X^T X by 4^k exactly, and a relative stop rule stops
+        # power iteration at the same step; one absolute below 1 did not
+        for X in Xs:
+            if not X.any():
+                continue
+            want = 4.0**k * lambda_max(X)
+            assert abs(lambda_max(np.ldexp(X, k)) - want) <= 1e-12 * want
+
     @settings(max_examples=150, deadline=None)
     @given(Xs=design_stacks())
     def test_rejected_as_zero_exactly_when_the_gram_matrix_is(self, Xs):
@@ -216,7 +228,7 @@ class TestLambdaMax:
         got = linmodel._power_estimates(G, lam, V, tol, max_iter)
         for S, estimate in zip(G, got):
             want = power_top_eig_two_matvecs(S, tol, max_iter)
-            assert abs(estimate - want) <= 2 * tol * max(1.0, abs(want))
+            assert abs(estimate - want) <= 2 * tol * abs(want)
 
     @settings(max_examples=200, deadline=None)
     @given(Xs=design_stacks())
@@ -337,6 +349,19 @@ class TestRefine:
         got = refine(theta0, X, y, 50_000, eta)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
+    def test_negative_budget_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="budget must be nonnegative, got -1"):
+            refine(np.zeros(2), np.eye(2), np.ones(2), -1, 0.5)
+
+    def test_solution_that_overflows_is_degenerate_not_divergent(self):
+        # eta * lambda_max is 1, so nothing diverges, but X^T y / lam, about
+        # 1e450, does not fit in a float
+        X = np.random.default_rng(0).standard_normal((8, 3)) * 1e-150
+        y = np.random.default_rng(1).standard_normal(8) * 1e300
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DegenerateDesignError, match="least-squares solution overflows"):
+            refine(np.zeros(3), X, y, 10, 1.0 / lambda_max(X))
+
     def test_rank_deficient_design_keeps_null_space(self):
         X, y, theta0 = design("wide", 4)  # rank 3 in 6 dimensions
         null = np.linalg.svd(X)[2][3:]  # orthonormal basis of the null space
@@ -413,6 +438,10 @@ class TestRidge:
             theta = ridge_solution(X, y, 0.1)
             lhs = (X.T @ X + 0.1 * np.eye(5)) @ theta
             assert np.linalg.norm(lhs - X.T @ y) < 1e-8
+
+    def test_negative_penalty_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="ridge penalty must be nonnegative, got -1"):
+            ridge_solution(np.eye(2), np.ones(2), -1.0)
 
     def test_singular_design_at_lambda_zero(self):
         X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank 1

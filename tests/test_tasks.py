@@ -171,11 +171,13 @@ def test_load_two_well_formed_tasks(rng, tmp_path):
     assert len(load_collection(tmp_path / "two")) == 2
 
 
-def test_empty_collection_round_trip(tmp_path):
+def test_empty_collection_saves_but_does_not_load(tmp_path):
+    # a collection of no tasks has nothing to compare or refine
     save_collection(TaskCollection([], 4), tmp_path / "empty")
     manifest = json.loads((tmp_path / "empty" / "manifest.json").read_text())
     assert manifest["tasks"] == []
-    assert len(load_collection(tmp_path / "empty")) == 0
+    with pytest.raises(DataFormatError, match="'tasks' must be a non-empty list, got"):
+        load_collection(tmp_path / "empty")
 
 
 @pytest.mark.parametrize("empty_shape", [(0, 0), (0, 1), (0, 3), (0, 7)])
@@ -252,6 +254,30 @@ def test_manifest_data_files_stay_in_the_collection(rng, tmp_path, key, name):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(DataFormatError, match=r"task 'task1': data file"):
         load_collection(tmp_path / "col")
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("dim", "abc", "'dim' must be an integer of at least 1, got \"abc\""),
+    ("dim", "2", "'dim' must be an integer of at least 1, got \"2\""),
+    ("dim", 2.7, "'dim' must be an integer of at least 1, got 2.7"),
+    ("dim", 2.0, "'dim' must be an integer of at least 1, got 2.0"),
+    ("dim", True, "'dim' must be an integer of at least 1, got true"),
+    ("dim", 0, "'dim' must be an integer of at least 1, got 0"),
+    ("dim", None, "'dim' must be an integer of at least 1, got null"),
+    ("tasks", [], "'tasks' must be a non-empty list, got []"),
+    ("tasks", {}, "'tasks' must be a non-empty list, got {}"),
+    ("tasks", "task0", "'tasks' must be a non-empty list, got \"task0\""),
+], ids=["dim-text", "dim-digits", "dim-fraction", "dim-float", "dim-bool", "dim-zero",
+        "dim-null", "tasks-empty", "tasks-object", "tasks-text"])
+def test_manifest_dim_and_tasks_are_checked(rng, tmp_path, key, value, problem):
+    save_collection(make_collection(rng, T=2, d=2), tmp_path / "col")
+    manifest_path = tmp_path / "col" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError) as info:
+        load_collection(tmp_path / "col")
+    assert str(info.value) == f"{manifest_path}: {problem}"
 
 
 def test_read_test_false_never_opens_the_test_files(rng, tmp_path):
