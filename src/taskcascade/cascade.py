@@ -45,7 +45,8 @@ class CascadeResult:
     steps_executed: int = 0
 
     def mean_test_rmse(self) -> float:
-        return float(np.mean(list(self.test_rmse.values())))
+        # in task order, whatever order the executor evaluated the tasks in
+        return float(np.mean([self.test_rmse[i] for i in range(len(self.test_rmse))]))
 
 
 @dataclass
@@ -80,22 +81,6 @@ class ExperimentConfig:
             raise ConfigError("exactly one of synthetic or data_path must be set")
 
 
-def _evaluate(
-    collection: TaskCollection, params: dict[int, np.ndarray]
-) -> dict[int, float]:
-    test_rmse = {}
-    for i, task in enumerate(collection):
-        if task.n_test == 0:
-            raise ShapeMismatchError(f"task {task.id!r} has no test split to evaluate")
-        test_rmse[i] = rmse(params[i], task.X_test, task.y_test)
-        if not math.isfinite(test_rmse[i]):
-            raise DegenerateDesignError(
-                f"task {task.id!r}: test RMSE is {test_rmse[i]!r}, not finite; "
-                "the task's test entries are too large"
-            )
-    return test_rmse
-
-
 def _check_budgets(collection: TaskCollection, budgets: BudgetAllocation) -> None:
     if set(budgets.per_task) != set(range(len(collection))):
         raise ConfigError("budget allocation does not cover the collection")
@@ -110,42 +95,45 @@ def _refine_forest(
     tree: RootedTree | None,
     theta_init: np.ndarray | None,
 ) -> CascadeResult:
-    """Refine every task, each from its parent's parameters, and evaluate.
+    """Refine and evaluate every task in one pass over the cascade order.
 
-    With a tree, tasks run in its topological order and each child starts
-    from its parent's refined parameters; without one (``None``) every task
-    is a root, refined in task order. A root starts from ``theta_init``
-    (zeros by default). Every task steps by 1/lambda_max of its own design,
-    all computed in task order before the first refine; an error names its
-    task.
+    The order is the tree's topological order, each child starting from its
+    parent's refined parameters, or task order without a tree (``None``). A
+    root starts from ``theta_init`` (zeros by default). Each task in turn
+    steps by 1/lambda_max of its design, is refined and is evaluated, so an
+    error names the first failing task in that order.
     """
     _check_budgets(collection, budgets)
     designs = collection.designs
-    etas = []
-    for design, task in zip(designs, collection):
-        try:
-            etas.append(1.0 / lambda_max(design))
-        except TaskCascadeError as exc:
-            raise type(exc)(f"task {task.id!r}: {exc}") from exc
     if theta_init is None:
         theta_init = np.zeros(collection.dim)
     parent = tree.parent if tree is not None else {}
     order = topological_order(tree) if tree is not None else range(len(collection))
 
     params: dict[int, np.ndarray] = {}
+    test_rmse: dict[int, float] = {}
     steps = 0
     for v in order:
-        start_theta = params[parent[v]] if v in parent else theta_init
         task = collection[v]
+        if task.n_test == 0:
+            raise ShapeMismatchError(f"task {task.id!r} has no test split to evaluate")
+        start_theta = params[parent[v]] if v in parent else theta_init
         b = budgets.per_task[v]
         try:
-            params[v] = refine(start_theta, designs[v], task.y_train, b, etas[v])
+            eta = 1.0 / lambda_max(designs[v])
+            params[v] = refine(start_theta, designs[v], task.y_train, b, eta)
+            test_rmse[v] = rmse(params[v], task.X_test, task.y_test)
+            if not math.isfinite(test_rmse[v]):
+                raise DegenerateDesignError(
+                    f"test RMSE is {test_rmse[v]!r}, not finite; "
+                    "the task's test entries are too large"
+                )
         except TaskCascadeError as exc:
             raise type(exc)(f"task {task.id!r}: {exc}") from exc
         steps += b
     return CascadeResult(
         params=params,
-        test_rmse=_evaluate(collection, params),
+        test_rmse=test_rmse,
         tree=tree,
         budgets=budgets,
         task_ids=collection.ids,

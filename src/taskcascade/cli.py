@@ -18,7 +18,8 @@ or input-data error: every package error that is a ``ValueError``, such as
 a malformed collection or distance matrix, tasks of unequal shapes, a
 missing test split, a design that is zero or singular, or values that
 overflow or underflow. The error names the task, the pair of tasks for a
-distance, or the config key.
+distance, or the config key. A path that is missing or of the wrong kind,
+and a file that cannot be decoded as text, exit 2 naming the path.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed JSON in {p}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{p} must hold a JSON object")
@@ -361,11 +362,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TaskCascadeError as exc:
+    except (TaskCascadeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # Every package error that describes input or config is a ValueError;
-        # the one runtime failure, DivergenceError, is not.
-        return 2 if isinstance(exc, ValueError) else 1
+        # Every package error that describes input or config is a ValueError,
+        # and an OSError names a path that is missing or of the wrong kind;
+        # the one runtime failure, DivergenceError, is neither.
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1
 
 
 def entry() -> None:

@@ -98,7 +98,6 @@ class DistanceMatrix:
     """Symmetric nonnegative pairwise task distances with a zero diagonal."""
 
     values: np.ndarray
-    metric_name: str
     task_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -460,7 +459,7 @@ def compute_distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise distances over all unordered task pairs, training splits only."""
     values = _pairwise(collection.tasks, metric_name, params)
-    return DistanceMatrix(values, metric_name, collection.ids)
+    return DistanceMatrix(values, collection.ids)
 
 
 def save_distance_matrix(matrix: DistanceMatrix, path) -> None:
@@ -471,43 +470,46 @@ def save_distance_matrix(matrix: DistanceMatrix, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_distance_matrix(path, metric_name: str = "unknown") -> DistanceMatrix:
+def load_distance_matrix(path) -> DistanceMatrix:
     """Read a matrix written by :func:`save_distance_matrix`.
 
     A header with an empty or repeated id, or a row with a non-numeric cell
     or with more or fewer cells than the header has ids, raises
     :class:`DataFormatError` naming the file and line.
     """
-    with open(path) as fh:
-        # Only the line break comes off: an id may begin or end in a space.
-        header = fh.readline().rstrip("\n")
-        if not header:
-            raise ConfigError(f"empty distance matrix file {path}")
-        ids = header.split(",")
-        seen: set[str] = set()
-        for task_id in ids:
-            if not task_id or task_id in seen:
-                problem = "repeats the id" if task_id else "has an empty id"
-                raise DataFormatError(f"{path}: line 1 {problem} {task_id!r}")
-            seen.add(task_id)
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if cells == [""]:
-                continue
-            if len(cells) != len(ids):
-                raise DataFormatError(
-                    f"{path}: line {line_no} has {len(cells)} cells, expected {len(ids)}"
-                )
-            try:
-                rows.append(list(map(float, cells)))
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}: non-numeric cell on line {line_no}: {exc}"
-                ) from None
+    try:
+        with open(path) as fh:
+            # Only the line break comes off: an id may begin or end in a space.
+            header, *lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not text: {exc}") from None
+    if not header:
+        raise ConfigError(f"empty distance matrix file {path}")
+    ids = header.split(",")
+    seen: set[str] = set()
+    for task_id in ids:
+        if not task_id or task_id in seen:
+            problem = "repeats the id" if task_id else "has an empty id"
+            raise DataFormatError(f"{path}: line 1 {problem} {task_id!r}")
+        seen.add(task_id)
+    rows = []
+    for line_no, line in enumerate(lines, start=2):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(ids):
+            raise DataFormatError(
+                f"{path}: line {line_no} has {len(cells)} cells, expected {len(ids)}"
+            )
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{path}: non-numeric cell on line {line_no}: {exc}"
+            ) from None
     values = np.array(rows, dtype=np.float64)
     if values.shape != (len(ids), len(ids)):
         raise ConfigError(
             f"{path}: expected a {len(ids)}x{len(ids)} matrix, got {values.shape}"
         )
-    return DistanceMatrix(values, metric_name, ids)
+    return DistanceMatrix(values, ids)

@@ -208,9 +208,7 @@ def decode_pruefer(sequence: list[int] | np.ndarray, num_nodes: int) -> list[Edg
 
 def random_spanning_tree(num_nodes: int, seed: int | np.random.Generator) -> list[Edge]:
     """Uniform random labeled tree via a uniformly sampled Pruefer sequence."""
-    if num_nodes < 1:
-        raise GraphError("need at least one node")
-    if num_nodes <= 2:
+    if num_nodes <= 2:  # decode_pruefer rejects a count below 1
         return decode_pruefer([], num_nodes)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seq = rng.integers(0, num_nodes, size=num_nodes - 2)

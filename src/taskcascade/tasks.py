@@ -273,8 +273,11 @@ def _csv_rows(text: str) -> list[list[str]]:
 def _read_split_csv(path: Path, task_id: str) -> tuple[np.ndarray, np.ndarray]:
     if not path.is_file():
         raise DataFormatError(f"task {task_id!r}: missing data file {path}")
-    with path.open(newline="") as fh:
-        rows = _csv_rows(fh.read())
+    try:
+        with path.open(newline="") as fh:
+            rows = _csv_rows(fh.read())
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"task {task_id!r}: {path} is not text: {exc}") from None
     if not rows:
         raise DataFormatError(f"task {task_id!r}: empty file {path}")
     header = rows[0]
@@ -347,7 +350,7 @@ def load_collection(path: str | Path, read_test: bool = True) -> TaskCollection:
         raise DataFormatError(f"no {MANIFEST_NAME} in {root}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"malformed {manifest_path}: {exc}") from None
     try:
         dim, entries = manifest["dim"], manifest["tasks"]

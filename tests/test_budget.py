@@ -54,6 +54,16 @@ class TestLargestRemainder:
         assert largest_remainder([0.0, 0.0], 4) == [2, 2]
 
 
+    @pytest.mark.parametrize("weights, total, problem", [
+        ([1.0], -1, "total must be nonnegative"),
+        ([1.0, -0.5], 2, "weights must be nonnegative"),
+        ([], 3, "cannot split a positive total over no items"),
+    ])
+    def test_bad_split_is_rejected(self, weights, total, problem):
+        with pytest.raises(ConfigError, match=f"^{problem}$"):
+            largest_remainder(weights, total)
+
+
 class TestAllocate:
     def test_star_uniform_worked_example(self):
         # B=500, 10% seed: root 50; the rest split 112/113 with sum exact

@@ -82,6 +82,12 @@ class TestRunCascade:
         result = run_cascade(collection, tree, budgets)
         assert result.steps_executed == 73
 
+    def test_budgets_that_miss_a_task_are_rejected(self, rng):
+        collection, tree = make_collection(rng, T=3), star_tree(3, 0)
+        budgets = BudgetAllocation({0: 10, 1: 10}, 20)  # none for task 2
+        with pytest.raises(ConfigError, match="^budget allocation does not cover"):
+            run_cascade(collection, tree, budgets)
+
     def test_test_data_never_influences_training(self, rng):
         collection = make_collection(rng, T=4, n=20, d=3)
         swapped = TaskCollection(
@@ -188,11 +194,11 @@ class TestDefaultStepSizes:
         seen = []
         monkeypatch.setattr(cascade, "lambda_max",
                             lambda design: seen.append(design.X) or lambda_max(design))
-        # the star's topological order starts at task 2; step sizes go in task order
+        # step sizes go in the cascade order, which starts at the star's root 2
         tree = star_tree(4, 2)
         run_cascade(collection, tree, uniform_default(tree, 20))
-        assert len(seen) == 4
-        assert all(X is task.X_train for X, task in zip(seen, collection))
+        assert tree.order == [2, 0, 1, 3]
+        assert [id(X) for X in seen] == [id(collection[v].X_train) for v in tree.order]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_given_defaults_change_nothing(self, rng, method):
@@ -218,10 +224,22 @@ class TestDefaultStepSizes:
             task = collection[v]
             collection.tasks[v] = TaskDataset(task.id, np.zeros_like(task.X_train),
                                               task.y_train, task.X_test, task.y_test)
-        # the tree visits task 2 first, but the first zero design in task order is named
+        # the tree visits task 2 first, so the first zero design it reaches is named
         tree = star_tree(3, 2)
-        with pytest.raises(DegenerateDesignError, match="task 'task1': X\\^T X is the zero"):
+        with pytest.raises(DegenerateDesignError, match="task 'task2': X\\^T X is the zero"):
             run_cascade(collection, tree, uniform_default(tree, 30))
+
+    def test_individual_names_the_first_failing_task_in_task_order(self, rng):
+        # the zero designs of test_zero_design_names_the_task; the forest of
+        # individual runs 0, 1, 2 where star_tree(3, 2) runs 2, 0, 1
+        collection = make_collection(rng, T=3)
+        for v in (1, 2):
+            task = collection[v]
+            collection.tasks[v] = TaskDataset(task.id, np.zeros_like(task.X_train),
+                                              task.y_train, task.X_test, task.y_test)
+        budgets = BudgetAllocation({0: 10, 1: 10, 2: 10}, 30)
+        with pytest.raises(DegenerateDesignError, match="^task 'task1': X\\^T X is the zero"):
+            run_individual(collection, budgets)
 
     @pytest.mark.parametrize("X_train, problem", [
         (np.full((4, 2), 1e200), "X\\^T X is not finite"),  # the Gram matrix overflows
@@ -308,6 +326,19 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report.mean_rmse == report.results[0].mean_test_rmse()
         assert report.std_rmse == 0.0
+
+    def test_seed_mean_averages_the_tasks_in_task_order(self):
+        # The executor evaluates tasks in cascade order. At this seed the mean
+        # in that order differs in its last bit from the mean in task order.
+        config = ExperimentConfig(method="mst", metric_name="gradient", budget=40,
+                                  num_seeds=2, synthetic=self.synthetic(), seed=1)
+        report = run_experiment(config)
+        in_task_order = [float(np.mean([res.test_rmse[i] for i in range(5)]))
+                         for res in report.results]
+        in_cascade_order = [float(np.mean([res.test_rmse[v] for v in res.tree.order]))
+                            for res in report.results]
+        assert report.per_seed_mean_rmse == in_task_order
+        assert in_cascade_order != in_task_order
 
     def test_degenerate_regime_all_methods_near_zero(self):
         synth = self.synthetic(tau_within=0.0, noise_sigma=0.0)

@@ -109,7 +109,7 @@ class TestDist:
         assert main(["dist", str(col_dir), "--metric", "model", "--out", str(out)]) == 0
         collection = load_collection(col_dir)
         expected = compute_distance_matrix(collection, "model", DistanceParams())
-        loaded = load_distance_matrix(out, "model")
+        loaded = load_distance_matrix(out)
         assert np.array_equal(loaded.values, expected.values)
 
     def test_works_without_test_csvs(self, gen_config, tmp_path):
@@ -515,6 +515,7 @@ def test_valid_pipeline_writes_nothing_to_stderr(tmp_path, gen_config):
     (errors.DegenerateDesignError, 2), (errors.NonFiniteGramError, 2),
     (errors.GraphError, 2), (errors.InfeasibleBudgetError, 2),
     (errors.DivergenceError, 1),  # the one runtime failure
+    (FileNotFoundError, 2), (IsADirectoryError, 2),  # a path of the wrong kind
 ])
 def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
     from taskcascade import cli
@@ -550,15 +551,22 @@ def test_missing_package_attribute_raises_attribute_error():
     ("gen", {"budget", "cascade", "distances", "graph", "linmodel", "theory"}),
     ("tree", {"budget", "cascade", "tasks", "theory"}),
     ("verify", {"budget", "cascade", "distances", "graph", "tasks"}),
+    ("dist", {"budget", "cascade", "graph", "theory"}),
+    ("run", {"theory"}),
 ])
-def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, command, unused):
+def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, run_config,
+                                                   command, unused):
+    assert main(["gen", gen_config, "--out", str(tmp_path / "col")]) == 0
     (tmp_path / "dist.csv").write_text("a,b\n0.0,1.0\n1.0,0.0\n")
     verify_config = write_json(tmp_path / "verify.json", {
         "mode": "noisy", "length": 3, "noise_sigma": 0.5, "noise_draws": 20,
     })
     argv = {
-        "gen": ["gen", gen_config, "--out", str(tmp_path / "col")],
+        "gen": ["gen", gen_config, "--out", str(tmp_path / "gen.out")],
+        "dist": ["dist", str(tmp_path / "col"), "--metric", "gradient",
+                 "--out", str(tmp_path / "dist.out")],
         "tree": ["tree", str(tmp_path / "dist.csv"), "--out", str(tmp_path / "tree.csv")],
+        "run": ["run", run_config, "--out", str(tmp_path / "run.out")],
         "verify": ["verify", verify_config, "--out", str(tmp_path / "verify.out")],
     }[command]
     out = _fresh_python(["-c", (
@@ -571,7 +579,10 @@ def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, command
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.split("\n")[-2].split())
     # the layers the command runs, so an empty or wrong listing cannot pass
-    used = {"gen": {"tasks"}, "tree": {"distances", "graph"}, "verify": {"theory"}}
+    used = {"gen": {"tasks"}, "dist": {"distances", "tasks"},
+            "tree": {"distances", "graph"},
+            "run": {"budget", "cascade", "distances", "graph", "linmodel", "tasks"},
+            "verify": {"theory"}}
     assert used[command] <= loaded
     assert not loaded & unused
 
@@ -818,6 +829,62 @@ def test_bad_manifest_exits_2_naming_it(tmp_path, key, value):
             "method": method, "metric_name": "gradient", "budget": 30, "data_path": "col",
         })
         _rejected(_cli(["run", cfg, "--out", "out"], tmp_path), problem, tmp_path / "out")
+
+
+def _path_error_inputs(tmp_path, gen_config):
+    """A collection, its matrix, verify and run configs and a plain file
+    ``afile`` in ``tmp_path``: what the path and text cases below read."""
+    assert main(["gen", gen_config, "--out", str(tmp_path / "col")]) == 0
+    assert main(["dist", str(tmp_path / "col"), "--metric", "gradient",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+    write_json(tmp_path / "verify.json", SMALL_CHAIN)
+    write_json(tmp_path / "run.json", {"method": "individual", "budget": 30,
+                                       "data_path": "col"})
+    (tmp_path / "afile").write_text("kept\n")
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a missing input
+    (["tree", "missing.csv", "--out", "t.csv"], "No such file or directory: 'missing.csv'"),
+    # an --out in a missing directory
+    (["tree", "d.csv", "--out", "nodir/t.csv"], "No such file or directory: 'nodir/t.csv'"),
+    (["dist", "col", "--metric", "gradient", "--out", "nodir/d.csv"],
+     "No such file or directory: 'nodir/d.csv'"),
+    (["verify", "verify.json", "--out", "nodir/v.json"],
+     "No such file or directory: 'nodir/v.json'"),
+    # a directory where a file is expected
+    (["dist", "col", "--metric", "gradient", "--out", "col"], "Is a directory: 'col'"),
+    (["tree", "d.csv", "--out", "col"], "Is a directory: 'col'"),
+    (["tree", "col", "--out", "t.csv"], "Is a directory: 'col'"),
+    # an existing file as an --out directory
+    (["gen", "gen.json", "--out", "afile"], "File exists: 'afile'"),
+    (["run", "run.json", "--out", "afile"], "File exists: 'afile'"),
+])
+def test_a_path_error_exits_2_with_one_error_line(tmp_path, gen_config, argv, named):
+    _path_error_inputs(tmp_path, gen_config)
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    out = _cli(argv, tmp_path)
+    _rejected(out, "error: [Errno ", tmp_path / "nodir")
+    assert named in out.stderr
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("argv, target, problem", [
+    (["gen", "gen.json"], "gen.json", "malformed JSON in gen.json"),
+    (["dist", "col", "--metric", "gradient"], Path("col", "manifest.json"),
+     f"malformed {Path('col', 'manifest.json')}"),
+    (["dist", "col", "--metric", "gradient"], Path("col", "task1_train.csv"),
+     f"task 'task1': {Path('col', 'task1_train.csv')} is not text"),
+    (["tree", "d.csv"], "d.csv", "d.csv: not text"),
+])
+def test_a_file_that_is_not_text_exits_2_naming_it(tmp_path, gen_config, argv, target,
+                                                   problem):
+    _path_error_inputs(tmp_path, gen_config)
+    path = tmp_path / target
+    path.write_bytes(path.read_bytes() + b"\xff")
+    out = _cli([*argv, "--out", "out"], tmp_path)
+    _rejected(out, f"error: {problem}: ", tmp_path / "out")
+    assert "can't decode byte 0xff" in out.stderr
 
 
 def test_run_without_jobs_never_imports_the_process_pool(tmp_path):

@@ -25,8 +25,27 @@ from taskcascade.theory import ChainConfig, NoisySpec, PathSpec
                               data_path="x"), "budget must be positive"),
     (lambda: ChainConfig(length=2, dim=5, n=3),
      "need n >= dim for a positive-definite design"),
+    (lambda: DistanceParams(hist_bins=0), "hist_bins must be positive"),
+    (lambda: DistanceParams(hist_smoothing=0.0), "hist_smoothing must be positive"),
+    (lambda: BudgetAllocation({0: -1, 1: 2}, 1), "budgets must be nonnegative"),
+    (lambda: SyntheticConfig(num_tasks=2, n_test=-1), "n_test must be >= 0, got -1"),
+    (lambda: PathSpec(rhos=[0.5], budgets=[-1], deltas=[0.5]),
+     "budgets must be nonnegative"),
+    (lambda: PathSpec(rhos=[0.5], budgets=[1], deltas=[-1.0]),
+     "edge lengths must be finite and nonnegative"),
+    (lambda: PathSpec(rhos=[0.5], budgets=[1], deltas=[0.5], init_error=float("inf")),
+     "init_error must be finite and nonnegative"),
+    (lambda: ChainConfig(length=2, dim=0), "dim must be positive"),
+    (lambda: ChainConfig(length=2, root_budget=-1), "budgets must be nonnegative"),
+    (lambda: ChainConfig(length=2, spacing=-1.0),
+     "spacing and noise_sigma must be nonnegative"),
+    (lambda: ChainConfig(length=2, noise_draws=0), "noise_draws must be positive"),
 ], ids=["DistanceParams", "AllocationScheme", "PathSpec", "NoisySpec",
-        "BudgetAllocation", "SyntheticConfig", "ExperimentConfig", "ChainConfig"])
+        "BudgetAllocation", "SyntheticConfig", "ExperimentConfig", "ChainConfig",
+        "DistanceParams-hist_bins", "DistanceParams-hist_smoothing",
+        "BudgetAllocation-negative", "SyntheticConfig-n_test", "PathSpec-budgets",
+        "PathSpec-deltas", "PathSpec-init_error", "ChainConfig-dim", "ChainConfig-budgets",
+        "ChainConfig-spacing", "ChainConfig-noise_draws"])
 def test_config_rejects_a_bad_value_when_built(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         build()

@@ -517,7 +517,7 @@ class TestDistanceMatrix:
         matrix = compute_distance_matrix(make_collection(rng, T=4), "model")
         path = tmp_path / "dist.csv"
         save_distance_matrix(matrix, path)
-        loaded = load_distance_matrix(path, "model")
+        loaded = load_distance_matrix(path)
         assert loaded.task_ids == matrix.task_ids
         assert np.array_equal(loaded.values, matrix.values)
 
@@ -531,7 +531,7 @@ class TestDistanceMatrix:
             values[0, 2] = values[2, 0] = 5e-324
             values[1, 2] = values[2, 1] = 1e16
             values[3, 4] = values[4, 3] = float(np.nextafter(1e-4, 0.0))
-            matrix = DistanceMatrix(values, metric, matrix.task_ids)
+            matrix = DistanceMatrix(values, matrix.task_ids)
             new, old = tmp_path / "new.csv", tmp_path / "old.csv"
             save_distance_matrix(matrix, new)
             # the per-element writer that save_distance_matrix replaced
@@ -548,6 +548,8 @@ class TestDistanceMatrix:
         ("a,b\n0.0,1.0,2.0\n1.0,0.0\n", "line 2 has 3 cells, expected 2"),
         ("a,a,b\n0,1,1\n1,0,1\n1,1,0\n", "line 1 repeats the id 'a'"),
         ("a,,b\n0,1,1\n1,0,1\n1,1,0\n", "line 1 has an empty id ''"),
+        # a blank line is skipped and still counted
+        ("a,b\n0.0,1.0\n\n1.0\n", "line 4 has 1 cells, expected 2"),
     ])
     def test_malformed_csv_names_the_file_and_line(self, tmp_path, text, problem):
         path = tmp_path / "dist.csv"
@@ -555,13 +557,32 @@ class TestDistanceMatrix:
         with pytest.raises(DataFormatError, match="dist.csv: .*" + problem):
             load_distance_matrix(path)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("", "empty distance matrix file"),
+        ("a,b\n0.0,1.0\n", "expected a 2x2 matrix, got \\(1, 2\\)"),
+        ("a,b\n0.0,1.0\n1.0,0.0\n0.0,0.0\n", "expected a 2x2 matrix, got \\(3, 2\\)"),
+    ])
+    def test_csv_without_one_row_per_id_is_rejected(self, tmp_path, text, problem):
+        path = tmp_path / "dist.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=problem):
+            load_distance_matrix(path)
+
+    @pytest.mark.parametrize("values, ids, problem", [
+        (np.zeros((2, 3)), [], "distance matrix must be square"),
+        (np.zeros((2, 2)), ["a"], "task_ids length does not match matrix size"),
+    ])
+    def test_matrix_of_the_wrong_shape_is_rejected(self, values, ids, problem):
+        with pytest.raises(ShapeMismatchError, match=f"^{problem}$"):
+            DistanceMatrix(values, ids)
+
     def test_invariants_rejected(self):
         with pytest.raises(ConfigError):
-            DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), "m")  # asymmetric
+            DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
         with pytest.raises(ConfigError):
-            DistanceMatrix(np.array([[1.0]]), "m")  # nonzero diagonal
+            DistanceMatrix(np.array([[1.0]]))  # nonzero diagonal
         with pytest.raises(ConfigError):
-            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), "m")  # negative
+            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
 
 
 def test_negative_ridge_lambda_is_rejected_naming_the_key(rng):

@@ -328,7 +328,7 @@ class TestStarAndTraversal:
 class TestBuildTree:
     def test_kinds_match_their_constructions(self):
         rng = np.random.default_rng(29)
-        dist = DistanceMatrix(symmetric_matrix(rng, 7), "m")
+        dist = DistanceMatrix(symmetric_matrix(rng, 7))
         root = medoid(dist)
         expected = {
             "mst": root_tree(mst(dist), root, dist),
@@ -342,7 +342,25 @@ class TestBuildTree:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="random"):
-            build_tree(DistanceMatrix(np.zeros((2, 2)), "m"), "chain")
+            build_tree(DistanceMatrix(np.zeros((2, 2))), "chain")
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda: RootedTree(0, {1: 0}, {2: 1.0}), "edge_length keys must match parent keys"),
+    (lambda: root_tree([(0, 0), (1, 2)], 0), "self-loop at node 0"),
+    # four edges over five nodes, but 0-1-2 is a cycle and 3-4 lies apart
+    (lambda: root_tree([(0, 1), (1, 2), (0, 2), (3, 4)], 0),
+     "edge set is disconnected or contains a cycle"),
+    (lambda: decode_pruefer([], 0), "need at least one node"),
+    (lambda: decode_pruefer([0], 4), "sequence length 1 invalid for 4 nodes"),
+    (lambda: decode_pruefer([4, 0], 4), "sequence labels out of range"),
+    (lambda: random_spanning_tree(0, 0), "need at least one node"),
+    (lambda: star_tree(3, 3), "root 3 out of range for 3 nodes"),
+], ids=["edge-length-keys", "self-loop", "cycle-and-apart", "pruefer-no-nodes",
+        "pruefer-length", "pruefer-label", "random-no-nodes", "star-root"])
+def test_malformed_tree_input_is_rejected(build, problem):
+    with pytest.raises(GraphError, match=f"^{problem}$"):
+        build()
 
 
 class TestRootedTreeValidation:

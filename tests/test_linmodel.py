@@ -489,6 +489,20 @@ class TestContractionRate:
             assert contraction_rate(X, eta) == pytest.approx(oracle, abs=1e-8)
 
 
+@pytest.mark.parametrize("solve, problem", [
+    (lambda: ridge_solution(np.ones(3), np.ones(3)), r"X must be a 2-d matrix"),
+    (lambda: ridge_solution(np.ones((3, 2)), np.ones(2)),
+     r"X \(3, 2\) and y \(2,\) do not agree"),
+    (lambda: rmse(np.ones(2), np.ones((3, 2)), np.ones(2)),
+     r"X \(3, 2\) and y \(2,\) do not agree"),
+    (lambda: rmse(np.ones(2), np.ones((0, 2)), np.ones(0)),
+     r"rmse needs at least one sample"),
+], ids=["ridge-ndim", "ridge-rows", "rmse-rows", "rmse-empty"])
+def test_operands_of_the_wrong_shape_are_rejected(solve, problem):
+    with pytest.raises(ShapeMismatchError, match=f"^{problem}$"):
+        solve()
+
+
 class TestRmse:
     def test_exact_fit(self):
         X = np.eye(3)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskcascade.distances import DistanceMatrix, load_distance_matrix, save_distance_matrix
-from taskcascade.errors import ConfigError, DataFormatError
+from taskcascade.errors import ConfigError, DataFormatError, ShapeMismatchError
 from taskcascade.graph import random_spanning_tree, root_tree, save_tree
 from taskcascade.tasks import (
     SyntheticConfig,
@@ -222,6 +222,46 @@ def test_non_numeric_cell_reports_task_and_row(rng, tmp_path):
         load_collection(tmp_path / "col")
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("x1,x2,z\n1.0,2.0,3.0\n", "bad header in .*task0_train.csv, expected x1,...,xd,y"),
+    ("x1,x2,y\n1.0,2.0,3.0\n1.0,2.0\n", "row 3 of task0_train.csv has 2 cells, expected 3"),
+])
+def test_malformed_split_csv_names_the_task(rng, tmp_path, text, problem):
+    save_collection(make_collection(rng, T=2, d=2), tmp_path / "col")
+    (tmp_path / "col" / "task0_train.csv").write_text(text)
+    with pytest.raises(DataFormatError, match=f"^task 'task0': {problem}"):
+        load_collection(tmp_path / "col")
+
+
+def _splits(n=3, d=2, n_test=2, d_test=None):
+    return dict(X_train=np.ones((n, d)), y_train=np.ones(n),
+                X_test=np.ones((n_test, d if d_test is None else d_test)),
+                y_test=np.ones(n_test))
+
+
+@pytest.mark.parametrize("splits, problem", [
+    ({**_splits(), "X_train": np.ones(3)}, "X_train must be a 2-d matrix, got ndim=1"),
+    ({**_splits(), "y_test": np.ones((2, 1))}, "y_test must be a 1-d vector, got ndim=2"),
+    ({**_splits(), "y_train": np.ones(2)},
+     "task 't': X_train has 3 rows but y_train has 2"),
+    ({**_splits(), "y_test": np.ones(3)}, "task 't': X_test has 2 rows but y_test has 3"),
+    (_splits(d_test=3), "task 't': train dim 2 != test dim 3"),
+], ids=["X-ndim", "y-ndim", "train-rows", "test-rows", "test-width"])
+def test_task_splits_of_the_wrong_shape_are_rejected(splits, problem):
+    with pytest.raises(ShapeMismatchError, match=f"^{problem}$"):
+        TaskDataset("t", **splits)
+
+
+@pytest.mark.parametrize("tasks, dim, problem", [
+    ([TaskDataset("t", **_splits()), TaskDataset("t", **_splits())], 2,
+     "duplicate task id 't'"),
+    ([TaskDataset("t", **_splits())], 3, "task 't' has dimension 2, expected 3"),
+], ids=["duplicate-id", "dimension"])
+def test_collection_of_clashing_tasks_is_rejected(tasks, dim, problem):
+    with pytest.raises(DataFormatError, match=f"^{problem}$"):
+        TaskCollection(tasks, dim)
+
+
 def test_loader_tolerates_missing_test_files_when_not_required(rng, tmp_path):
     collection = make_collection(rng, T=2)
     save_collection(collection, tmp_path / "col")
@@ -395,7 +435,7 @@ def test_adversarial_ids_round_trip(ids, seed, quoted):
         [TaskDataset(i, draw(3, d), draw(3), draw(2, d), draw(2)) for i in ids], d
     )
     values = np.abs(draw(T, T))
-    matrix = DistanceMatrix(np.triu(values, 1) + np.triu(values, 1).T, "m", list(ids))
+    matrix = DistanceMatrix(np.triu(values, 1) + np.triu(values, 1).T, list(ids))
     tree = root_tree(random_spanning_tree(T, seed), 0, matrix)
     with tempfile.TemporaryDirectory() as tmp:
         col = Path(tmp) / "col"

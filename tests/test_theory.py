@@ -209,6 +209,12 @@ class TestCascadeVsDirect:
             cascade_vs_direct(1.0, 0.5, 0, 1, 1.0)
 
 
+    @pytest.mark.parametrize("delta_max, direct_distance", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_negative_distance_is_rejected(self, delta_max, direct_distance):
+        with pytest.raises(ConfigError, match="^distances must be nonnegative$"):
+            cascade_vs_direct(delta_max, 0.5, 2, 1, direct_distance)
+
+
 class TestNoisyPathBound:
     def test_zero_noise_reduces_to_path_bound(self, rng):
         for _ in range(20):
