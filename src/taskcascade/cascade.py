@@ -269,7 +269,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     synthetic data, and runs the method. A data path is loaded once and
     shared as-is, with its designs and, where no replicate seed enters it,
     its tree; each replicate reads its step sizes from the shared designs.
-    With ``jobs > 1`` replicates run in a process pool; the output is
+    With ``jobs > 1`` and more than one replicate, replicates run in a
+    process pool of ``min(jobs, num_seeds)`` workers; the output is
     identical for any jobs value.
     """
     shared: _Shared = (None, None)
@@ -279,14 +280,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         loaded = load_collection(config.data_path)
         loaded.designs  # built and kept before any pool worker starts
         shared = (loaded, _tree(config, loaded, None))
-    if jobs == 1 or config.num_seeds == 1:
+    # a fork pool starts all its workers at once, so none beyond the replicates
+    workers = min(jobs, config.num_seeds)
+    if workers == 1:
         results = [_run_replicate((config, r, shared)) for r in range(config.num_seeds)]
     else:
         # Imported here, so only a pooled run pays for importing multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=shared
+            max_workers=workers, initializer=_init_worker, initargs=shared
         ) as pool:
             work = [(config, r) for r in range(config.num_seeds)]
             results = list(pool.map(_run_pooled_replicate, work))

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import gc
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -110,6 +112,18 @@ def _build(cls, data, what: str):
         return cls(**values)
     except TypeError as exc:
         raise ConfigError(f"bad {what} config: {exc}") from None
+
+
+def _out_dir(path: str) -> Path:
+    """The ``--out`` directory of ``run`` or ``bench``, checked before any run.
+
+    A file there fails now with ``mkdir``'s error, not after the experiment.
+    Nothing is made yet, so a later input error still leaves no output.
+    """
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+    return out
 
 
 def _write_manifest(
@@ -202,8 +216,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     started = time.time()
     config = _build(ExperimentConfig, _load_config(args.config, args.seed), "experiment")
+    out = _out_dir(args.out)
     report = run_experiment(config, jobs=args.jobs)
-    out = Path(args.out)
     doc = write_run_report(report, out)
     outputs = ["report.json", doc["per_task_csv"]]
     if doc["tree_csv"]:
@@ -277,6 +291,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     # Every config of the sweep is built, so checked, before any of it runs.
     configs = [_build(ExperimentConfig, entry, "experiment") for entry in sweep]
+    out = _out_dir(args.out)
     rows = []
     for config in configs:
         report = run_experiment(config, jobs=args.jobs)
@@ -286,7 +301,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for r, value in enumerate(report.per_seed_mean_rmse):
             rows.append((config.method, used_metric, config.budget, r, value))
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bench_csv = out / "bench.csv"
     with bench_csv.open("w") as fh:

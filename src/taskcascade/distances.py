@@ -55,7 +55,6 @@ from .errors import (
     ShapeMismatchError,
     TaskCascadeError,
 )
-from .linmodel import default_ridge_lambda, ridge_solution
 from .seeding import substream
 
 if TYPE_CHECKING:
@@ -326,6 +325,8 @@ def _gradient(task: TaskDataset, params: DistanceParams) -> np.ndarray:
 
 
 def _ridge(task: TaskDataset, params: DistanceParams) -> np.ndarray:
+    from .linmodel import default_ridge_lambda, ridge_solution  # only `model` loads it
+
     lam = params.ridge_lambda
     if lam is None:  # ridge_solution rejects a penalty that overflows
         lam = default_ridge_lambda(task.X_train)

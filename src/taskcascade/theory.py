@@ -11,9 +11,8 @@ bound is tighter than one discounted long transfer.
 :func:`verify_bounds` checks the bounds on synthetic chains by refining
 each task of the chain with :func:`linmodel.refine`. Each chain design is
 decomposed once, and its step size, contraction rate, noise operator norm
-and refinements all read that decomposition. In noisy mode every
-noise draw is one column of a stack, so each task is refined once for all
-draws.
+and refinements all read that decomposition. Each task is refined once
+for a stack of columns: one column without noise, or one per noise draw.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linmodel import Design, build_designs, contraction_rate, lambda_max, refine
+from .linmodel import build_designs, contraction_rate, lambda_max, refine
 from .seeding import substream
 
 
@@ -66,8 +65,8 @@ class NoisySpec:
         m = len(self.path)
         if not (len(self.sigmas) == len(self.a_frob) == m):
             raise ConfigError("sigmas and a_frob must match the path length")
-        if any(s < 0 for s in self.sigmas) or any(a < 0 for a in self.a_frob):
-            raise ConfigError("sigmas and a_frob must be nonnegative")
+        if any(v < 0 or not np.isfinite(v) for v in (*self.sigmas, *self.a_frob)):
+            raise ConfigError("sigmas and a_frob must be finite and nonnegative")
 
 
 def _suffix_products(spec: PathSpec) -> np.ndarray:
@@ -175,16 +174,8 @@ class BoundCheck:
     mc_stderr: float = 0.0
 
 
-@dataclass
-class _Chain:
-    designs: list[Design]
-    thetas: list[np.ndarray]
-    etas: list[float]
-    rhos: list[float]
-    a_frob: list[float]
-
-
-def _build_chain(config: ChainConfig) -> _Chain:
+def _build_chain(config: ChainConfig):
+    """The chain's optima, designs, step sizes, contraction rates and a_frob."""
     rng = substream(config.seed, "chain")
     theta0 = rng.standard_normal(config.dim)
     direction = rng.standard_normal(config.dim)
@@ -200,31 +191,28 @@ def _build_chain(config: ChainConfig) -> _Chain:
         rhos.append(contraction_rate(design, etas[-1]))
         # ||(X^T X)^-1 X^T||_F^2 = trace((X^T X)^-1) = sum_i 1/lam_i
         a_frob.append(math.sqrt(float(np.sum(1.0 / design.lam))))
-    return _Chain(designs, thetas, etas, rhos, a_frob)
+    return thetas, designs, etas, rhos, a_frob
 
 
 def verify_bounds(config: ChainConfig) -> BoundCheck:
     """Refine along a synthetic chain and compare against the bound.
 
     Task i's targets are X_i theta_i, and each task starts from its
-    predecessor's refined parameters. Noiseless mode refines the root from
-    zeros and checks the leaf error against the noiseless path bound.
-    Noisy mode pins the root at its true optimum with zero budget (so the
-    bound's initial term vanishes exactly), adds Gaussian noise to every
-    other task's targets, and checks the Monte-Carlo mean of the leaf error
-    against the expected-error bound plus two standard errors. All draws
-    are refined together, as the columns of one stack per task. A spacing
+    predecessor's refined parameters, as a stack of columns. Noiseless mode
+    is one column with zero noise: the root is refined from zeros, and the
+    leaf error is checked against the noiseless path bound. Noisy mode has
+    one column per draw: the root is pinned at its true optimum (so the
+    bound's initial term vanishes exactly), every other task's targets get
+    Gaussian noise, and the Monte-Carlo mean of the leaf errors is checked
+    against the expected-error bound plus two standard errors. A spacing
     whose targets or edge lengths overflow raises ConfigError.
     """
     m = config.length
     b = config.budget_per_node
     with np.errstate(over="ignore", invalid="ignore"):
-        chain = _build_chain(config)
-        deltas = [
-            float(np.linalg.norm(chain.thetas[i] - chain.thetas[i - 1]))
-            for i in range(1, m + 1)
-        ]
-        targets = [design.X @ theta for design, theta in zip(chain.designs, chain.thetas)]
+        thetas, designs, etas, rhos, a_frob = _build_chain(config)
+        deltas = [float(np.linalg.norm(v - u)) for u, v in zip(thetas, thetas[1:])]
+        targets = [design.X @ theta for design, theta in zip(designs, thetas)]
     for i, y in enumerate(targets):
         if not (np.isfinite(y).all() and (i == 0 or math.isfinite(deltas[i - 1]))):
             raise ConfigError(
@@ -232,47 +220,39 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
                 "or edge length are not finite"
             )
 
-    if config.noise_sigma == 0.0:
+    noisy = config.noise_sigma > 0.0
+    draws = config.noise_draws if noisy else 1
+    shape = (draws, m + 1, config.n)
+    if noisy:
+        # column k of each stack is draw k; the root's noise row is drawn (to
+        # keep the stream's order) but never used
+        noise = config.noise_sigma * substream(config.seed, "noise").standard_normal(shape)
+        theta = np.repeat(thetas[0][:, None], draws, axis=1)
+    else:
+        noise = np.zeros(shape)
         root_b = config.root_budget if config.root_budget is not None else b
-        theta = refine(
-            np.zeros(config.dim), chain.designs[0], targets[0], root_b, chain.etas[0]
-        )
-        init_error = float(np.linalg.norm(theta - chain.thetas[0]))
-        for i in range(1, m + 1):
-            theta = refine(theta, chain.designs[i], targets[i], b, chain.etas[i])
-        spec = PathSpec(chain.rhos[1:], [b] * m, deltas, init_error=init_error)
-        bound = path_bound(spec)
-        empirical = float(np.linalg.norm(theta - chain.thetas[m]))
-        return BoundCheck(
-            config=config,
-            empirical=empirical,
-            bound=bound,
-            satisfied=empirical <= bound + 1e-9,
-            mode="noiseless",
-        )
-
-    # noisy mode: the root is exact, so its noise row is drawn (to keep the
-    # stream's order) but never used; column k of each stack is draw k.
-    draws = config.noise_draws
-    noise = substream(config.seed, "noise").standard_normal((draws, m + 1, config.n))
-    theta = np.repeat(chain.thetas[0][:, None], draws, axis=1)
+        theta = refine(np.zeros((config.dim, 1)), designs[0], targets[0][:, None],
+                       root_b, etas[0])
+    init_error = float(np.linalg.norm(theta[:, 0] - thetas[0]))
     for i in range(1, m + 1):
-        y = targets[i][:, None] + (config.noise_sigma * noise[:, i, :]).T
-        theta = refine(theta, chain.designs[i], y, b, chain.etas[i])
-    errors = np.linalg.norm(theta - chain.thetas[m][:, None], axis=0)
-    mc_mean = float(errors.mean())
+        y = targets[i][:, None] + noise[:, i, :].T
+        theta = refine(theta, designs[i], y, b, etas[i])
+    # each column's own 1-d norm, which np.linalg.norm computes as sqrt(e . e)
+    errors = np.array([math.sqrt(e.dot(e)) for e in theta.T - thetas[m]])
+    empirical = float(errors.mean())
     mc_stderr = float(errors.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
-    spec = NoisySpec(
-        path=PathSpec(chain.rhos[1:], [b] * m, deltas),
-        sigmas=[config.noise_sigma] * m,
-        a_frob=chain.a_frob[1:],
-    )
-    bound = noisy_path_bound(spec)
+
+    path = PathSpec(rhos[1:], [b] * m, deltas, init_error=init_error)
+    if noisy:
+        bound = noisy_path_bound(NoisySpec(path, [config.noise_sigma] * m, a_frob[1:]))
+        slack = 2.0 * mc_stderr
+    else:  # not noisy_path_bound, whose NoisySpec rejects an infinite a_frob
+        bound, slack = path_bound(path), 1e-9
     return BoundCheck(
         config=config,
-        empirical=mc_mean,
+        empirical=empirical,
         bound=bound,
-        satisfied=mc_mean <= bound + 2.0 * mc_stderr,
-        mode="noisy",
+        satisfied=empirical <= bound + slack,
+        mode="noisy" if noisy else "noiseless",
         mc_stderr=mc_stderr,
     )

@@ -364,6 +364,39 @@ class TestRunExperiment:
         parallel = run_experiment(config, jobs=3)
         assert serial.per_seed_mean_rmse == parallel.per_seed_mean_rmse
 
+    @pytest.mark.parametrize("jobs, num_seeds, workers", [
+        (64, 4, 4), (3, 4, 3), (64, 1, None),
+    ])
+    def test_the_pool_has_no_more_workers_than_replicates(self, monkeypatch, jobs,
+                                                          num_seeds, workers):
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            """Records its size and runs the work here, starting no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cascade, "_worker_shared", cascade._worker_shared)
+        config = ExperimentConfig(method="star", budget=50, num_seeds=num_seeds,
+                                  synthetic=self.synthetic(), seed=13)
+        pooled = run_experiment(config, jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert pooled.per_seed_mean_rmse == run_experiment(config).per_seed_mean_rmse
+
     def test_loaded_collection_step_sizes_are_read_per_replicate(self, rng, tmp_path,
                                                                  monkeypatch):
         save_collection(make_collection(rng, T=5), tmp_path / "col")

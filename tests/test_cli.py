@@ -549,9 +549,9 @@ def test_missing_package_attribute_raises_attribute_error():
 
 @pytest.mark.parametrize("command, unused", [
     ("gen", {"budget", "cascade", "distances", "graph", "linmodel", "theory"}),
-    ("tree", {"budget", "cascade", "tasks", "theory"}),
+    ("tree", {"budget", "cascade", "linmodel", "tasks", "theory"}),
     ("verify", {"budget", "cascade", "distances", "graph", "tasks"}),
-    ("dist", {"budget", "cascade", "graph", "theory"}),
+    ("dist", {"budget", "cascade", "graph", "linmodel", "theory"}),
     ("run", {"theory"}),
 ])
 def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, run_config,
@@ -867,6 +867,29 @@ def test_a_path_error_exits_2_with_one_error_line(tmp_path, gen_config, argv, na
     _rejected(out, "error: [Errno ", tmp_path / "nodir")
     assert named in out.stderr
     assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", {"method": "individual", "budget": 30, "synthetic": {"num_tasks": 3}}),
+    ("bench", {"methods": ["individual"], "budgets": [30], "synthetic": {"num_tasks": 3}}),
+])
+def test_an_out_that_is_a_file_fails_before_the_first_replicate(tmp_path, monkeypatch,
+                                                                capsys, command, config):
+    from taskcascade import cascade
+
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cascade, "run_experiment", no_replicate)
+    cfg = write_json(tmp_path / "c.json", config)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    with pytest.raises(FileExistsError) as mkdir_error:
+        afile.mkdir()
+    assert main([command, cfg, "--out", str(afile)]) == 2
+    assert capsys.readouterr().err == f"error: {mkdir_error.value}\n"
+    assert afile.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [afile, tmp_path / "c.json"]
 
 
 @pytest.mark.parametrize("argv, target, problem", [

@@ -18,7 +18,7 @@ from taskcascade.theory import ChainConfig, NoisySpec, PathSpec
     (lambda: PathSpec(rhos=[1.0], budgets=[1], deltas=[0.5]),
      "contraction rates must lie in [0, 1)"),
     (lambda: NoisySpec(PathSpec([0.5], [1], [0.5]), sigmas=[-1.0], a_frob=[1.0]),
-     "sigmas and a_frob must be nonnegative"),
+     "sigmas and a_frob must be finite and nonnegative"),
     (lambda: BudgetAllocation({0: 2, 1: 1}, 4), "per-task budgets sum to 3, expected 4"),
     (lambda: SyntheticConfig(num_tasks=0), "num_tasks must be >= 1, got 0"),
     (lambda: ExperimentConfig(method="mst", metric_name="gradient", budget=0,
@@ -40,12 +40,17 @@ from taskcascade.theory import ChainConfig, NoisySpec, PathSpec
     (lambda: ChainConfig(length=2, spacing=-1.0),
      "spacing and noise_sigma must be nonnegative"),
     (lambda: ChainConfig(length=2, noise_draws=0), "noise_draws must be positive"),
+    (lambda: NoisySpec(PathSpec([0.5], [1], [0.5]), sigmas=[float("nan")], a_frob=[1.0]),
+     "sigmas and a_frob must be finite and nonnegative"),
+    (lambda: NoisySpec(PathSpec([0.5], [1], [0.5]), sigmas=[0.0], a_frob=[float("inf")]),
+     "sigmas and a_frob must be finite and nonnegative"),
 ], ids=["DistanceParams", "AllocationScheme", "PathSpec", "NoisySpec",
         "BudgetAllocation", "SyntheticConfig", "ExperimentConfig", "ChainConfig",
         "DistanceParams-hist_bins", "DistanceParams-hist_smoothing",
         "BudgetAllocation-negative", "SyntheticConfig-n_test", "PathSpec-budgets",
         "PathSpec-deltas", "PathSpec-init_error", "ChainConfig-dim", "ChainConfig-budgets",
-        "ChainConfig-spacing", "ChainConfig-noise_draws"])
+        "ChainConfig-spacing", "ChainConfig-noise_draws", "NoisySpec-sigmas",
+        "NoisySpec-a_frob"])
 def test_config_rejects_a_bad_value_when_built(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         build()

@@ -340,9 +340,8 @@ class TestVerifyBounds:
     def test_chain_spectra_match_their_direct_forms(self, config):
         # a_frob = sqrt(sum 1/lam) is ||(X^T X)^-1 X^T||_F, and rho comes
         # from the eigenvalues of eigh, not those of eigvalsh
-        chain = theory._build_chain(config)
-        for design, eta, rho, a in zip(chain.designs, chain.etas, chain.rhos,
-                                       chain.a_frob):
+        _, designs, etas, rhos, a_frob = theory._build_chain(config)
+        for design, eta, rho, a in zip(designs, etas, rhos, a_frob):
             X = design.X
             A = np.linalg.solve(X.T @ X, X.T)
             assert a == pytest.approx(np.linalg.norm(A, ord="fro"), rel=1e-12, abs=0)
