@@ -61,7 +61,9 @@ def largest_remainder(weights: list[float], total: int) -> list[int]:
     """Split ``total`` units proportionally to ``weights``, exactly.
 
     Every item gets the floor of its real-valued share; leftover units go to
-    the largest fractional parts, ties broken toward lower index.
+    the largest fractional parts, ties broken toward lower index. A float
+    weight is an integer over a power of two, so the shares are integer
+    quotients and remainders, exact at any total and any scale of weights.
     """
     if total < 0:
         raise ConfigError("total must be nonnegative")
@@ -71,14 +73,16 @@ def largest_remainder(weights: list[float], total: int) -> list[int]:
         if total:
             raise ConfigError("cannot split a positive total over no items")
         return []
-    wsum = sum(weights)
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    wsum = sum(ints)
     if wsum == 0:
-        weights = [1.0] * len(weights)
-        wsum = float(len(weights))
-    shares = [total * w / wsum for w in weights]
-    out = [math.floor(s) for s in shares]
+        ints, wsum = [1] * len(ints), len(ints)
+    shares = [divmod(total * w, wsum) for w in ints]
+    out = [floor for floor, _ in shares]
     leftover = total - sum(out)
-    order = sorted(range(len(weights)), key=lambda i: (-(shares[i] - out[i]), i))
+    order = sorted(range(len(out)), key=lambda i: (-shares[i][1], i))
     for i in order[:leftover]:
         out[i] += 1
     return out
@@ -123,10 +127,18 @@ def allocate(tree: RootedTree, total: int, scheme: AllocationScheme) -> BudgetAl
         pool = total - T
         members = sorted(node_depth)
 
-    weights = [
-        _scheme_weight(scheme, node_depth[v], tree.edge_length.get(v, 0.0))
-        for v in members
-    ]
+    try:
+        weights = [
+            _scheme_weight(scheme, node_depth[v], tree.edge_length.get(v, 0.0))
+            for v in members
+        ]
+    except OverflowError:  # a float power too large raises, where a sum gives inf
+        weights = [math.inf]
+    if not math.isfinite(sum(weights)):
+        keys = "alpha" if scheme.kind.startswith("depth") else "beta and epsilon"
+        raise ConfigError(
+            f"scheme {scheme.kind!r} weights are not finite; lower its {keys}"
+        )
     for v, extra in zip(members, largest_remainder(weights, pool)):
         per_task[v] += extra
     return BudgetAllocation(per_task, total)
@@ -137,8 +149,8 @@ def uniform_default(tree: RootedTree, total: int) -> BudgetAllocation:
     return allocate(tree, total, AllocationScheme(kind="uniform", seed_fraction=0.1))
 
 
-def split_uniform(num_items: int, total: int) -> list[int]:
-    """Even split of ``total`` over ``num_items`` items, one step guaranteed.
+def split_uniform(num_items: int, total: int) -> BudgetAllocation:
+    """Even split of ``total`` over ``num_items`` tasks, one step guaranteed.
 
     Used by the no-transfer baseline, which has no seed to favor.
     """
@@ -146,4 +158,5 @@ def split_uniform(num_items: int, total: int) -> list[int]:
         raise InfeasibleBudgetError(
             f"budget {total} cannot give {num_items} tasks one step each"
         )
-    return [1 + extra for extra in largest_remainder([1.0] * num_items, total - num_items)]
+    extras = largest_remainder([1.0] * num_items, total - num_items)
+    return BudgetAllocation({i: 1 + extra for i, extra in enumerate(extras)}, total)

@@ -1,14 +1,15 @@
 """Cascade execution, baselines, and multi-seed experiment aggregation.
 
-A cascade walks a rooted tree in topological order, initializing every task
-from its parent's refined parameters and refining it for its allocated
+A cascade walks a rooted tree in its breadth-first order, initializing every
+task from its parent's refined parameters and refining it for its allocated
 budget with a per-task step size of 1/lambda_max. Every task's training
 design is decomposed once per collection, in one stack with the others, and
 its step size and refinement both read that decomposition. Every method
-runs on one executor, the one place that turns a design into its step
-size: ``individual`` is the forest in which every task is a root refined
-from the initial parameters, and ``star`` and ``random_tree`` cascade over
-trivial or uninformed trees rooted at the medoid of the distance matrix.
+runs on one executor, ``run_cascade``, the one place that turns a design
+into its step size: ``individual`` is the forest (``tree=None``) in which
+every task is a root refined from the initial parameters, and ``star`` and
+``random_tree`` cascade over trivial or uninformed trees rooted at the
+medoid of the distance matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .budget import AllocationScheme, BudgetAllocation, allocate, split_uniform
 from .distances import DistanceParams, METRIC_NAMES, compute_distance_matrix
 from .errors import ConfigError, DegenerateDesignError, ShapeMismatchError, TaskCascadeError
-from .graph import RootedTree, build_tree, depths, save_tree, topological_order
+from .graph import RootedTree, build_tree, depths, save_tree
 from .linmodel import lambda_max, refine, rmse
 from .seeding import derive_seed, substream
 from .tasks import SyntheticConfig, TaskCollection, generate_synthetic, load_collection
@@ -75,40 +76,41 @@ class ExperimentConfig:
             )
         if self.budget < 1:
             raise ConfigError("budget must be positive")
+        if self.budget > 2**53:  # the root's share, seed_fraction * budget, is a float
+            raise ConfigError(f"budget must be at most 2**53, got {self.budget}")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be positive")
         if (self.synthetic is None) == (self.data_path is None):
             raise ConfigError("exactly one of synthetic or data_path must be set")
-
-
-def _check_budgets(collection: TaskCollection, budgets: BudgetAllocation) -> None:
-    if set(budgets.per_task) != set(range(len(collection))):
-        raise ConfigError("budget allocation does not cover the collection")
+        for key in ("synthetic", "distance_params"):  # a None synthetic has no seed
+            if getattr(getattr(self, key), "seed", 0) != 0:
+                raise ConfigError(f"{key}.seed must be 0; each replicate derives it")
 
 
 # An overflow in refinement or evaluation shows as parameters or a test RMSE
 # that are not finite, and both are checked, so numpy need not warn of it.
 @np.errstate(over="ignore", invalid="ignore")
-def _refine_forest(
+def run_cascade(
     collection: TaskCollection,
-    budgets: BudgetAllocation,
     tree: RootedTree | None,
-    theta_init: np.ndarray | None,
+    budgets: BudgetAllocation,
+    theta_init: np.ndarray | None = None,
 ) -> CascadeResult:
     """Refine and evaluate every task in one pass over the cascade order.
 
-    The order is the tree's topological order, each child starting from its
-    parent's refined parameters, or task order without a tree (``None``). A
-    root starts from ``theta_init`` (zeros by default). Each task in turn
-    steps by 1/lambda_max of its design, is refined and is evaluated, so an
-    error names the first failing task in that order.
+    The order is ``tree.order``, each child starting from its parent's
+    refined parameters; ``tree=None`` is the forest, every task a root in
+    task order. A root starts from ``theta_init`` (zeros by default). Each
+    task in turn steps by 1/lambda_max of its design, is refined and is
+    evaluated, so an error names the first failing task in that order.
     """
-    _check_budgets(collection, budgets)
+    if set(budgets.per_task) != set(range(len(collection))):
+        raise ConfigError("budget allocation does not cover the collection")
     designs = collection.designs
     if theta_init is None:
         theta_init = np.zeros(collection.dim)
     parent = tree.parent if tree is not None else {}
-    order = topological_order(tree) if tree is not None else range(len(collection))
+    order = tree.order if tree is not None else range(len(collection))
 
     params: dict[int, np.ndarray] = {}
     test_rmse: dict[int, float] = {}
@@ -141,30 +143,13 @@ def _refine_forest(
     )
 
 
-def run_cascade(
-    collection: TaskCollection,
-    tree: RootedTree,
-    budgets: BudgetAllocation,
-    theta_init: np.ndarray | None = None,
-) -> CascadeResult:
-    """Execute one cascade over ``tree`` with the given budgets.
-
-    The root's dummy parent is ``theta_init`` (zeros by default). Each task
-    steps by 1/lambda_max of its training design.
-    """
-    return _refine_forest(collection, budgets, tree, theta_init)
-
-
 def run_individual(
     collection: TaskCollection,
     budgets: BudgetAllocation,
     theta_init: np.ndarray | None = None,
 ) -> CascadeResult:
-    """No-transfer baseline: the forest in which every task is a root.
-
-    Every task is refined from ``theta_init`` (zeros by default) on its own budget.
-    """
-    return _refine_forest(collection, budgets, None, theta_init)
+    """No-transfer baseline: ``run_cascade`` over the forest (``tree=None``)."""
+    return run_cascade(collection, None, budgets, theta_init)
 
 
 def _tree(
@@ -204,19 +189,16 @@ def run_method(
     building its own.
     """
     seed = config.seed if seed is None else seed
-    T = len(collection)
     theta_init = None
     if config.gaussian_init:
         theta_init = substream(seed, "init").standard_normal(collection.dim)
 
     if config.method == "individual":
-        budgets = BudgetAllocation(
-            dict(enumerate(split_uniform(T, config.budget))), config.budget
-        )
-        return run_individual(collection, budgets, theta_init)
-    if tree is None:
-        tree = _tree(config, collection, seed)
-    budgets = allocate(tree, config.budget, config.scheme)
+        tree, budgets = None, split_uniform(len(collection), config.budget)
+    else:
+        if tree is None:
+            tree = _tree(config, collection, seed)
+        budgets = allocate(tree, config.budget, config.scheme)
     return run_cascade(collection, tree, budgets, theta_init)
 
 

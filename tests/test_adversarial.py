@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taskcascade.budget import AllocationScheme, BudgetAllocation, allocate, split_uniform
+from taskcascade.budget import AllocationScheme, allocate, split_uniform
 from taskcascade.cascade import run_cascade, run_individual
 from taskcascade.distances import METRIC_NAMES, compute_distance_matrix
 from taskcascade.errors import DivergenceError, TaskCascadeError
@@ -90,7 +90,7 @@ def test_any_input_runs_finite_or_is_rejected_naming_its_task(drawn):
         )
         if collection is None:
             return
-        budgets = BudgetAllocation(dict(enumerate(split_uniform(T, 6 * T))), 6 * T)
+        budgets = split_uniform(T, 6 * T)
         result = _checked(lambda: run_individual(collection, budgets))
         if result is not None:
             _finite(result)
@@ -122,5 +122,5 @@ def test_a_design_whose_top_eigenvector_misses_the_start_vector_refines():
                          rng.standard_normal((4, 3)), rng.standard_normal(4))
              for task_id in IDS]
     tasks[1] = TaskDataset("t1", X, np.ones(2), X, np.ones(2))
-    budgets = BudgetAllocation(dict(enumerate(split_uniform(T, 6 * T))), 6 * T)
+    budgets = split_uniform(T, 6 * T)
     _finite(run_individual(TaskCollection(tasks, 3), budgets))

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +52,15 @@ class TestLargestRemainder:
             wsum = sum(weights) or float(k)
             for got, w in zip(out, weights if sum(weights) else [1.0] * k):
                 assert abs(got - total * w / wsum) < 1.0
+
+    def test_exact_at_a_total_near_2_53(self):
+        # float shares total * w / sum of 2**53 - 7 would miss the total by 2
+        weights, total = [3.9, 7.2], 2**53 - 7
+        out = largest_remainder(weights, total)
+        assert sum(out) == total
+        wsum = sum(map(Fraction, weights))
+        for got, w in zip(out, weights):
+            assert abs(got - total * Fraction(w) / wsum) < 1
 
     def test_zero_weights_fall_back_to_uniform(self):
         assert largest_remainder([0.0, 0.0], 4) == [2, 2]
@@ -179,12 +191,62 @@ def test_allocation_sums_exactly_with_one_step_each(tree, kind, alpha, beta,
     assert min(alloc.per_task.values()) >= 1
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    tree=random_trees(),
+    kind=st.sampled_from(SCHEME_KINDS),
+    alpha=st.floats(5e-324, 1e308),
+    beta=st.floats(5e-324, 1e308),
+    epsilon=st.floats(5e-324, 1e308),
+    seed_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    extra=st.integers(0, 2**53 - 30),
+)
+def test_extreme_schemes_sum_exactly_or_are_rejected(tree, kind, alpha, beta, epsilon,
+                                                     seed_fraction, extra):
+    total = tree.size + extra
+    scheme = AllocationScheme(kind=kind, alpha=alpha, beta=beta, epsilon=epsilon,
+                              seed_fraction=seed_fraction)
+    try:
+        alloc = allocate(tree, total, scheme)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"scheme {kind!r} weights are not finite"), exc
+        return
+    assert set(alloc.per_task) == set(range(tree.size))
+    assert sum(alloc.per_task.values()) == total
+    assert min(alloc.per_task.values()) >= 1
+
+
+class TestSchemeWeightsThatOverflow:
+    @pytest.mark.parametrize("tree, scheme, keys", [
+        # (depth+1)**alpha overflows a float
+        (chain(3), AllocationScheme(kind="depth_increasing", alpha=2000.0), "alpha"),
+        # (edge+epsilon)**beta overflows on an edge longer than 1
+        (root_tree([(0, 1), (1, 2)], 0, 3.0 * (1 - np.eye(3))),
+         AllocationScheme(kind="edge_length", beta=1000.0), "beta and epsilon"),
+        # every weight is finite, their sum is not
+        (star_tree(4, 0), AllocationScheme(kind="edge_length", epsilon=1e308),
+         "beta and epsilon"),
+    ], ids=["depth_increasing-alpha", "edge_length-beta", "edge_length-epsilon"])
+    def test_rejected_naming_the_scheme(self, tree, scheme, keys):
+        message = f"scheme {scheme.kind!r} weights are not finite; lower its {keys}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            allocate(tree, 100, scheme)
+
+    def test_one_finite_weight_near_the_float_limit_is_allocated(self):
+        # total * weight overflows a float; the split in integers does not
+        seed = 900719925474099  # floor(0.1 * 2**53)
+        scheme = AllocationScheme(kind="edge_length", epsilon=1e308)
+        assert allocate(star_tree(2, 0), 2**53, scheme).per_task == {0: seed,
+                                                                     1: 2**53 - seed}
+        assert largest_remainder([1e308], 7) == [7]
+
+
 class TestSplitUniform:
     def test_even(self):
-        assert split_uniform(4, 8) == [2, 2, 2, 2]
+        assert split_uniform(4, 8).per_task == {0: 2, 1: 2, 2: 2, 3: 2}
 
     def test_remainder_to_lowest_indices(self):
-        assert split_uniform(4, 10) == [3, 3, 2, 2]
+        assert split_uniform(4, 10).per_task == {0: 3, 1: 3, 2: 2, 3: 2}
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleBudgetError):

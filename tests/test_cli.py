@@ -814,6 +814,18 @@ def test_negative_ridge_lambda_exits_2_naming_the_key(tmp_path):
               "error: ridge_lambda must be nonnegative", tmp_path / "out")
 
 
+@pytest.mark.parametrize("scheme, keys", [
+    ({"kind": "depth_increasing", "alpha": 2000.0}, "alpha"),  # a weight overflows
+    ({"kind": "edge_length", "epsilon": 1e308}, "beta and epsilon"),  # their sum does
+])
+def test_run_with_scheme_weights_that_overflow_exits_2_naming_the_scheme(tmp_path, scheme,
+                                                                          keys):
+    cfg = write_json(tmp_path / "run.json", {**SMALL_RUN, "scheme": scheme})
+    _rejected(_cli(["run", cfg, "--out", "out"], tmp_path),
+              f"error: scheme {scheme['kind']!r} weights are not finite; lower its {keys}",
+              tmp_path / "out")
+
+
 @pytest.mark.parametrize("key, value", [
     ("dim", "abc"), ("dim", 2.7), ("dim", "2"), ("dim", True), ("tasks", []),
 ])
@@ -967,6 +979,13 @@ SMALL_CHAIN = {"mode": "noiseless", "length": 2}
     (["verify", "{cfg}"], {**SMALL_CHAIN, "spacing": float("nan")}, "'spacing'"),
     (["gen", "{cfg}"], {"num_tasks": 4, "tau_within": float("inf")}, "'tau_within'"),
     (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": []}, "'metrics'"),
+    (["run", "{cfg}"], {**SMALL_RUN, "budget": 10**20}, "budget must be at most 2**53"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "budgets": [40, 2**53 + 1]},
+     "budget must be at most 2**53"),
+    (["run", "{cfg}"], {**SMALL_RUN, "synthetic": {**SMALL_RUN["synthetic"], "seed": 99}},
+     "synthetic.seed"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "distance_params": {"seed": 99}},
+     "distance_params.seed"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, config, named, gen_config, tmp_path,
                                                capsys):

@@ -44,13 +44,22 @@ from taskcascade.theory import ChainConfig, NoisySpec, PathSpec
      "sigmas and a_frob must be finite and nonnegative"),
     (lambda: NoisySpec(PathSpec([0.5], [1], [0.5]), sigmas=[0.0], a_frob=[float("inf")]),
      "sigmas and a_frob must be finite and nonnegative"),
+    (lambda: ExperimentConfig(method="individual", budget=2**53 + 1, data_path="x"),
+     f"budget must be at most 2**53, got {2**53 + 1}"),
+    (lambda: ExperimentConfig(method="star", budget=10,
+                              synthetic=SyntheticConfig(num_tasks=2, seed=99)),
+     "synthetic.seed must be 0; each replicate derives it"),
+    (lambda: ExperimentConfig(method="mst", metric_name="mmd", budget=10, data_path="x",
+                              distance_params=DistanceParams(seed=99)),
+     "distance_params.seed must be 0; each replicate derives it"),
 ], ids=["DistanceParams", "AllocationScheme", "PathSpec", "NoisySpec",
         "BudgetAllocation", "SyntheticConfig", "ExperimentConfig", "ChainConfig",
         "DistanceParams-hist_bins", "DistanceParams-hist_smoothing",
         "BudgetAllocation-negative", "SyntheticConfig-n_test", "PathSpec-budgets",
         "PathSpec-deltas", "PathSpec-init_error", "ChainConfig-dim", "ChainConfig-budgets",
         "ChainConfig-spacing", "ChainConfig-noise_draws", "NoisySpec-sigmas",
-        "NoisySpec-a_frob"])
+        "NoisySpec-a_frob", "ExperimentConfig-budget", "ExperimentConfig-synthetic.seed",
+        "ExperimentConfig-distance_params.seed"])
 def test_config_rejects_a_bad_value_when_built(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         build()
