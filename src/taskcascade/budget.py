@@ -3,7 +3,11 @@
 The root gets a fixed fraction of the budget (default 10%), every task is
 guaranteed at least one step, and the remainder is split over non-root tasks
 proportionally to scheme weights, with largest-remainder rounding so the
-total is preserved exactly.
+total is preserved exactly. A weight (depth+1)^alpha, (depth+1)^-alpha or
+(edge+epsilon)^beta is formed from its log, relative to the largest, so the
+largest weight is 1 and none overflows at any finite exponent. A weight
+that underflows to 0 is below 2**-1074 of the largest, so its share of a
+budget up to 2**53 is below one step.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ class AllocationScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme {self.kind!r}; valid: {SCHEME_KINDS}")
-        if self.alpha <= 0 or self.beta <= 0 or self.epsilon <= 0:
-            raise ConfigError("alpha, beta and epsilon must be positive")
+        if not all(0 < v < math.inf for v in (self.alpha, self.beta, self.epsilon)):
+            raise ConfigError("alpha, beta and epsilon must be positive and finite")
         if not 0.0 <= self.seed_fraction < 1.0:
             raise ConfigError("seed_fraction must be in [0, 1)")
 
@@ -88,14 +92,24 @@ def largest_remainder(weights: list[float], total: int) -> list[int]:
     return out
 
 
-def _scheme_weight(scheme: AllocationScheme, depth: int, edge: float) -> float:
+def _scheme_weights(
+    scheme: AllocationScheme, node_depth: dict[int, int], edge_length: dict[int, float],
+    members: list[int],
+) -> list[float]:
+    """Each member's weight base**exponent, formed as exp(exponent * (log
+    base - the largest log base)): the largest is 1 and none overflows."""
     if scheme.kind == "uniform":
-        return 1.0
-    if scheme.kind == "depth_increasing":
-        return float((depth + 1) ** scheme.alpha)
-    if scheme.kind == "depth_decreasing":
-        return float((depth + 1) ** -scheme.alpha)
-    return float((edge + scheme.epsilon) ** scheme.beta)
+        return [1.0] * len(members)
+    if scheme.kind == "edge_length":
+        exponent, logs = scheme.beta, []
+        for v in members:  # log(edge + epsilon), without the sum that may overflow
+            hi, lo = sorted((edge_length.get(v, 0.0), scheme.epsilon), reverse=True)
+            logs.append(math.log(hi) + math.log1p(lo / hi))
+    else:
+        sign = 1 if scheme.kind == "depth_increasing" else -1
+        exponent, logs = scheme.alpha, [sign * math.log(node_depth[v] + 1) for v in members]
+    top = max(logs)
+    return [math.exp(exponent * (x - top)) for x in logs]
 
 
 def allocate(tree: RootedTree, total: int, scheme: AllocationScheme) -> BudgetAllocation:
@@ -127,18 +141,7 @@ def allocate(tree: RootedTree, total: int, scheme: AllocationScheme) -> BudgetAl
         pool = total - T
         members = sorted(node_depth)
 
-    try:
-        weights = [
-            _scheme_weight(scheme, node_depth[v], tree.edge_length.get(v, 0.0))
-            for v in members
-        ]
-    except OverflowError:  # a float power too large raises, where a sum gives inf
-        weights = [math.inf]
-    if not math.isfinite(sum(weights)):
-        keys = "alpha" if scheme.kind.startswith("depth") else "beta and epsilon"
-        raise ConfigError(
-            f"scheme {scheme.kind!r} weights are not finite; lower its {keys}"
-        )
+    weights = _scheme_weights(scheme, node_depth, tree.edge_length, members)
     for v, extra in zip(members, largest_remainder(weights, pool)):
         per_task[v] += extra
     return BudgetAllocation(per_task, total)

@@ -18,9 +18,10 @@ or random Fourier projection with within-task distances) and a row
 reduction, the distances from one summary to a list of others.
 :func:`compute_distance_matrix` summarizes each task once and then reduces
 one row at a time, summary i against every later summary. The Euclidean
-metrics (``target``, ``gradient``, ``model``) stack their summaries once per
-matrix and do a whole row, a slice of that stack, as one batched dot
-product, with the same arithmetic as ``np.linalg.norm`` of each
+metrics (``target``, ``gradient``, ``model``) summarize every task as a row
+of one array (``gradient`` in one pass per split stack, with the bits of
+each task's own) and do a whole row of distances, a slice of it, as one
+batched dot product, with the same arithmetic as ``np.linalg.norm`` of each
 difference; the others apply their pair distance along the row.
 :func:`task_distance` is the same computation on two tasks, so a pair call
 equals the matching matrix entry exactly.
@@ -59,7 +60,7 @@ from .seeding import substream
 
 if TYPE_CHECKING:
     # Annotations only: ``tree`` reads a distance matrix without the task layer.
-    from .tasks import TaskCollection, TaskDataset
+    from .tasks import SplitStack, TaskCollection, TaskDataset
 
 FEATURE_METRICS = ("feature", "mmd", "gauss_meancov", "cka")
 TARGET_METRICS = ("target", "sym_kl", "js", "wasserstein")
@@ -314,14 +315,22 @@ def _wasserstein(su: np.ndarray, sv: np.ndarray, params: DistanceParams) -> floa
     return float(np.dot(np.abs(cdf_u - cdf_v), np.diff(pooled)))
 
 
-def _gradient(task: TaskDataset, params: DistanceParams) -> np.ndarray:
-    g = task.X_train.T @ task.y_train
-    norm = np.linalg.norm(g)
-    # A finite X^T y whose norm overflows would normalize to zeros; one that
-    # is not finite fails here before the summary check.
-    if not np.isfinite(norm):
-        raise DegenerateDesignError("X^T y is not finite; the task's entries are too large")
-    return g / norm if params.normalize_gradients and norm > 0 else g
+def _gradient_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
+    """Every task's X^T y, normalized unless ``params`` say not, as the rows
+    of one array: one matmul per split stack and one pass for the norms,
+    with the bits of each task's ``X.T @ y`` and ``np.linalg.norm``."""
+    g = np.zeros((len(tasks), tasks[0].dim if tasks else 0))
+    for stack in stacks:
+        g[stack.index] = np.matmul(stack.y_train[:, None, :], stack.X_train)[:, 0]
+    norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]).ravel())
+    # A finite X^T y whose norm overflows would normalize to zeros.
+    bad = ~np.isfinite(norm)
+    if bad.any():
+        raise DegenerateDesignError(f"task {tasks[bad.argmax()].id!r}: X^T y is not finite; "
+                                    "the task's entries are too large")
+    if params.normalize_gradients:
+        np.divide(g, norm[:, None], out=g, where=(norm > 0.0)[:, None])
+    return g
 
 
 def _ridge(task: TaskDataset, params: DistanceParams) -> np.ndarray:
@@ -342,86 +351,100 @@ def _rows(pair: Callable) -> Callable:
     return row
 
 
-def _stack(summaries: list, ids: Sequence[str]) -> np.ndarray:
-    """The vector summaries of a matrix, one per id, as the rows of one array.
-
-    Vectors of unequal lengths fail in the first row that meets them, row 0,
-    so the error names the pair of id 0 and the first id whose summary
-    length differs, as a row of :func:`_euclidean` would.
-    """
-    for v, other in zip(summaries[1:], ids[1:]):
-        if v.shape != summaries[0].shape:
-            raise ShapeMismatchError(
-                f"pair ({ids[0]!r}, {other!r}): Euclidean distance needs "
-                f"equal lengths, got {summaries[0].shape[0]} and {v.shape[0]}"
+def _per_task(summarize: Callable, tasks, metric: str, params: DistanceParams) -> list:
+    """Every task's summary; an error or a summary that is not finite names
+    the first such task."""
+    summaries = []
+    for task in tasks:
+        try:
+            summary = summarize(task, params)
+        except TaskCascadeError as exc:
+            raise type(exc)(f"task {task.id!r}: {exc}") from exc
+        parts = summary if isinstance(summary, tuple) else (summary,)
+        if not all(np.isfinite(part).all() for part in parts):
+            raise DegenerateDesignError(
+                f"task {task.id!r}: its {metric} summary is not finite; "
+                "the task's entries are too large"
             )
-    return np.array(summaries)
+        summaries.append(summary)
+    return summaries
+
+
+def _vector_rows(summarize: Callable, metric: str) -> Callable:
+    """Every task's vector summary as a row of one array. Vectors of unequal
+    lengths fail in the first row that meets them, row 0, so the error names
+    the pair of task 0 and the first task whose length differs."""
+
+    def rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
+        summaries = _per_task(summarize, tasks, metric, params)
+        for task, v in zip(tasks[1:], summaries[1:]):
+            if len(v) != len(summaries[0]):
+                raise ShapeMismatchError(
+                    f"pair ({tasks[0].id!r}, {task.id!r}): Euclidean distance needs "
+                    f"equal lengths, got {len(summaries[0])} and {len(v)}"
+                )
+        return np.array(summaries)
+
+    return rows
 
 
 def _euclidean(u: np.ndarray, later: np.ndarray, params: DistanceParams) -> np.ndarray:
     """Euclidean distances from u to each later vector, one batched dot per row.
 
-    ``later`` holds the later vectors as rows: a slice of the summary stack
-    that :func:`_pairwise` builds once per matrix with :func:`_stack`. Each
-    entry is sqrt of the dot product of u - v with itself, as
-    ``np.linalg.norm(u - v)`` computes it, so it equals the per-pair value.
+    ``later`` holds the later vectors as rows: a slice of the summary array
+    of the whole collection. Each entry is sqrt of the dot product of u - v
+    with itself, as ``np.linalg.norm(u - v)`` computes it, so it equals the
+    per-pair value.
     """
     diff = u - later
     return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
 
 
-# metric -> (summary of one task's training split,
-#            whether rows slice one stack of the summaries (else a list),
+# metric -> (summary of one task, or for _euclidean the summaries of every
+#            task, from the tasks and their split stacks, as rows of one array,
 #            distances from one summary to the later ones)
-_METRICS: dict[str, tuple[Callable, bool, Callable]] = {
-    "feature": (_features, False, _rows(_feature_distance)),
-    "mmd": (_rff_summary, False, _rows(_mmd_rff)),
-    "gauss_meancov": (_mean_cov, False, _rows(_gauss_meancov)),
-    "cka": (_sample_features, False, _rows(_cka_distance)),
-    "target": (_targets, True, _euclidean),
-    "sym_kl": (_targets, False, _rows(_sym_kl)),
-    "js": (_targets, False, _rows(_js)),
-    "wasserstein": (_sorted_targets, False, _rows(_wasserstein)),
-    "gradient": (_gradient, True, _euclidean),
-    "model": (_ridge, True, _euclidean),
+_METRICS: dict[str, tuple[Callable, Callable]] = {
+    "feature": (_features, _rows(_feature_distance)),
+    "mmd": (_rff_summary, _rows(_mmd_rff)),
+    "gauss_meancov": (_mean_cov, _rows(_gauss_meancov)),
+    "cka": (_sample_features, _rows(_cka_distance)),
+    "target": (_vector_rows(_targets, "target"), _euclidean),
+    "sym_kl": (_targets, _rows(_sym_kl)),
+    "js": (_targets, _rows(_js)),
+    "wasserstein": (_sorted_targets, _rows(_wasserstein)),
+    "gradient": (_gradient_rows, _euclidean),
+    "model": (_vector_rows(_ridge, "model"), _euclidean),
 }
 
 
 def _pairwise(
-    tasks: Sequence[TaskDataset], metric: str, params: DistanceParams | None
+    tasks: Sequence[TaskDataset],
+    stacks: Sequence[SplitStack],
+    metric: str,
+    params: DistanceParams | None,
 ) -> np.ndarray:
     """Summarize every task once, then reduce one row of pairs at a time.
 
-    Row i holds summary i against every later summary, so the matrix takes
-    T - 1 row reductions and no temporary larger than T summaries. Errors
-    name the task whose summary failed or is not finite; for stacked
-    summaries of unequal lengths, the first pair of row 0 that meets them;
-    and for distances that are not finite, the first such pair in row order.
+    ``stacks`` are the tasks' split stacks. Row i holds summary i against
+    every later summary, so the matrix takes T - 1 row reductions and no
+    temporary larger than T summaries. Errors name the task whose summary
+    failed or is not finite; for Euclidean summaries of unequal lengths, the
+    first pair of row 0 that meets them; and for distances that are not
+    finite, the first such pair in row order.
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
-    summarize, stacked, reduce_row = _METRICS[metric]
+    summarize, reduce_row = _METRICS[metric]
     params = params or DistanceParams()
     T = len(tasks)
     values = np.zeros((T, T))
     # An overflow or NaN shows in a summary or in the finished matrix, and
     # each is checked once.
     with np.errstate(over="ignore", invalid="ignore"):
-        summaries = []
-        for task in tasks:
-            try:
-                summary = summarize(task, params)
-            except TaskCascadeError as exc:
-                raise type(exc)(f"task {task.id!r}: {exc}") from exc
-            parts = summary if isinstance(summary, tuple) else (summary,)
-            if not all(np.isfinite(part).all() for part in parts):
-                raise DegenerateDesignError(
-                    f"task {task.id!r}: its {metric} summary is not finite; "
-                    "the task's entries are too large"
-                )
-            summaries.append(summary)
-        if stacked:
-            summaries = _stack(summaries, [task.id for task in tasks])
+        if reduce_row is _euclidean:
+            summaries = summarize(tasks, stacks, params)
+        else:
+            summaries = _per_task(summarize, tasks, metric, params)
         for i in range(T - 1):
             row = reduce_row(summaries[i], summaries[i + 1:], params)
             values[i, i + 1:] = row
@@ -450,7 +473,9 @@ def task_distance(
         raise ShapeMismatchError(
             f"tasks {u.id!r} and {v.id!r} have dimensions {u.dim} != {v.dim}"
         )
-    return float(_pairwise([u, v], metric, params)[0, 1])
+    from .tasks import stack_splits  # loaded already: u and v are its tasks
+
+    return float(_pairwise([u, v], stack_splits([u, v]), metric, params)[0, 1])
 
 
 def compute_distance_matrix(
@@ -459,7 +484,7 @@ def compute_distance_matrix(
     params: DistanceParams | None = None,
 ) -> DistanceMatrix:
     """Pairwise distances over all unordered task pairs, training splits only."""
-    values = _pairwise(collection.tasks, metric_name, params)
+    values = _pairwise(collection.tasks, collection.stacks, metric_name, params)
     return DistanceMatrix(values, collection.ids)
 
 

@@ -4,6 +4,10 @@ A task is a linear-regression dataset with train and test splits sharing a
 feature dimension. Collections of tasks are generated synthetically from a
 clustered parameter model, or loaded from a directory of CSV files described
 by a ``manifest.json``.
+
+A collection keeps its splits as stacks, one :class:`SplitStack` per distinct
+(n_train, n_test), and each task's arrays are views of its rows; readers of
+the whole collection make one pass per stack, not one per task.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,20 +35,7 @@ _FORBIDDEN_IN_FILE_NAME = ("/", "\\", "..")
 # matrix CSV, so they may not leave the directory, split a CSV cell or line,
 # or hold the NUL that no file name can.
 _FORBIDDEN_IN_ID = _FORBIDDEN_IN_FILE_NAME + (",", "\n", "\r", "\0")
-
-
-def _as_float_matrix(a, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
-    return arr
-
-
-def _as_float_vector(a, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(a, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeMismatchError(f"{name} must be a 1-d vector, got ndim={arr.ndim}")
-    return arr
+_SPLITS = ("X_train", "y_train", "X_test", "y_test")
 
 
 @dataclass
@@ -69,10 +60,12 @@ class TaskDataset:
                 f"invalid task id {self.id!r}: ids must be non-empty strings "
                 "without '/', '\\', '..', ',', NUL or line breaks"
             )
-        self.X_train = _as_float_matrix(self.X_train, "X_train")
-        self.y_train = _as_float_vector(self.y_train, "y_train")
-        self.X_test = _as_float_matrix(self.X_test, "X_test")
-        self.y_test = _as_float_vector(self.y_test, "y_test")
+        for name, ndim in zip(_SPLITS, (2, 1, 2, 1)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if arr.ndim != ndim:
+                kind = "2-d matrix" if ndim == 2 else "1-d vector"
+                raise ShapeMismatchError(f"{name} must be a {kind}, got ndim={arr.ndim}")
+            setattr(self, name, arr)
         if self.X_test.shape[0] == 0:
             # an empty test split of any width has the training dimension,
             # so it saves as a header of x1..xd,y that loads back
@@ -92,13 +85,8 @@ class TaskDataset:
                 f"task {self.id!r}: train dim {self.X_train.shape[1]} "
                 f"!= test dim {self.X_test.shape[1]}"
             )
-        for name, arr in (
-            ("X_train", self.X_train),
-            ("y_train", self.y_train),
-            ("X_test", self.X_test),
-            ("y_test", self.y_test),
-        ):
-            if arr.size and not np.isfinite(arr).all():
+        for name in _SPLITS:
+            if not np.isfinite(getattr(self, name)).all():
                 raise DataFormatError(f"task {self.id!r}: non-finite entry in {name}")
 
     @property
@@ -112,6 +100,37 @@ class TaskDataset:
     @property
     def n_test(self) -> int:
         return self.X_test.shape[0]
+
+
+class SplitStack(NamedTuple):
+    """The tasks at ``index`` (ascending), which share (n_train, n_test), with
+    their splits stacked as (k, n, d) and (k, n) arrays."""
+
+    index: np.ndarray
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
+
+
+def stack_splits(tasks: list[TaskDataset]) -> list[SplitStack]:
+    """Copies of the tasks' splits, one stack per (n_train, n_test) in order
+    of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault((task.n_train, task.n_test), []).append(i)
+    return [
+        SplitStack(np.array(index), *(np.array([getattr(tasks[i], name) for i in index])
+                                      for name in _SPLITS))
+        for index in groups.values()
+    ]
+
+
+def _view_rows(tasks: list[TaskDataset], stack: SplitStack) -> None:
+    """Point the arrays of the tasks in ``stack`` at their rows of it."""
+    for j, i in enumerate(stack.index.tolist()):
+        tasks[i].X_train, tasks[i].y_train, tasks[i].X_test, tasks[i].y_test = (
+            a[j] for a in stack[1:])
 
 
 @dataclass
@@ -146,20 +165,37 @@ class TaskCollection:
         return [t.id for t in self.tasks]
 
     @cached_property
+    def stacks(self) -> list[SplitStack]:
+        """The tasks' splits as stacks (see :class:`SplitStack`), copied on
+        first use and kept, as :attr:`designs` are; the tasks' arrays become
+        views of their rows. :func:`generate_synthetic` sets its own."""
+        stacks = stack_splits(self.tasks)
+        for stack in stacks:
+            _view_rows(self.tasks, stack)
+        return stacks
+
+    @cached_property
     def designs(self) -> list[Design]:
-        """Every task's training design, from one stacked eigendecomposition.
+        """Every task's training design, from one stacked eigendecomposition
+        per split stack.
 
         Built on first use and kept, so every run that refines the collection
         reads the same designs; its tasks must not be replaced after that. A
-        Gram matrix that overflows names its task.
+        Gram matrix that overflows names its task, the first in task order.
         """
         from .linmodel import build_designs  # so that gen never loads linmodel
 
-        try:
-            return build_designs([task.X_train for task in self.tasks])
-        except NonFiniteGramError as exc:
-            task = self.tasks[exc.index]
-            raise NonFiniteGramError(f"task {task.id!r}: {exc}", exc.index) from exc
+        designs, failed = [None] * len(self.tasks), []
+        for stack in self.stacks:
+            try:
+                for i, design in zip(stack.index.tolist(), build_designs(stack.X_train)):
+                    designs[i] = design
+            except NonFiniteGramError as exc:
+                failed.append((int(stack.index[exc.index]), str(exc)))
+        if failed:
+            i, problem = min(failed)
+            raise NonFiniteGramError(f"task {self.tasks[i].id!r}: {problem}", i)
+        return designs
 
 
 @dataclass
@@ -202,8 +238,8 @@ class GroundTruth:
     cluster: dict[str, int] = field(default_factory=dict)
 
 
-# Values that overflow (a tau near 1e308) fail each task's finite check, which
-# names the task; numpy's warnings about them would only precede that error.
+# Values that overflow (a tau near 1e308) fail the finite check, which names
+# the task; numpy's warnings about them would only precede that error.
 @np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundTruth]:
     """Generate a clustered collection of linear-regression tasks.
@@ -214,34 +250,49 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
     Gaussian, targets are linear plus optional Gaussian noise. Deterministic
     given ``config.seed``; each task consumes its own substream so changing
     ``num_tasks`` never perturbs earlier tasks.
+    Each substream draws into the task's rows of one split stack, and one
+    stacked matmul forms the targets, with the bits of per-task arrays. A
+    non-finite entry names the first such task, and in it the first split.
     """
-    d = config.dim
+    d, T = config.dim, config.num_tasks
     centers_rng = substream(config.seed, "centers")
     theta0 = centers_rng.standard_normal(d)
     shifts = config.tau_between * centers_rng.standard_normal((config.num_clusters, d))
 
-    tasks: list[TaskDataset] = []
-    theta_star: dict[str, np.ndarray] = {}
-    cluster: dict[str, int] = {}
-    for v in range(config.num_tasks):
-        c = v % config.num_clusters
+    zeta = np.empty((T, d))
+    X_train = np.empty((T, config.n_train, d))
+    eps_train = np.empty((T, config.n_train))
+    X_test = np.empty((T, config.n_test, d))
+    eps_test = np.empty((T, config.n_test))
+    for v in range(T):
         rng = substream(config.seed, "task", v)
-        zeta = config.tau_within * rng.standard_normal(d)
-        theta_v = theta0 + shifts[c] + zeta
+        for out in (zeta[v], X_train[v], eps_train[v], X_test[v], eps_test[v]):
+            rng.standard_normal(out=out)
+    cluster_of = np.arange(T) % config.num_clusters
+    theta = theta0 + shifts[cluster_of]
+    theta += config.tau_within * zeta
+    y_train = np.matmul(X_train, theta[:, :, None])[..., 0]
+    y_train += config.noise_sigma * eps_train
+    y_test = np.matmul(X_test, theta[:, :, None])[..., 0]
+    y_test += config.noise_sigma * eps_test
 
-        X_train = rng.standard_normal((config.n_train, d))
-        eps_train = config.noise_sigma * rng.standard_normal(config.n_train)
-        y_train = X_train @ theta_v + eps_train
-        X_test = rng.standard_normal((config.n_test, d))
-        eps_test = config.noise_sigma * rng.standard_normal(config.n_test)
-        y_test = X_test @ theta_v + eps_test
-
-        task_id = f"task{v}"
-        tasks.append(TaskDataset(task_id, X_train, y_train, X_test, y_test))
-        theta_star[task_id] = theta_v
-        cluster[task_id] = c
-
-    return TaskCollection(tasks, d), GroundTruth(theta_star, cluster)
+    ids = [f"task{v}" for v in range(T)]
+    stack = SplitStack(np.arange(T), X_train, y_train, X_test, y_test)
+    # A non-finite entry makes its stack's sum non-finite, and so may an
+    # overflow of finite entries, which the check per task then clears.
+    if not all(np.isfinite(a.sum()) for a in stack[1:]):
+        bad = [[not np.isfinite(a[v]).all() for a in stack[1:]] for v in range(T)]
+        if any(map(any, bad)):
+            v, s = np.argwhere(bad)[0]
+            raise DataFormatError(f"task {ids[v]!r}: non-finite entry in {_SPLITS[s]}")
+    # The stack is checked as a whole, so its tasks skip TaskDataset's checks.
+    tasks = [TaskDataset.__new__(TaskDataset) for _ in ids]
+    for task, task_id in zip(tasks, ids):
+        task.id = task_id
+    _view_rows(tasks, stack)
+    collection = TaskCollection(tasks, d)
+    collection.stacks = [stack]
+    return collection, GroundTruth(dict(zip(ids, theta)), dict(zip(ids, cluster_of.tolist())))
 
 
 def _write_split_csv(path: Path, X: np.ndarray, y: np.ndarray) -> None:

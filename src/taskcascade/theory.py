@@ -182,9 +182,7 @@ def _build_chain(config: ChainConfig):
     direction /= np.linalg.norm(direction)
     m = config.length
     thetas = [theta0 + (i / m) * config.spacing * direction for i in range(m + 1)]
-    designs = build_designs(
-        [rng.standard_normal((config.n, config.dim)) for _ in range(m + 1)]
-    )
+    designs = build_designs(rng.standard_normal((m + 1, config.n, config.dim)))
     etas, rhos, a_frob = [], [], []
     for design in designs:
         etas.append(1.0 / lambda_max(design))

@@ -1,10 +1,10 @@
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskcascade import budget
 from taskcascade.budget import (
     SCHEME_KINDS,
     AllocationScheme,
@@ -191,6 +191,18 @@ def test_allocation_sums_exactly_with_one_step_each(tree, kind, alpha, beta,
     assert min(alloc.per_task.values()) >= 1
 
 
+def scheme_bases(tree, scheme, members):
+    """Each member's depth + 1, or its edge + epsilon for edge_length (as an
+    exact fraction, since the float sum may round or overflow), so that the
+    scheme's weight is this base raised to alpha, -alpha or beta."""
+    node_depth = depths(tree)
+    if scheme.kind == "edge_length":
+        return [Fraction(tree.edge_length.get(v, 0.0)) + Fraction(scheme.epsilon)
+                for v in members]
+    sign = -1 if scheme.kind == "depth_decreasing" else 1
+    return [sign * (node_depth[v] + 1) for v in members]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     tree=random_trees(),
@@ -203,34 +215,64 @@ def test_allocation_sums_exactly_with_one_step_each(tree, kind, alpha, beta,
 )
 def test_extreme_schemes_sum_exactly_or_are_rejected(tree, kind, alpha, beta, epsilon,
                                                      seed_fraction, extra):
+    # No finite alpha, beta or epsilon is rejected any more: every scheme
+    # allocates, sums exactly and keeps its order.
     total = tree.size + extra
     scheme = AllocationScheme(kind=kind, alpha=alpha, beta=beta, epsilon=epsilon,
                               seed_fraction=seed_fraction)
-    try:
-        alloc = allocate(tree, total, scheme)
-    except ConfigError as exc:
-        assert str(exc).startswith(f"scheme {kind!r} weights are not finite"), exc
-        return
+    alloc = allocate(tree, total, scheme)
     assert set(alloc.per_task) == set(range(tree.size))
     assert sum(alloc.per_task.values()) == total
     assert min(alloc.per_task.values()) >= 1
+    # The weights keep the order of the bases, and the largest is 1, so they
+    # never all underflow into the even split. The budgets keep the order of
+    # the weights, exactly where two weights differ and within the one step
+    # of a tie's rounding where they are equal.
+    members = sorted(tree.parent) if seed_fraction > 0 else list(range(tree.size))
+    if not members:
+        return
+    bases = scheme_bases(tree, scheme, members)
+    weights = budget._scheme_weights(scheme, depths(tree), tree.edge_length, members)
+    assert max(weights) == 1.0
+    for u, bu, wu in zip(members, bases, weights):
+        for v, bv, wv in zip(members, bases, weights):
+            if bu < bv:
+                assert wu <= wv
+            if wu < wv:
+                assert alloc.per_task[u] <= alloc.per_task[v]
+            elif wu == wv:
+                assert abs(alloc.per_task[u] - alloc.per_task[v]) <= 1
 
 
 class TestSchemeWeightsThatOverflow:
-    @pytest.mark.parametrize("tree, scheme, keys", [
-        # (depth+1)**alpha overflows a float
-        (chain(3), AllocationScheme(kind="depth_increasing", alpha=2000.0), "alpha"),
-        # (edge+epsilon)**beta overflows on an edge longer than 1
+    """Configs whose weights, formed as float powers, overflowed."""
+
+    @pytest.mark.parametrize("tree, scheme, want", [
+        # (depth+1)**alpha overflowed a float; the deepest task takes the pool
+        (chain(3), AllocationScheme(kind="depth_increasing", alpha=2000.0),
+         {0: 10, 1: 1, 2: 89}),
+        # (edge+epsilon)**beta overflowed on an edge longer than 1; both
+        # edges are 3, so the pool is split evenly
         (root_tree([(0, 1), (1, 2)], 0, 3.0 * (1 - np.eye(3))),
-         AllocationScheme(kind="edge_length", beta=1000.0), "beta and epsilon"),
-        # every weight is finite, their sum is not
+         AllocationScheme(kind="edge_length", beta=1000.0), {0: 10, 1: 45, 2: 45}),
+        # every weight was finite, their sum was not; the three edges agree
         (star_tree(4, 0), AllocationScheme(kind="edge_length", epsilon=1e308),
-         "beta and epsilon"),
-    ], ids=["depth_increasing-alpha", "edge_length-beta", "edge_length-epsilon"])
-    def test_rejected_naming_the_scheme(self, tree, scheme, keys):
-        message = f"scheme {scheme.kind!r} weights are not finite; lower its {keys}"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            allocate(tree, 100, scheme)
+         {0: 10, 1: 30, 2: 30, 3: 30}),
+        # edge + epsilon overflows; the weights are 2.5/2.5 and 2/2.5
+        (root_tree([(0, 1), (0, 2)], 0, np.array([[0, 1.5e308, 1e308],
+                                                  [1.5e308, 0, 1e308],
+                                                  [1e308, 1e308, 0]])),
+         AllocationScheme(kind="edge_length", epsilon=1e308), {0: 10, 1: 50, 2: 40}),
+    ], ids=["depth_increasing-alpha", "edge_length-beta", "edge_length-epsilon",
+            "edge_length-sum"])
+    def test_allocated_in_the_scheme_order(self, tree, scheme, want):
+        assert allocate(tree, 100, scheme).per_task == want
+
+    def test_depth_decreasing_at_a_large_alpha_favors_the_shallowest(self):
+        # every weight below depth 1 underflowed to 0, and a sum of 0 fell
+        # back to the even split {1: 23, 2: 23, 3: 22, 4: 22}
+        scheme = AllocationScheme(kind="depth_decreasing", alpha=5000.0)
+        assert allocate(chain(5), 100, scheme).per_task == {0: 10, 1: 87, 2: 1, 3: 1, 4: 1}
 
     def test_one_finite_weight_near_the_float_limit_is_allocated(self):
         # total * weight overflows a float; the split in integers does not

@@ -814,18 +814,6 @@ def test_negative_ridge_lambda_exits_2_naming_the_key(tmp_path):
               "error: ridge_lambda must be nonnegative", tmp_path / "out")
 
 
-@pytest.mark.parametrize("scheme, keys", [
-    ({"kind": "depth_increasing", "alpha": 2000.0}, "alpha"),  # a weight overflows
-    ({"kind": "edge_length", "epsilon": 1e308}, "beta and epsilon"),  # their sum does
-])
-def test_run_with_scheme_weights_that_overflow_exits_2_naming_the_scheme(tmp_path, scheme,
-                                                                          keys):
-    cfg = write_json(tmp_path / "run.json", {**SMALL_RUN, "scheme": scheme})
-    _rejected(_cli(["run", cfg, "--out", "out"], tmp_path),
-              f"error: scheme {scheme['kind']!r} weights are not finite; lower its {keys}",
-              tmp_path / "out")
-
-
 @pytest.mark.parametrize("key, value", [
     ("dim", "abc"), ("dim", 2.7), ("dim", "2"), ("dim", True), ("tasks", []),
 ])

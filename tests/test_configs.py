@@ -52,6 +52,8 @@ from taskcascade.theory import ChainConfig, NoisySpec, PathSpec
     (lambda: ExperimentConfig(method="mst", metric_name="mmd", budget=10, data_path="x",
                               distance_params=DistanceParams(seed=99)),
      "distance_params.seed must be 0; each replicate derives it"),
+    (lambda: AllocationScheme(beta=float("inf")),
+     "alpha, beta and epsilon must be positive and finite"),
 ], ids=["DistanceParams", "AllocationScheme", "PathSpec", "NoisySpec",
         "BudgetAllocation", "SyntheticConfig", "ExperimentConfig", "ChainConfig",
         "DistanceParams-hist_bins", "DistanceParams-hist_smoothing",
@@ -59,7 +61,7 @@ from taskcascade.theory import ChainConfig, NoisySpec, PathSpec
         "PathSpec-deltas", "PathSpec-init_error", "ChainConfig-dim", "ChainConfig-budgets",
         "ChainConfig-spacing", "ChainConfig-noise_draws", "NoisySpec-sigmas",
         "NoisySpec-a_frob", "ExperimentConfig-budget", "ExperimentConfig-synthetic.seed",
-        "ExperimentConfig-distance_params.seed"])
+        "ExperimentConfig-distance_params.seed", "AllocationScheme-inf"])
 def test_config_rejects_a_bad_value_when_built(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         build()

@@ -310,7 +310,7 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(seed)
         summaries = list(rng.standard_normal((T, n)) * 10.0**log_scale)
         summaries[-1] = summaries[0].copy()  # one exact zero distance
-        stack = distances._stack(summaries, [f"t{i}" for i in range(T)])
+        stack = np.array(summaries)
         values = np.zeros((T, T))
         for i in range(T - 1):
             row = distances._euclidean(stack[i], stack[i + 1:], None)
@@ -319,13 +319,39 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("metric", ["target", "gradient", "model"])
     def test_euclidean_metrics_equal_per_pair_norms(self, rng, metric):
-        # rows are slices of one summary stack; T = 48 makes them long
+        # rows are slices of one summary array; T = 48 makes them long
         collection = make_collection(rng, T=48, n=16, d=5)
         params = DistanceParams()
         summarize = distances._METRICS[metric][0]
-        want = pairwise_norms([summarize(task, params) for task in collection])
+        want = pairwise_norms(list(summarize(collection.tasks, collection.stacks, params)))
         got = compute_distance_matrix(collection, metric, params).values
         assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(st.integers(0, 40), min_size=1, max_size=30),
+        d=st.integers(1, 25),
+        log_scale=st.floats(-100.0, 100.0),
+        normalize=st.booleans(),
+    )
+    def test_gradient_matrix_equals_per_task_summaries(self, seed, shapes, d, log_scale,
+                                                       normalize):
+        # rows of mixed n_train, so the collection has one split stack per
+        # shape; each summary must get the bits of its own X.T @ y and norm
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        tasks = [TaskDataset(f"t{i}", rng.standard_normal((n, d)) * scale,
+                             rng.standard_normal(n), np.empty((0, d)), np.empty(0))
+                 for i, n in enumerate(shapes)]
+        want = []
+        for task in tasks:
+            g = task.X_train.T @ task.y_train
+            norm = np.linalg.norm(g)
+            want.append(g / norm if normalize and norm > 0 else g)
+        params = DistanceParams(normalize_gradients=normalize)
+        got = compute_distance_matrix(TaskCollection(tasks, d), "gradient", params)
+        assert np.array_equal(got.values, pairwise_norms(want))
 
     def test_first_failing_pair_of_a_row_is_named(self, rng):
         tasks = [make_task(rng, n=6, d=3, task_id="a"),

@@ -101,6 +101,19 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def designs_of(Xs):
+    """The designs of a list of matrices of mixed shapes, in list order: one
+    build_designs call per shape, on the stack of that shape's matrices."""
+    by_shape = {}
+    for i, X in enumerate(Xs):
+        by_shape.setdefault(X.shape, []).append(i)
+    designs = [None] * len(Xs)
+    for index in by_shape.values():
+        for i, got in zip(index, build_designs(np.stack([Xs[i] for i in index]))):
+            designs[i] = got
+    return designs
+
+
 def spectra(Xs):
     """The stacks of X^T X and of its eigenvalues and eigenvectors."""
     G = np.stack([X.T @ X for X in Xs])
@@ -111,7 +124,7 @@ class TestBuildDesigns:
     @settings(max_examples=150, deadline=None)
     @given(Xs=design_stacks())
     def test_stack_equals_one_eigh_per_matrix(self, Xs):
-        designs = build_designs(Xs)
+        designs = designs_of(Xs)
         assert len(designs) == len(Xs)
         for X, got in zip(Xs, designs):
             lam, V = np.linalg.eigh(X.T @ X)
@@ -127,7 +140,7 @@ class TestBuildDesigns:
         # Longer than one chunk of the power estimate, with every matrix at
         # several places in it, so that each must get the bits it gets alone.
         Xs = Xs * (linmodel._POWER_CHUNK // len(Xs) + 1)
-        for X, design in zip(Xs, build_designs(Xs)):
+        for X, design in zip(Xs, designs_of(Xs)):
             if not X.any():
                 for arg in (X, design):
                     with pytest.raises(DegenerateDesignError):
@@ -144,13 +157,21 @@ class TestBuildDesigns:
             assert same_bits(refine(theta0, design, Y, b, eta), refine(theta0, X, Y, b, eta))
 
     def test_no_matrices_give_no_designs(self):
-        assert build_designs([]) == []
+        assert build_designs(np.empty((0, 4, 2))) == []
 
     def test_column_counts_must_agree(self):
-        with pytest.raises(ShapeMismatchError, match="columns"):
-            build_designs([np.ones((4, 2)), np.ones((4, 3))])
-        with pytest.raises(ShapeMismatchError):
-            build_designs([np.ones(4)])
+        # matrices of other column (or row) counts form no stack
+        for Xs in ([np.ones((4, 2)), np.ones((4, 3))], [np.ones((4, 2)), np.ones((5, 2))]):
+            with pytest.raises(ShapeMismatchError, match="stack"):
+                build_designs(Xs)
+        for X in (np.ones(4), np.ones((4, 2))):
+            with pytest.raises(ShapeMismatchError, match="stack"):
+                build_designs(X)
+
+    def test_a_design_holds_a_view_of_its_row(self):
+        X = np.random.default_rng(0).standard_normal((3, 5, 2))
+        for row, got in zip(X, build_designs(X)):
+            assert np.shares_memory(got.X, X) and same_bits(got.X, row)
 
 
 class TestLambdaMax:
@@ -194,7 +215,7 @@ class TestLambdaMax:
     @given(Xs=design_stacks())
     def test_rejected_as_zero_exactly_when_the_gram_matrix_is(self, Xs):
         # the "zero" kind included; a design keeps only X^T X's spectrum
-        for X, design in zip(Xs, build_designs(Xs)):
+        for X, design in zip(Xs, designs_of(Xs)):
             try:
                 lambda_max(design)
                 zero = False

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,8 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskcascade.distances import DistanceMatrix, load_distance_matrix, save_distance_matrix
-from taskcascade.errors import ConfigError, DataFormatError, ShapeMismatchError
+from taskcascade.errors import (
+    ConfigError,
+    DataFormatError,
+    NonFiniteGramError,
+    ShapeMismatchError,
+)
 from taskcascade.graph import random_spanning_tree, root_tree, save_tree
+from taskcascade.seeding import substream
 from taskcascade.tasks import (
     SyntheticConfig,
     TaskCollection,
@@ -460,3 +467,144 @@ def test_adversarial_ids_round_trip(ids, seed, quoted):
     assert tree_root == ids[tree.root]
     assert tree_rows == {ids[c]: (ids[p], tree.edge_length[c])
                          for c, p in tree.parent.items()}
+
+
+# --- split stacks ---------------------------------------------------------
+
+
+def per_task_generator(config):
+    """Reference: the generator as one TaskDataset per task, each drawn,
+    formed and checked on its own (TaskDataset's checks, in its order)."""
+    d = config.dim
+    tasks, theta_star = [], {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers_rng = substream(config.seed, "centers")
+        theta0 = centers_rng.standard_normal(d)
+        shifts = config.tau_between * centers_rng.standard_normal((config.num_clusters, d))
+        for v in range(config.num_tasks):
+            rng = substream(config.seed, "task", v)
+            zeta = config.tau_within * rng.standard_normal(d)
+            theta_v = theta0 + shifts[v % config.num_clusters] + zeta
+            X_train = rng.standard_normal((config.n_train, d))
+            y_train = X_train @ theta_v + config.noise_sigma * rng.standard_normal(config.n_train)
+            X_test = rng.standard_normal((config.n_test, d))
+            y_test = X_test @ theta_v + config.noise_sigma * rng.standard_normal(config.n_test)
+            tasks.append(TaskDataset(f"task{v}", X_train, y_train, X_test, y_test))
+            theta_star[f"task{v}"] = theta_v
+    return tasks, theta_star
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SPLITS = ("X_train", "y_train", "X_test", "y_test")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    T=st.integers(1, 12),
+    d=st.integers(1, 6),
+    n_train=st.integers(1, 9),
+    n_test=st.integers(0, 9),
+    clusters=st.integers(1, 12),
+    tau_between=st.sampled_from([0.0, 0.3, 2.0, 1e154, 1e308]),
+    tau_within=st.sampled_from([0.0, 0.5, 3.0, 1e154, 1e308]),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_generator_equals_the_per_task_generator(T, d, n_train, n_test, clusters,
+                                                         tau_between, tau_within, noise,
+                                                         seed):
+    config = SyntheticConfig(num_tasks=T, dim=d, n_train=n_train, n_test=n_test,
+                             num_clusters=min(clusters, T), tau_between=tau_between,
+                             tau_within=tau_within, noise_sigma=noise, seed=seed)
+    try:
+        want, theta_star = per_task_generator(config)
+    except DataFormatError as exc:
+        # the same first task and, within it, the same first split
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(exc))}$"):
+            generate_synthetic(config)
+        return
+    collection, truth = generate_synthetic(config)
+    assert collection.ids == [task.id for task in want]
+    for got, task in zip(collection, want):
+        for name in SPLITS:
+            assert same_bits(getattr(got, name), getattr(task, name)), name
+    for task_id, theta in theta_star.items():
+        assert same_bits(truth.theta_star[task_id], theta)
+
+
+def test_a_stack_whose_sum_overflows_is_finite():
+    # every target is finite, about 4e307 at most, but their sum overflows,
+    # so the check per task must clear it
+    config = SyntheticConfig(num_tasks=50, dim=1, n_train=64, n_test=0,
+                             tau_between=1e307, seed=0)
+    collection, _ = generate_synthetic(config)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(collection.stacks[0].y_train.sum())
+    want, _ = per_task_generator(config)
+    for got, task in zip(collection, want):
+        assert same_bits(got.y_train, task.y_train)
+
+
+def test_generated_tasks_are_views_of_one_stack():
+    config = SyntheticConfig(num_tasks=5, dim=3, n_train=4, n_test=2, seed=1)
+    collection, _ = generate_synthetic(config)
+    [stack] = collection.stacks
+    assert stack.index.tolist() == list(range(5))
+    assert stack.X_train.shape == (5, 4, 3) and stack.y_test.shape == (5, 2)
+    for j, task in enumerate(collection):
+        for name in SPLITS:
+            rows = getattr(stack, name)
+            assert np.shares_memory(getattr(task, name), rows[j])
+            assert same_bits(getattr(task, name), rows[j])
+        assert not np.shares_memory(task.X_train, stack.X_train[(j + 1) % 5])
+
+
+def test_a_built_collection_stacks_its_tasks_and_views_them(rng):
+    collection = make_collection(rng, T=4, n=6, d=3)
+    copies = [{name: getattr(task, name).copy() for name in SPLITS} for task in collection]
+    [stack] = collection.stacks  # built on first use
+    for j, (task, copy) in enumerate(zip(collection, copies)):
+        for name in SPLITS:
+            assert np.shares_memory(getattr(task, name), getattr(stack, name))
+            assert same_bits(getattr(task, name), copy[name])
+            assert same_bits(getattr(stack, name)[j], copy[name])
+
+
+def ragged_tasks(rng, shapes, d=3):
+    return [TaskDataset(f"r{i}", rng.standard_normal((n, d)), rng.standard_normal(n),
+                        rng.standard_normal((m, d)), rng.standard_normal(m))
+            for i, (n, m) in enumerate(shapes)]
+
+
+def test_a_ragged_loaded_collection_forms_one_stack_per_shape(rng, tmp_path):
+    shapes = [(5, 2), (7, 2), (5, 2), (5, 0), (7, 2), (4, 3)]
+    save_collection(TaskCollection(ragged_tasks(rng, shapes), 3), tmp_path / "col")
+    loaded = load_collection(tmp_path / "col")
+    groups = [(stack.index.tolist(), stack.X_train.shape, stack.X_test.shape)
+              for stack in loaded.stacks]
+    assert groups == [([0, 2], (2, 5, 3), (2, 2, 3)), ([1, 4], (2, 7, 3), (2, 2, 3)),
+                      ([3], (1, 5, 3), (1, 0, 3)), ([5], (1, 4, 3), (1, 3, 3))]
+    for stack in loaded.stacks:
+        for j, i in enumerate(stack.index):
+            for name in SPLITS:
+                rows = getattr(stack, name)
+                assert rows[j].size == 0 or np.shares_memory(getattr(loaded[i], name), rows[j])
+    for task, design in zip(loaded, loaded.designs):
+        lam, V = np.linalg.eigh(task.X_train.T @ task.X_train)
+        assert same_bits(design.lam, lam) and same_bits(design.V, V)
+        assert np.shares_memory(design.X, task.X_train)
+
+
+def test_an_overflowing_gram_matrix_is_named_first_in_task_order(rng):
+    # t2 fails in the first stack built, t1 in the second; t1 comes first
+    tasks = ragged_tasks(rng, [(4, 1), (5, 1), (4, 1)])
+    for i in (1, 2):
+        tasks[i] = TaskDataset(f"r{i}", np.full_like(tasks[i].X_train, 1e200),
+                               tasks[i].y_train, tasks[i].X_test, tasks[i].y_test)
+    collection = TaskCollection(tasks, 3)
+    with pytest.raises(NonFiniteGramError, match="^task 'r1': X\\^T X is not finite") as info:
+        collection.designs
+    assert info.value.index == 1
