@@ -169,10 +169,7 @@ def _tree(
     params = config.distance_params
     if metric == "mmd":
         params = replace(params, seed=derive_seed(seed, "dist"))
-    matrix = compute_distance_matrix(collection, metric, params)
-    if kind == "random":
-        return build_tree(matrix, kind, seed)
-    return build_tree(matrix, kind)
+    return build_tree(compute_distance_matrix(collection, metric, params), kind, seed)
 
 
 def run_method(

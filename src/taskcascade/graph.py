@@ -186,8 +186,6 @@ def decode_pruefer(sequence: list[int] | np.ndarray, num_nodes: int) -> list[Edg
         raise GraphError("sequence labels out of range")
     if T == 1:
         return []
-    if T == 2:
-        return [(0, 1)]
     degree = [1] * T
     for s in seq:
         degree[s] += 1
@@ -206,11 +204,10 @@ def decode_pruefer(sequence: list[int] | np.ndarray, num_nodes: int) -> list[Edg
     return sorted(edges)
 
 
-def random_spanning_tree(num_nodes: int, seed: int | np.random.Generator) -> list[Edge]:
-    """Uniform random labeled tree via a uniformly sampled Pruefer sequence."""
+def random_spanning_tree(num_nodes: int, rng: np.random.Generator) -> list[Edge]:
+    """Uniform random labeled tree via a Pruefer sequence drawn from ``rng``."""
     if num_nodes <= 2:  # decode_pruefer rejects a count below 1
         return decode_pruefer([], num_nodes)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seq = rng.integers(0, num_nodes, size=num_nodes - 2)
     return decode_pruefer(seq, num_nodes)
 
@@ -258,10 +255,8 @@ def depths(tree: RootedTree) -> dict[int, int]:
     return out
 
 
-def save_tree(tree: RootedTree, path: str | Path, ids: list[str] | None = None) -> None:
+def save_tree(tree: RootedTree, path: str | Path, ids: list[str]) -> None:
     """Write an edge-list CSV ``parent,child,edge_length`` under a root header."""
-    if ids is None:
-        ids = [f"task{i}" for i in range(tree.size)]
     with open(path, "w") as fh:
         fh.write(f"# root={ids[tree.root]}\n")
         fh.write("parent,child,edge_length\n")

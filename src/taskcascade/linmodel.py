@@ -17,8 +17,9 @@ with rate max |r| < 1 whenever X^T X is positive definite, so errors decay
 geometrically in the step count.
 
 The default step size 1/lambda_max takes lambda_max from power iteration on
-X^T X with a fixed start vector, stopped by a relative tolerance. Power
-iteration is a linear recurrence too: with S = V diag(lam) V^T and
+X^T X with a fixed start vector, stopped by a relative tolerance, unless
+that step would not contract (see :func:`lambda_max`). Power iteration is
+a linear recurrence too: with S = V diag(lam) V^T and
 a = V^T v0, its k-th Rayleigh quotient is
 
     q_k = sum_i a_i^2 lam_i^(2k+1) / sum_i a_i^2 lam_i^(2k),
@@ -227,27 +228,28 @@ def _power_chunk(
 
 
 def lambda_max(X: np.ndarray | Design) -> float:
-    """Power iteration's estimate of the largest eigenvalue of X^T X.
+    """The largest eigenvalue of X^T X, from power iteration where its step contracts.
 
     All-ones start, relative tolerance ``_POWER_TOL``, at most
-    ``_POWER_MAX_ITER`` steps. The estimate is the one the design carries:
-    :func:`build_designs` computes it for a whole stack of designs at once
-    (see :func:`_power_estimates`), and a plain array gets its design built
-    here. Raises DegenerateDesignError for a zero design, whose eigenvalues
-    are all exactly zero, and for one whose estimate is not a positive finite
-    number with a finite step size 1/estimate: a design whose start vector
-    lies in the kernel of X^T X, or whose X^T X is subnormal.
+    ``_POWER_MAX_ITER`` steps; :func:`build_designs` computes the estimate
+    for a whole stack of designs at once (see :func:`_power_estimates`), and
+    a plain array gets its design built here. An estimate whose step
+    1/estimate would not contract along the top eigenvector, as
+    :func:`refine` tests it, gives way to the top eigenvalue ``lam[-1]``.
+    Raises DegenerateDesignError for a zero design and for one whose X^T X
+    is subnormal, so that the step size overflows.
     """
     design = _design(X)
     if not design.lam.any():
         raise DegenerateDesignError("X^T X is the zero matrix")
-    estimate = design.lam_est
+    estimate, top = design.lam_est, float(design.lam[-1])
+    if not (estimate > 0.0 and (1.0 / estimate) * top <= 2.0):
+        estimate = top
     if not (0.0 < estimate < math.inf and 1.0 / estimate < math.inf):
         raise DegenerateDesignError(
             f"power iteration's estimate of lambda_max is {estimate!r}, not a "
             "positive finite number with a finite reciprocal; the design's "
-            "entries may be too small, or its all-ones start vector may lie in "
-            "the kernel of X^T X"
+            "entries may be too small"
         )
     return estimate
 

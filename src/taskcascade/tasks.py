@@ -278,13 +278,10 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
 
     ids = [f"task{v}" for v in range(T)]
     stack = SplitStack(np.arange(T), X_train, y_train, X_test, y_test)
-    # A non-finite entry makes its stack's sum non-finite, and so may an
-    # overflow of finite entries, which the check per task then clears.
-    if not all(np.isfinite(a.sum()) for a in stack[1:]):
-        bad = [[not np.isfinite(a[v]).all() for a in stack[1:]] for v in range(T)]
-        if any(map(any, bad)):
-            v, s = np.argwhere(bad)[0]
-            raise DataFormatError(f"task {ids[v]!r}: non-finite entry in {_SPLITS[s]}")
+    finite = np.array([np.isfinite(a.reshape(T, -1)).all(axis=1) for a in stack[1:]])
+    if not finite.all():
+        v, s = np.argwhere(~finite.T)[0]  # task order first, then split order
+        raise DataFormatError(f"task {ids[v]!r}: non-finite entry in {_SPLITS[s]}")
     # The stack is checked as a whole, so its tasks skip TaskDataset's checks.
     tasks = [TaskDataset.__new__(TaskDataset) for _ in ids]
     for task, task_id in zip(tasks, ids):

@@ -203,7 +203,8 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
     bound's initial term vanishes exactly), every other task's targets get
     Gaussian noise, and the Monte-Carlo mean of the leaf errors is checked
     against the expected-error bound plus two standard errors. A spacing
-    whose targets or edge lengths overflow raises ConfigError.
+    whose targets or edge lengths overflow raises ConfigError, and so does
+    noise too small to move the leaf errors by more than their rounding.
     """
     m = config.length
     b = config.budget_per_node
@@ -238,7 +239,13 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
     # each column's own 1-d norm, which np.linalg.norm computes as sqrt(e . e)
     errors = np.array([math.sqrt(e.dot(e)) for e in theta.T - thetas[m]])
     empirical = float(errors.mean())
-    mc_stderr = float(errors.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
+    spread = float(errors.std(ddof=1)) if draws > 1 else 0.0
+    # With b > 0 the noise moves every leaf; a spread within 64 ulps of the
+    # errors' mean is their rounding, and 2 standard errors of it mean nothing.
+    if b > 0 and draws > 1 and spread <= 64 * math.ulp(empirical):
+        raise ConfigError(f"spacing {config.spacing!r} is too large for noise_sigma "
+                          f"{config.noise_sigma!r}: the leaf errors differ only by rounding")
+    mc_stderr = spread / math.sqrt(draws)
 
     path = PathSpec(rhos[1:], [b] * m, deltas, init_error=init_error)
     if noisy:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from taskcascade.budget import AllocationScheme, allocate, split_uniform
 from taskcascade.cascade import run_cascade, run_individual
 from taskcascade.distances import METRIC_NAMES, compute_distance_matrix
-from taskcascade.errors import DivergenceError, TaskCascadeError
+from taskcascade.errors import TaskCascadeError
 from taskcascade.graph import TREE_KINDS, build_tree
 from taskcascade.tasks import TaskCollection, TaskDataset
 
@@ -106,16 +106,12 @@ def test_any_input_runs_finite_or_is_rejected_naming_its_task(drawn):
                     _finite(result)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=DivergenceError,
-    reason="FOUND in CHANGES.md: power iteration's all-ones start is orthogonal to "
-    "the top eigenvector, so its estimate of lambda_max is 3, not 8, and a step "
-    "of 1/3 diverges; the exact lambda_max waits on re-recording "
-    "benchmarks/references.json",
-)
 def test_a_design_whose_top_eigenvector_misses_the_start_vector_refines():
     # Found by the search above with more examples than it runs: task t1 of
     # small integers, n = 2 < d = 3. Its X^T X has eigenvalues 0, 3 and 8.
+    # Power iteration's all-ones start is orthogonal to the eigenvector of 8,
+    # so its estimate is 3, and a step of 1/3 would diverge; lambda_max
+    # gives 8.
     rng = np.random.default_rng(0)
     X = np.array([[0.0, 2.0, -2.0], [1.0, 1.0, 1.0]])
     tasks = [TaskDataset(task_id, rng.standard_normal((8, 3)), rng.standard_normal(8),

@@ -331,7 +331,8 @@ class TestRun:
 
     @pytest.mark.parametrize("X_train, problem", [
         (np.full((4, 2), 1e200), "X^T X is not finite"),  # the Gram matrix overflows
-        (np.array([[1.0, -1.0]]), "estimate of lambda_max is 0.0"),  # v0 in the kernel
+        # v0 lies in the kernel of X^T X, whose top eigenvalue gives the step
+        (np.array([[1.0, -1.0]]), None),
     ])
     def test_degenerate_design_exits_2_naming_the_task(self, tmp_path, capsys, X_train,
                                                        problem):
@@ -345,8 +346,13 @@ class TestRun:
             "method": "mst", "metric_name": "gradient", "budget": 30, "num_seeds": 1,
             "data_path": str(tmp_path / "col"),
         })
-        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        code = main(["run", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
+        if problem is None:  # the design refines
+            assert (code, err) == (0, "")
+            assert (tmp_path / "out" / "report.json").exists()
+            return
+        assert code == 2
         assert err.splitlines() == [err.strip()]  # one line, no warning or traceback
         assert err.startswith("error: task 'bad': ") and problem in err
 
@@ -723,6 +729,13 @@ def test_verify_of_an_overflowing_spacing_exits_2_naming_it(tmp_path):
                                                 "n": 8, "spacing": 1e308})
     _rejected(_cli(["verify", cfg, "--out", "v.json"], tmp_path),
               "error: spacing 1e+308 is too large: chain task 1's", tmp_path / "v.json")
+
+
+def test_noisy_verify_below_the_rounding_of_its_errors_exits_2(tmp_path):
+    cfg = write_json(tmp_path / "verify.json", {"mode": "noisy", "length": 5, "spacing": 1e58,
+                                                "noise_sigma": 0.36, "noise_draws": 50})
+    _rejected(_cli(["verify", cfg, "--out", "v.json"], tmp_path),
+              "error: spacing 1e+58 is too large for noise_sigma 0.36", tmp_path / "v.json")
 
 
 @pytest.mark.parametrize("method", ["individual", "mst"])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taskcascade.distances import DistanceMatrix
 from taskcascade.errors import ConfigError, GraphError
@@ -274,7 +274,8 @@ class TestPruefer:
         assert decode_pruefer(seq, T) == decode_pruefer_quadratic(seq, T)
 
     def test_seed_reproducibility(self):
-        assert random_spanning_tree(9, 123) == random_spanning_tree(9, 123)
+        assert random_spanning_tree(9, substream(123, "tree")) == \
+            random_spanning_tree(9, substream(123, "tree"))
 
 
 class TestStarAndTraversal:
@@ -326,17 +327,20 @@ class TestStarAndTraversal:
 
 
 class TestBuildTree:
-    def test_kinds_match_their_constructions(self):
-        rng = np.random.default_rng(29)
-        dist = DistanceMatrix(symmetric_matrix(rng, 7))
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    @example(T=7, seed=11)
+    def test_kinds_match_their_constructions(self, T, seed):
+        # a random tree draws from the substream (seed, "tree") alone
+        dist = DistanceMatrix(symmetric_matrix(np.random.default_rng(T), T))
         root = medoid(dist)
         expected = {
             "mst": root_tree(mst(dist), root, dist),
-            "star": star_tree(7, root, dist),
-            "random": root_tree(random_spanning_tree(7, substream(11, "tree")), root, dist),
+            "star": star_tree(T, root, dist),
+            "random": root_tree(random_spanning_tree(T, substream(seed, "tree")), root, dist),
         }
         for kind, want in expected.items():
-            got = build_tree(dist, kind, seed=11)
+            got = build_tree(dist, kind, seed)
             assert (got.root, got.parent, got.edge_length) == \
                 (want.root, want.parent, want.edge_length), kind
 

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taskcascade.errors import (
     ConfigError,
@@ -94,6 +94,15 @@ def design_stacks(draw):
             X[:] = 0.0
         Xs.append(X)
     return Xs
+
+
+@st.composite
+def small_integer_designs(draw):
+    """Designs of 1-4 rows and columns (n < d among them) with entries in
+    -2..2, whose top eigenvectors may be orthogonal to the all-ones vector."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
+    return np.array(entries, dtype=np.float64).reshape(n, d)
 
 
 def same_bits(a, b) -> bool:
@@ -188,17 +197,29 @@ class TestLambdaMax:
             oracle = np.linalg.eigvalsh(X.T @ X).max()
             assert lambda_max(X) == pytest.approx(oracle, rel=1e-6)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="power iteration starts in the eigenspace of 1; exact lambda_max "
-        "waits on re-recording benchmarks/references.json",
-    )
     def test_start_vector_in_an_eigenspace(self):
+        # power iteration stays in the eigenspace of 1, and a step of 1/1
+        # would not contract along the eigenvector of 3
         assert lambda_max(BALANCED_X) == pytest.approx(3.0)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateDesignError):
             lambda_max(np.zeros((4, 3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=small_integer_designs(), b=st.integers(1, 1000))
+    @example(X=BALANCED_X, b=1000)
+    @example(X=np.array([[0.0, 2.0, -2.0], [1.0, 1.0, 1.0]]), b=1000)  # lam 0, 3, 8
+    def test_step_contracts_along_the_top_eigenvector(self, X, b):
+        # refine's own test: r = 1 - eta * lam[-1] must not fall below -1
+        design = build_designs(X[None])[0]
+        if not design.lam[-1] > 0.0:
+            return
+        eta = 1.0 / lambda_max(design)
+        assert eta * design.lam[-1] <= 2.0
+        n, d = X.shape
+        theta = refine(np.zeros(d), design, np.arange(n, dtype=np.float64), b, eta)
+        assert np.isfinite(theta).all()
 
     @settings(max_examples=100, deadline=None)
     @given(Xs=design_stacks(), k=st.integers(-60, 60))
@@ -262,12 +283,11 @@ class TestLambdaMax:
 
     def test_zero_direction_stops_at_zero(self):
         # the start vector is in the kernel: both loops return 0 at once,
-        # which lambda_max rejects
+        # and lambda_max falls back to the top eigenvalue of X^T X
         X = np.array([[1.0, -1.0]])
         assert linmodel._power_estimates(*spectra([X]), 1e-10, 10).tolist() == [0.0]
         assert power_top_eig_two_matvecs(X.T @ X, 1e-10, 10) == 0.0
-        with pytest.raises(DegenerateDesignError, match="estimate of lambda_max is 0.0"):
-            lambda_max(X)
+        assert lambda_max(X) == 2.0
 
     def test_subnormal_gram_matrix_is_rejected(self):
         # X^T X of entries 1e-160 is subnormal: its estimate is positive and

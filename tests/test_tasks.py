@@ -93,6 +93,15 @@ def test_overflowing_scale_names_the_first_task(key):
         generate_synthetic(config)
 
 
+def test_non_finite_entry_names_the_first_task_then_its_first_split():
+    # At seed 55 some rows of task0's y_test overflow and some of task1's
+    # y_train: task order comes before split order, and one row is enough.
+    config = SyntheticConfig(num_tasks=4, dim=2, n_train=2, n_test=16, tau_within=5e307,
+                             seed=55)
+    with pytest.raises(DataFormatError, match="^task 'task0': non-finite entry in y_test"):
+        generate_synthetic(config)
+
+
 def test_round_robin_cluster_assignment():
     config = SyntheticConfig(num_tasks=7, dim=2, n_train=2, n_test=0, num_clusters=3, seed=0)
     _, truth = generate_synthetic(config)
@@ -443,7 +452,7 @@ def test_adversarial_ids_round_trip(ids, seed, quoted):
     )
     values = np.abs(draw(T, T))
     matrix = DistanceMatrix(np.triu(values, 1) + np.triu(values, 1).T, list(ids))
-    tree = root_tree(random_spanning_tree(T, seed), 0, matrix)
+    tree = root_tree(random_spanning_tree(T, np.random.default_rng(seed)), 0, matrix)
     with tempfile.TemporaryDirectory() as tmp:
         col = Path(tmp) / "col"
         save_collection(collection, col)

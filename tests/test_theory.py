@@ -288,6 +288,15 @@ class TestVerifyBounds:
         with pytest.raises(ConfigError, match=f"^{problem}"):
             verify_bounds(config)
 
+    @pytest.mark.parametrize("spacing", [1e20, 1e58])
+    def test_noise_below_the_rounding_of_the_errors_is_rejected(self, spacing):
+        # at these spacings the leaf errors of every draw agree to within a
+        # few ulps, so their standard error would be rounding noise
+        config = ChainConfig(length=5, spacing=spacing, noise_sigma=0.36, noise_draws=50)
+        problem = re.escape(f"spacing {spacing!r} is too large for noise_sigma 0.36")
+        with pytest.raises(ConfigError, match=f"^{problem}"):
+            verify_bounds(config)
+
     def test_one_draw_call_is_the_per_draw_sequence(self):
         K, m1, n = 7, 4, 9
         one = substream(11, "noise").standard_normal((K, m1, n))

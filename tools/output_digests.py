@@ -1,0 +1,109 @@
+"""Print one sha256 per file that the taskcascade CLI writes on a fixed config matrix.
+
+Two checkouts whose digests match write the same bytes on every command:
+
+    python tools/output_digests.py --seed 42 > mine.txt
+    python tools/output_digests.py --src ../other/src --seed 42 > theirs.txt
+    diff mine.txt theirs.txt
+
+The matrix is ``gen``; ``dist`` under every metric; ``tree`` of every kind;
+``run`` of every method, and of ``mst`` under every budget scheme, on a
+synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; and
+``verify`` in noiseless and noisy mode. Each command runs in a fresh
+interpreter with ``--src`` on its path, in a temporary directory that is
+removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
+out. A command that exits non-zero stops the script with its stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+METRICS = ("feature", "mmd", "gauss_meancov", "cka", "target", "sym_kl", "js",
+           "wasserstein", "gradient", "model")
+TREE_KINDS = ("mst", "star", "random")
+METHODS = ("individual", "star", "random_tree", "mst")
+SCHEMES = ("depth_increasing", "depth_decreasing", "edge_length")
+SYNTHETIC = {"num_tasks": 12, "dim": 4, "n_train": 16, "n_test": 8, "num_clusters": 2,
+             "tau_between": 5.0, "tau_within": 1.0, "noise_sigma": 0.5}
+# the README's chain config, and the noisy chain of the benchmark's cli-pipeline
+CHAINS = {"num_chains": 100, "length": 4, "dim": 8, "n": 32, "budget_per_node": 10,
+          "spacing": 2.0, "noise_sigma": 0.5, "noise_draws": 200}
+PIPELINE_CHAIN = {"mode": "noisy", "num_chains": 1, "length": 5, "noise_sigma": 0.5,
+                  "noise_draws": 200}
+
+
+def commands(seed: str) -> list[list[str]]:
+    """The CLI argument lists of the matrix, in the order they run."""
+    seed_args = ["--seed", seed]
+    cmds = [["gen", "cfg/gen.json", "--out", "out/coll", *seed_args]]
+    cmds += [["dist", "out/coll", "--metric", m, "--out", f"out/dist_{m}.csv", *seed_args]
+             for m in METRICS]
+    cmds += [["tree", "out/dist_gradient.csv", "--method", kind, "--out",
+              f"out/tree_{kind}.csv", *seed_args] for kind in TREE_KINDS]
+    runs = [(method, "uniform") for method in METHODS] + [("mst", s) for s in SCHEMES]
+    for method, scheme in runs:
+        for source in ("synthetic", "data_path"):
+            for jobs in ("1", "2"):
+                name = f"run_{method}_{scheme}_{source}"
+                cmds.append(["run", f"cfg/{name}.json", "--out", f"out/{name}_jobs{jobs}",
+                             "--jobs", jobs, *seed_args])
+    for name in ("noiseless", "noisy", "pipeline"):
+        cmds.append(["verify", f"cfg/verify_{name}.json", "--out",
+                     f"out/verify_{name}.json", *seed_args])
+    return cmds
+
+
+def write_configs(cfg: Path) -> None:
+    cfg.mkdir()
+    configs = {"gen.json": SYNTHETIC,
+               "verify_noiseless.json": {"mode": "noiseless", **CHAINS},
+               "verify_noisy.json": {"mode": "noisy", **CHAINS},
+               "verify_pipeline.json": PIPELINE_CHAIN}
+    for method in METHODS:
+        for scheme in ("uniform", *SCHEMES) if method == "mst" else ("uniform",):
+            run = {"method": method, "metric_name": "gradient" if method == "mst" else None,
+                   "budget": 200, "num_seeds": 3,
+                   "scheme": {"kind": scheme, "alpha": 1.5, "beta": 1.0}}
+            configs[f"run_{method}_{scheme}_synthetic.json"] = {**run, "synthetic": SYNTHETIC}
+            configs[f"run_{method}_{scheme}_data_path.json"] = {**run, "data_path": "out/coll"}
+    for name, doc in configs.items():
+        (cfg / name).write_text(json.dumps(doc))
+
+
+def digests(src: Path, seed: str) -> list[str]:
+    """``<sha256>  <path>`` for every output file, sorted by path."""
+    env = {**os.environ, "PYTHONPATH": str(src.resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as tmp:
+        work = Path(tmp)
+        write_configs(work / "cfg")
+        (work / "out").mkdir()
+        for args in commands(seed):
+            done = subprocess.run([sys.executable, "-m", "taskcascade.cli", *args], cwd=work,
+                                  env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                sys.exit(f"{' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+        out = work / "out"
+        return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "run_manifest.json"]
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).parents[1] / "src",
+                        help="src directory of the checkout to run (default: this one's)")
+    parser.add_argument("--seed", type=int, default=42, help="--seed of every command")
+    args = parser.parse_args(argv)
+    print("\n".join(digests(args.src, str(args.seed))))
+
+
+if __name__ == "__main__":
+    main()
