@@ -281,6 +281,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for key, value in (("methods", methods), ("metrics", metrics), ("budgets", budgets)):
         if not isinstance(value, list):
             raise ConfigError(f"bench key {key!r} must be a list, got {json.dumps(value)}")
+        repeated = [v for i, v in enumerate(value) if v in value[:i]]
+        if repeated:  # the sweep would run the same config twice
+            raise ConfigError(f"bench key {key!r} repeats {json.dumps(repeated[0])}")
     if not methods or not metrics or not budgets:
         raise ConfigError("bench config needs non-empty 'methods', 'metrics' and 'budgets'")
     sweep = [

@@ -12,30 +12,26 @@ Ten metrics in three families, all computed from training splits only:
 * optimization family: ``gradient`` (gradients at initialization) and
   ``model`` (ridge solutions).
 
-Every metric is one entry of the ``_METRICS`` table: a summary of one task's
-training split (its features, targets, normalized X^T y, ridge solution,
-or random Fourier projection with within-task distances) and a row
-reduction, the distances from one summary to a list of others.
-:func:`compute_distance_matrix` summarizes each task once and then reduces
-one row at a time, summary i against every later summary. The Euclidean
-metrics (``target``, ``gradient``, ``model``) summarize every task as a row
-of one array (``gradient`` in one pass per split stack, with the bits of
-each task's own) and do a whole row of distances, a slice of it, as one
-batched dot product, with the same arithmetic as ``np.linalg.norm`` of each
-difference; the others apply their pair distance along the row.
-:func:`task_distance` is the same computation on two tasks, so a pair call
-equals the matching matrix entry exactly.
+Every metric is one entry of the ``_METRICS`` table: a summary of each task's
+training split and a row reduction, the distances from one summary to a
+list of others. :func:`compute_distance_matrix` summarizes each task once and
+then reduces one row at a time, summary i against every later summary. The
+Euclidean metrics (``target``, ``gradient``, ``model``) summarize every task
+as a row of one array, in one pass per split stack, and reduce a row with
+one batched dot product; the others summarize one task at a time and apply
+their pair distance along the row. :func:`task_distance` is the same
+computation on two tasks, so a pair call equals the matching matrix entry.
 
-Bad input is caught per task, in its summary, and the error names the task:
-too few samples, an X^T y, X^T X or standard deviation that overflows, or
-any other summary value that is not finite (summaries are computed under one
-``np.errstate`` and each is checked once). Two pair errors are left. A stack
-of unequal target lengths is named by the first pair of row 0 that meets it.
-A distance that is not finite, such as that of two targets whose squared
-difference overflows, of an ``mmd`` pair whose median bandwidth does or of
-a ``sym_kl`` or ``js`` pair whose joint target range does or has no distinct
-bin edges, is found once the whole matrix is done and named by the first
-such pair in row order.
+Bad input is caught in the summaries, and the error names the first failing
+task: too few samples, an X^T y, X^T X or standard deviation that overflows,
+a singular ridge system, or any other summary value that is not finite
+(summaries are computed under one ``np.errstate``). Targets of unequal
+lengths are named by the first pair of row 0 that meets them. A distance
+that is not finite, such as that of two targets whose squared difference
+overflows, of an ``mmd`` pair whose median bandwidth does or of a ``sym_kl``
+or ``js`` pair whose joint target range does or has no distinct bin edges,
+is found once the whole matrix is done and named by the first such pair in
+row order.
 
 Several of these are divergences rather than metrics; all are used purely as
 nonnegative edge weights for tree construction.
@@ -333,13 +329,42 @@ def _gradient_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) 
     return g
 
 
-def _ridge(task: TaskDataset, params: DistanceParams) -> np.ndarray:
-    from .linmodel import default_ridge_lambda, ridge_solution  # only `model` loads it
+def _model_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
+    """Every task's ridge solution as a row of one array, from one
+    :func:`linmodel.ridge_solutions` per split stack at the penalty of
+    ``params``, else 1e-3 * trace(X^T X) / d; an error names the first
+    failing task and its first failed check, of which the solution's is last."""
+    from .linmodel import RIDGE_CHECKS, ridge_solutions  # only `model` loads it
 
-    lam = params.ridge_lambda
-    if lam is None:  # ridge_solution rejects a penalty that overflows
-        lam = default_ridge_lambda(task.X_train)
-    return ridge_solution(task.X_train, task.y_train, lam)
+    checks = (*RIDGE_CHECKS, (DegenerateDesignError, "its model summary is not finite; "
+                                                     "the task's entries are too large"))
+    theta = np.zeros((len(tasks), tasks[0].dim if tasks else 0))
+    failed = np.zeros((len(tasks), len(checks)), dtype=bool)
+    for stack in stacks:
+        X, lam = stack.X_train, params.ridge_lambda
+        if lam is None:  # one that overflows fails the first check
+            lam = 1e-3 * np.sum(X * X, axis=(1, 2)) / X.shape[2]
+        theta[stack.index], failed[stack.index, :-1] = ridge_solutions(X, stack.y_train, lam)
+    failed[:, -1] = ~np.isfinite(theta).all(axis=1)
+    if failed.any():
+        i, check = np.argwhere(failed)[0]  # in task order, then in check order
+        error, problem = checks[check]
+        raise error(f"task {tasks[i].id!r}: {problem}")
+    return theta
+
+
+def _target_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
+    """Every task's targets as the rows of one array, one pass per split
+    stack. Stacks come in the order of their first tasks, so unequal lengths
+    fail at the first task whose length differs, named with task 0."""
+    y = np.zeros((len(tasks), tasks[0].n_train if tasks else 0))
+    for stack in stacks:
+        if stack.y_train.shape[1] != y.shape[1]:
+            task = tasks[stack.index[0]]
+            raise ShapeMismatchError(f"pair ({tasks[0].id!r}, {task.id!r}): Euclidean distance "
+                                     f"needs equal lengths, got {y.shape[1]} and {task.n_train}")
+        y[stack.index] = stack.y_train
+    return y
 
 
 def _rows(pair: Callable) -> Callable:
@@ -370,24 +395,6 @@ def _per_task(summarize: Callable, tasks, metric: str, params: DistanceParams) -
     return summaries
 
 
-def _vector_rows(summarize: Callable, metric: str) -> Callable:
-    """Every task's vector summary as a row of one array. Vectors of unequal
-    lengths fail in the first row that meets them, row 0, so the error names
-    the pair of task 0 and the first task whose length differs."""
-
-    def rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
-        summaries = _per_task(summarize, tasks, metric, params)
-        for task, v in zip(tasks[1:], summaries[1:]):
-            if len(v) != len(summaries[0]):
-                raise ShapeMismatchError(
-                    f"pair ({tasks[0].id!r}, {task.id!r}): Euclidean distance needs "
-                    f"equal lengths, got {len(summaries[0])} and {len(v)}"
-                )
-        return np.array(summaries)
-
-    return rows
-
-
 def _euclidean(u: np.ndarray, later: np.ndarray, params: DistanceParams) -> np.ndarray:
     """Euclidean distances from u to each later vector, one batched dot per row.
 
@@ -408,12 +415,12 @@ _METRICS: dict[str, tuple[Callable, Callable]] = {
     "mmd": (_rff_summary, _rows(_mmd_rff)),
     "gauss_meancov": (_mean_cov, _rows(_gauss_meancov)),
     "cka": (_sample_features, _rows(_cka_distance)),
-    "target": (_vector_rows(_targets, "target"), _euclidean),
+    "target": (_target_rows, _euclidean),
     "sym_kl": (_targets, _rows(_sym_kl)),
     "js": (_targets, _rows(_js)),
     "wasserstein": (_sorted_targets, _rows(_wasserstein)),
     "gradient": (_gradient_rows, _euclidean),
-    "model": (_vector_rows(_ridge, "model"), _euclidean),
+    "model": (_model_rows, _euclidean),
 }
 
 
@@ -427,10 +434,8 @@ def _pairwise(
 
     ``stacks`` are the tasks' split stacks. Row i holds summary i against
     every later summary, so the matrix takes T - 1 row reductions and no
-    temporary larger than T summaries. Errors name the task whose summary
-    failed or is not finite; for Euclidean summaries of unequal lengths, the
-    first pair of row 0 that meets them; and for distances that are not
-    finite, the first such pair in row order.
+    temporary larger than T summaries. Errors are named as the module
+    docstring says.
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")

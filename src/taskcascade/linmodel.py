@@ -27,14 +27,12 @@ a = V^T v0, its k-th Rayleigh quotient is
 so the sequence and its stop rule can be evaluated in blocks of k from one
 eigendecomposition instead of one matrix-vector product per step.
 
-Both read the same eigendecomposition. A :class:`Design` holds X,
-eigh(X^T X) = (lam, V) and power iteration's estimate of lambda_max.
-:func:`build_designs` builds the designs of a (T, n, d) stack of matrices
-with one ``matmul`` into their (T, d, d) Gram stack and one ``eigh`` over
-it, which gives every matrix the bits of its own X^T X and ``eigh``, and
-then evaluates every design's power iteration in one pass over the same
-stack. It is the only place here that forms or decomposes a Gram matrix or
-estimates lambda_max: :func:`lambda_max`, :func:`refine` and
+Both read the same eigendecomposition, and so does the ridge solve of
+:func:`ridge_solutions`. :func:`_decompose` is the one place that forms and
+decomposes a design's Gram matrix, one ``matmul`` and one ``eigh`` per stack
+of matrices. A :class:`Design` holds X, eigh(X^T X) = (lam, V) and power
+iteration's estimate of lambda_max, which :func:`build_designs` evaluates for
+a whole stack in one pass. :func:`lambda_max`, :func:`refine` and
 :func:`contraction_rate` read a Design, and given a plain array they build
 its design through :func:`build_designs`.
 """
@@ -77,15 +75,13 @@ class Design(NamedTuple):
 def build_designs(X: np.ndarray) -> list[Design]:
     """The designs of the (k, n, d) stack of matrices ``X``, in stack order.
 
-    One ``matmul`` forms the stack of their Gram matrices and one ``eigh``
-    decomposes it; each matrix gets the same bits as from its own X^T X and
-    ``eigh``, and its design holds a view of its row of ``X``. One pass of
+    :func:`_decompose` forms and decomposes their Gram matrices, and each
+    design holds a view of its row of ``X``. One pass of
     :func:`_power_estimates` over the same stack gives every design its
     estimate of lambda_max. Matrices of different shapes go in one stack
     per shape, as :attr:`TaskCollection.designs` builds them. Raises
     NonFiniteGramError, with the position of the first such design, when a
-    Gram matrix is not finite (its entries overflow), which ``eigh`` would
-    turn into NaN or a LinAlgError.
+    Gram matrix is not finite (its entries overflow).
     """
     try:
         X = np.asarray(X, dtype=np.float64)
@@ -97,18 +93,25 @@ def build_designs(X: np.ndarray) -> list[Design]:
         ) from None
     if not len(X):
         return []
-    # An overflow is caught by the check that follows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = np.matmul(X.transpose(0, 2, 1), X)
-    finite = np.isfinite(G).all(axis=(1, 2))
+    G, finite, lam, V = _decompose(X)
     if not finite.all():
         raise NonFiniteGramError(
             "X^T X is not finite; the design's entries are too large",
             int(finite.argmin()),
         )
-    lam, V = np.linalg.eigh(G)
     estimates = _power_estimates(G, lam, V, _POWER_TOL, _POWER_MAX_ITER)
     return [Design(*parts) for parts in zip(X, lam, V, estimates.tolist())]
+
+
+def _decompose(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """G = X^T X of the (k, n, d) stack ``X``, which G are finite, and eigh(G)
+    = (lam, V), each with the bits of its own X^T X and ``eigh``; a G that
+    is not finite, which ``eigh`` would turn into NaN, is decomposed as zero."""
+    with np.errstate(over="ignore", invalid="ignore"):  # flagged as not finite
+        G = np.matmul(X.transpose(0, 2, 1), X)
+    finite = np.isfinite(G).all(axis=(1, 2))
+    G[~finite] = 0.0
+    return G, finite, *np.linalg.eigh(G)
 
 
 def _design(X: np.ndarray | Design) -> Design:
@@ -344,41 +347,50 @@ def refine(
     return out
 
 
-def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
-    """Solve (X^T X + lam I) theta = X^T y with its Cholesky factor L L^T.
+# A ridge solve's checks in the order they apply, with the error each raises.
+RIDGE_CHECKS = (
+    (NonFiniteGramError, "X^T X + lam I is not finite; the design's entries are too large"),
+    (DegenerateDesignError, "X^T y is not finite; the task's entries are too large"),
+    (DegenerateDesignError, "X^T X + lam I is singular; increase lam or check the design"),
+)
 
-    Raises NonFiniteGramError when X^T X + lam I overflows, and
-    DegenerateDesignError when X^T y does."""
+
+def ridge_solutions(X: np.ndarray, y: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions theta = V diag(1 / (lam_i + mu)) V^T X^T y, for X^T X =
+    V diag(lam_i) V^T, of the (k, n, d) stack ``X`` with the rows of ``y``
+    and penalty mu ``lam`` (one, or one per matrix), each with its bits
+    alone; and the (k, 3) flags of the :data:`RIDGE_CHECKS` each fails.
+    Singular is lam_min + mu <= d * eps * (lam_max + mu), eps the float64
+    machine epsilon: ``eigh`` finds an eigenvalue to about eps * lam_max.
+    """
+    _, finite, lam_X, V = _decompose(X)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # flagged
+        shifted = lam_X + np.reshape(lam, (-1, 1))
+        Xty = np.matmul(y[:, None, :], X)[:, 0]
+        z = np.matmul(Xty[:, None, :], V)[:, 0] / shifted
+        theta = np.matmul(V, z[:, :, None])[:, :, 0]
+        singular = shifted[:, :1] <= X.shape[2] * np.finfo(np.float64).eps * shifted[:, -1:]
+    failed = [~(finite & np.isfinite(shifted).all(axis=1)), ~np.isfinite(Xty).all(axis=1),
+              singular.any(axis=1)]  # at d = 0 no column, and nothing is singular
+    return theta, np.stack(failed, axis=1)
+
+
+def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
+    """Solve (X^T X + lam I) theta = X^T y: :func:`ridge_solutions` of one
+    matrix, raising the error of the first of its checks that fails."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError("X must be a 2-d matrix")
-    if X.shape[0] != y.shape[0]:
+    if y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ShapeMismatchError(f"X {X.shape} and y {y.shape} do not agree")
     if lam < 0:
         raise ConfigError(f"ridge penalty must be nonnegative, got {lam}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = X.T @ X + lam * np.eye(X.shape[1])
-        Xty = X.T @ y
-    if not np.isfinite(G).all():
-        raise NonFiniteGramError(
-            "X^T X + lam I is not finite; the design's entries are too large"
-        )
-    if not np.isfinite(Xty).all():
-        raise DegenerateDesignError("X^T y is not finite; the task's entries are too large")
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise DegenerateDesignError(
-            "X^T X + lam I is singular; increase lam or check the design"
-        ) from None
-    return np.linalg.solve(L.T, np.linalg.solve(L, Xty))
-
-
-def default_ridge_lambda(X: np.ndarray) -> float:
-    """Scale-aware ridge penalty 1e-3 * trace(X^T X) / d."""
-    X = np.asarray(X, dtype=np.float64)
-    return 1e-3 * float(np.sum(X * X)) / X.shape[1]
+    theta, failed = ridge_solutions(X[None], y[None], lam)
+    if failed.any():
+        error, problem = RIDGE_CHECKS[failed[0].argmax()]
+        raise error(problem)
+    return theta[0]
 
 
 def rmse(theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:

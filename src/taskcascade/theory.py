@@ -240,9 +240,10 @@ def verify_bounds(config: ChainConfig) -> BoundCheck:
     errors = np.array([math.sqrt(e.dot(e)) for e in theta.T - thetas[m]])
     empirical = float(errors.mean())
     spread = float(errors.std(ddof=1)) if draws > 1 else 0.0
-    # With b > 0 the noise moves every leaf; a spread within 64 ulps of the
-    # errors' mean is their rounding, and 2 standard errors of it mean nothing.
-    if b > 0 and draws > 1 and spread <= 64 * math.ulp(empirical):
+    # With b > 0 the noise moves every leaf; a spread within sqrt(dim) ulps of the
+    # leaf optimum's largest entry is rounding, and 2 standard errors of it mean nothing.
+    rounding = math.ulp(float(np.abs(thetas[m]).max())) * math.sqrt(config.dim)
+    if b > 0 and draws > 1 and spread <= rounding:
         raise ConfigError(f"spacing {config.spacing!r} is too large for noise_sigma "
                           f"{config.noise_sigma!r}: the leaf errors differ only by rounding")
     mc_stderr = spread / math.sqrt(draws)

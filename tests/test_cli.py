@@ -462,14 +462,19 @@ class TestBench:
         assert main(["bench", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
 
     def test_rerun_byte_identical(self, tmp_path):
+        # bench's counterpart of TestRun.test_report_bytes_equal_at_jobs_1_2_3
         cfg = write_json(tmp_path / "b.json", {
-            "methods": ["star"], "budgets": [20, 30], "num_seeds": 2, "seed": 21,
+            "methods": ["star", "mst"], "metrics": ["gradient"], "budgets": [20, 30],
+            "num_seeds": 3, "seed": 21,
             "synthetic": {"num_tasks": 3, "dim": 2, "n_train": 8, "n_test": 4},
         })
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["bench", cfg, "--out", str(a), "--jobs", "1"]) == 0
-        assert main(["bench", cfg, "--out", str(b), "--jobs", "2"]) == 0
-        assert (a / "bench.csv").read_bytes() == (b / "bench.csv").read_bytes()
+        outs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["bench", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            outs.append((out / "bench.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0].splitlines()) == 1 + 2 * 2 * 3
 
 
 def test_version_flag(capsys):
@@ -987,6 +992,11 @@ SMALL_CHAIN = {"mode": "noiseless", "length": 2}
      "synthetic.seed"),
     (["bench", "{cfg}"], {**SMALL_BENCH, "distance_params": {"seed": 99}},
      "distance_params.seed"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "budgets": [10, 10]}, "'budgets' repeats 10"),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "methods": ["mst", "mst"]},
+     "'methods' repeats \"mst\""),
+    (["bench", "{cfg}"], {**SMALL_BENCH, "metrics": ["gradient", "model", "gradient"]},
+     "'metrics' repeats \"gradient\""),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, config, named, gen_config, tmp_path,
                                                capsys):

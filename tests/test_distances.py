@@ -25,6 +25,7 @@ from taskcascade.errors import (
     ConfigError,
     DataFormatError,
     DegenerateDesignError,
+    NonFiniteGramError,
     ShapeMismatchError,
 )
 from taskcascade.tasks import TaskCollection, TaskDataset
@@ -352,6 +353,76 @@ class TestDistanceMatrix:
         params = DistanceParams(normalize_gradients=normalize)
         got = compute_distance_matrix(TaskCollection(tasks, d), "gradient", params)
         assert np.array_equal(got.values, pairwise_norms(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(0, 3)),
+                        min_size=1, max_size=30),
+        d=st.integers(1, 8),
+        log_scale=st.floats(-100.0, 100.0),
+    )
+    def test_model_and_target_matrices_equal_per_task_summaries(self, seed, shapes, d,
+                                                                log_scale):
+        # mixed (n_train, n_test), so the collection has one split stack per
+        # shape; target gets one n_train and keeps the mixed n_test
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+
+        def tasks(n_train=None):
+            return [TaskDataset(f"t{i}", rng.standard_normal((n_train or n, d)) * scale,
+                                rng.standard_normal(n_train or n),
+                                np.ones((n_test, d)), np.ones(n_test))
+                    for i, (n, n_test) in enumerate(shapes)]
+
+        def ridge(task):  # the per-task solve the stacked one replaced
+            X, y = task.X_train, task.y_train
+            lam = 1e-3 * float(np.sum(X * X)) / X.shape[1]
+            L = np.linalg.cholesky(X.T @ X + lam * np.eye(X.shape[1]))
+            theta = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
+            spectrum = np.linalg.eigvalsh(X.T @ X) + lam
+            return theta, spectrum[-1] / spectrum[0]
+
+        targets = tasks(shapes[0][0])
+        got = compute_distance_matrix(TaskCollection(targets, d), "target")
+        assert np.array_equal(got.values, pairwise_norms([t.y_train for t in targets]))
+        models = tasks()
+        want, kappa = zip(*map(ridge, models))
+        got = compute_distance_matrix(TaskCollection(models, d), "model").values
+        # Two stable solves of a system of condition number kappa differ by
+        # up to a few eps * kappa: each solution is held within 1e-13 of its
+        # norm up to kappa = 10 and 1e-14 * kappa beyond (the default
+        # penalty caps kappa at 1 + 1000 d), so a distance within the two.
+        slack = [1e-13 * max(k / 10.0, 1.0) * np.linalg.norm(t) for t, k in zip(want, kappa)]
+        slack = np.add.outer(slack, slack)
+        assert (np.abs(got - pairwise_norms(want)) <= slack).all()
+
+    @pytest.mark.parametrize("first, second", [
+        ("gram", "x_t_y"), ("x_t_y", "gram"), ("solution", "gram"), ("gram", "solution"),
+        ("gram_and_x_t_y", "solution"),
+    ])
+    def test_the_first_failing_task_of_the_model_metric_is_named(self, rng, first,
+                                                                 second):
+        # t1 and t2 sit in different split stacks, t2's first; within a task
+        # the checks go Gram, X^T y, singular, solution
+        kinds = {
+            "gram": (np.full((6, 3), 1e200), np.ones(6),
+                     NonFiniteGramError, "X\\^T X \\+ lam I is not finite"),
+            "x_t_y": (rng.standard_normal((6, 3)), np.full(6, 1e308),
+                      DegenerateDesignError, "X\\^T y is not finite"),
+            "solution": (1e-150 * np.eye(6, 3), np.full(6, 1e300),
+                         DegenerateDesignError, "its model summary is not finite"),
+            "gram_and_x_t_y": (np.full((6, 3), 1e200), np.full(6, 1e308),
+                               NonFiniteGramError, "X\\^T X \\+ lam I is not finite"),
+        }
+        t0, t2 = (make_task(rng, n=8, d=3, task_id=name) for name in ("t0", "t2"))
+        X, y, error, problem = kinds[first]
+        t1 = TaskDataset("t1", X, y, X[:1], y[:1])
+        X, y, _, _ = kinds[second]
+        t2 = TaskDataset("t2", np.vstack([X, X[:2]]), np.concatenate([y, y[:2]]),
+                         t2.X_test, t2.y_test)
+        with pytest.raises(error, match=f"^task 't1': {problem}"):
+            compute_distance_matrix(TaskCollection([t0, t1, t2], 3), "model")
 
     def test_first_failing_pair_of_a_row_is_named(self, rng):
         tasks = [make_task(rng, n=6, d=3, task_id="a"),

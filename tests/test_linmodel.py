@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -504,6 +505,58 @@ class TestRidge:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateDesignError, match="X\\^T y is not finite"):
                 ridge_solution(X, np.full(6, 1e308), 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(Xs=design_stacks(), log_mu=st.one_of(st.none(), st.floats(-12.0, 8.0)))
+    def test_solves_the_normal_equations_or_names_them_singular(self, Xs, log_mu):
+        # the rule: lam_min + mu <= d * eps * (lam_max + mu), from eigh of X^T X
+        mu = 0.0 if log_mu is None else 10.0**log_mu
+        rng = np.random.default_rng(len(Xs))
+        for X in Xs:
+            y = rng.standard_normal(X.shape[0])
+            lam = np.linalg.eigh(X.T @ X)[0] + mu
+            d = X.shape[1]
+            if lam[0] <= d * np.finfo(np.float64).eps * lam[-1]:
+                with pytest.raises(DegenerateDesignError, match="^X\\^T X \\+ lam I is singular"):
+                    ridge_solution(X, y, mu)
+                continue
+            theta = ridge_solution(X, y, mu)
+            A, b = X.T @ X + mu * np.eye(d), X.T @ y
+            scale = np.linalg.norm(A, 2) * np.linalg.norm(theta) + np.linalg.norm(b)
+            assert np.linalg.norm(A @ theta - b) <= 1e-9 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(Xs=design_stacks(), log_mu=st.floats(-12.0, 4.0))
+    def test_a_stack_gives_each_matrix_its_bits_alone(self, Xs, log_mu):
+        rng = np.random.default_rng(len(Xs))
+        by_shape = {}
+        for X in Xs:
+            by_shape.setdefault(X.shape, []).append(X)
+        for group in by_shape.values():
+            X = np.stack(group)
+            y = rng.standard_normal(X.shape[:2])
+            mu = 10.0**log_mu * rng.random(len(group))
+            theta, failed = linmodel.ridge_solutions(X, y, mu)
+            for i in range(len(group)):
+                if failed[i].any():
+                    error, problem = linmodel.RIDGE_CHECKS[failed[i].argmax()]
+                    with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+                        ridge_solution(X[i], y[i], mu[i])
+                else:
+                    assert same_bits(ridge_solution(X[i], y[i], mu[i]), theta[i])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(2, 12),
+           log_scale=st.floats(-100.0, 100.0), power=st.integers(-4, 4))
+    def test_an_exactly_collinear_column_is_singular(self, seed, n, d, log_scale, power):
+        # X^T X is singular at lam = 0 whatever rounding does to its
+        # smallest eigenvalue, so no arbitrary solution comes back
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 10.0**log_scale
+        i, j = rng.choice(d, 2, replace=False)
+        X[:, j] = X[:, i] * 2.0**power
+        with pytest.raises(DegenerateDesignError, match="^X\\^T X \\+ lam I is singular"):
+            ridge_solution(X, rng.standard_normal(n), 0.0)
 
 
 class TestContractionRate:

@@ -297,6 +297,16 @@ class TestVerifyBounds:
         with pytest.raises(ConfigError, match=f"^{problem}"):
             verify_bounds(config)
 
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_noise_about_half_rounding_is_rejected(self, seed):
+        # at 1e15 about half of the leaf errors' spread is the rounding of
+        # parameters near 1e15: it is 0.43-0.52 of sqrt(dim) ulps of 1e15
+        config = ChainConfig(length=4, spacing=1e15, noise_sigma=0.36, noise_draws=100,
+                             seed=seed)
+        problem = re.escape(f"spacing {1e15!r} is too large for noise_sigma 0.36")
+        with pytest.raises(ConfigError, match=f"^{problem}"):
+            verify_bounds(config)
+
     def test_one_draw_call_is_the_per_draw_sequence(self):
         K, m1, n = 7, 4, 9
         one = substream(11, "noise").standard_normal((K, m1, n))
