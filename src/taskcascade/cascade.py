@@ -201,16 +201,26 @@ def run_method(
 
 # What every replicate of a data_path run shares: the loaded collection, with
 # its designs, and the tree when no replicate seed enters it (see _tree). Both
-# None for a synthetic run, whose replicates each generate their own collection.
+# None for a synthetic run, whose replicates each get their own collection.
 _Shared = tuple[TaskCollection | None, RootedTree | None]
 
+# The last serial synthetic run's collections, with any designs they built, by
+# the repr of each replicate's SyntheticConfig, derived seed and all (unlike ==,
+# a repr tells -0.0 from 0.0). A serial sweep on one data set reuses them.
+_kept: dict[str, TaskCollection] = {}
 
-def _run_replicate(args: tuple[ExperimentConfig, int, _Shared]) -> CascadeResult:
-    """Replicate ``r`` on the loaded collection, or on its own synthetic one."""
+
+def _run_replicate(args: tuple[ExperimentConfig, int, _Shared], kept=None) -> CascadeResult:
+    """Replicate ``r`` on the loaded collection, or on its own synthetic one,
+    taken from ``kept`` and added to it when given."""
     config, r, (collection, tree) = args
     rep_seed = derive_seed(config.seed, "replicate", r)
     if collection is None:
-        collection, _ = generate_synthetic(replace(config.synthetic, seed=rep_seed))
+        data = replace(config.synthetic, seed=rep_seed)
+        kept = {} if kept is None else kept  # a pooled replicate keeps nothing
+        if repr(data) not in kept:
+            kept[repr(data)] = generate_synthetic(data)[0]
+        collection = kept[repr(data)]
     return run_method(config, collection, seed=rep_seed, tree=tree)
 
 
@@ -244,14 +254,22 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the method over ``num_seeds`` replicates and aggregate test RMSE.
 
-    Replicates are independent: each derives its own seed, regenerates the
-    synthetic data, and runs the method. A data path is loaded once and
-    shared as-is, with its designs and, where no replicate seed enters it,
-    its tree; each replicate reads its step sizes from the shared designs.
-    With ``jobs > 1`` and more than one replicate, replicates run in a
-    process pool of ``min(jobs, num_seeds)`` workers; the output is
-    identical for any jobs value.
+    Replicates are independent: each derives its own seed, and from it its
+    synthetic data, and runs the method. A serial run keeps its synthetic
+    collections with their designs for the next serial run on the same data
+    (``_kept``). A data path is loaded once and shared as-is, with its
+    designs and, where no replicate seed enters it, its tree. With
+    ``jobs > 1`` and more than one replicate, replicates run in a process
+    pool of ``min(jobs, num_seeds)`` workers, which keep nothing; the
+    output is identical for any jobs value.
     """
+    # a fork pool starts all its workers at once, so none beyond the replicates
+    workers = min(jobs, config.num_seeds)
+    # Drop what this run will not keep before it builds anything; a pool keeps none.
+    own = {repr(replace(config.synthetic, seed=derive_seed(config.seed, "replicate", r)))
+           for r in range(config.num_seeds) if workers == 1 and config.data_path is None}
+    for key in _kept.keys() - own:
+        del _kept[key]
     shared: _Shared = (None, None)
     if config.data_path is not None:
         # Every replicate refines the one loaded collection, so what does
@@ -259,10 +277,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         loaded = load_collection(config.data_path)
         loaded.designs  # built and kept before any pool worker starts
         shared = (loaded, _tree(config, loaded, None))
-    # a fork pool starts all its workers at once, so none beyond the replicates
-    workers = min(jobs, config.num_seeds)
     if workers == 1:
-        results = [_run_replicate((config, r, shared)) for r in range(config.num_seeds)]
+        results = [_run_replicate((config, r, shared), _kept)
+                   for r in range(config.num_seeds)]
     else:
         # Imported here, so only a pooled run pays for importing multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

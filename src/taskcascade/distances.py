@@ -105,14 +105,17 @@ class DistanceMatrix:
             self.task_ids = [f"task{i}" for i in range(T)]
         if len(self.task_ids) != T:
             raise ShapeMismatchError("task_ids length does not match matrix size")
-        if not np.isfinite(self.values).all():
-            raise ConfigError("distance matrix has non-finite entries")
-        if (self.values < 0).any():
-            raise ConfigError("distance matrix has negative entries")
-        if np.any(np.diag(self.values) != 0.0):
-            raise ConfigError("distance matrix diagonal must be zero")
-        if not np.array_equal(self.values, self.values.T):
-            raise ConfigError("distance matrix must be symmetric")
+        v, ids = self.values, self.task_ids
+        for bad, problem in ((~np.isfinite(v), "has non-finite entries"),
+                             (v < 0, "has negative entries"),
+                             (np.diagflat(np.diag(v) != 0.0), "diagonal must be zero"),
+                             (v != v.T, "must be symmetric")):
+            if bad.any():  # name the first offending pair in row order
+                i, j = np.argwhere(bad)[0]
+                error = ConfigError(f"distance matrix {problem}: "
+                                    f"d({ids[i]!r}, {ids[j]!r}) is {float(v[i, j])!r}")
+                error.row = int(i)  # for load_distance_matrix to name the line
+                raise error
 
     @property
     def size(self) -> int:
@@ -506,7 +509,8 @@ def load_distance_matrix(path) -> DistanceMatrix:
 
     A header with an empty or repeated id, or a row with a non-numeric cell
     or with more or fewer cells than the header has ids, raises
-    :class:`DataFormatError` naming the file and line.
+    :class:`DataFormatError` naming the file and line; a value that is not
+    a distance raises :class:`ConfigError` naming the file, line and pair.
     """
     try:
         with open(path) as fh:
@@ -523,11 +527,12 @@ def load_distance_matrix(path) -> DistanceMatrix:
             problem = "repeats the id" if task_id else "has an empty id"
             raise DataFormatError(f"{path}: line 1 {problem} {task_id!r}")
         seen.add(task_id)
-    rows = []
+    rows, line_of_row = [], []
     for line_no, line in enumerate(lines, start=2):
         cells = line.strip().split(",")
         if cells == [""]:
             continue
+        line_of_row.append(line_no)
         if len(cells) != len(ids):
             raise DataFormatError(
                 f"{path}: line {line_no} has {len(cells)} cells, expected {len(ids)}"
@@ -543,4 +548,7 @@ def load_distance_matrix(path) -> DistanceMatrix:
         raise ConfigError(
             f"{path}: expected a {len(ids)}x{len(ids)} matrix, got {values.shape}"
         )
-    return DistanceMatrix(values, ids)
+    try:
+        return DistanceMatrix(values, ids)
+    except ConfigError as exc:  # a value check, which names the row of its pair
+        raise ConfigError(f"{path}: line {line_of_row[exc.row]}: {exc}") from None

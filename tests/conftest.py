@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from taskcascade import cascade
 from taskcascade.graph import decode_pruefer, root_tree
 from taskcascade.tasks import TaskCollection, TaskDataset
 
@@ -50,3 +51,9 @@ def random_trees(draw):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_replicates():
+    """Start every test with no synthetic replicates kept by an earlier one."""
+    cascade._kept.clear()

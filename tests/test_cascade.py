@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from taskcascade.budget import BudgetAllocation, uniform_default
+from taskcascade.budget import AllocationScheme, BudgetAllocation, uniform_default
 from taskcascade import cascade, linmodel
 from taskcascade.cascade import (
     METHODS,
+    CascadeResult,
     ExperimentConfig,
     run_cascade,
     run_experiment,
@@ -340,17 +341,22 @@ class TestRunExperiment:
         assert report.std_rmse == 0.0
 
     def test_seed_mean_averages_the_tasks_in_task_order(self):
-        # The executor evaluates tasks in cascade order. At this seed the mean
-        # in that order differs in its last bit from the mean in task order.
         config = ExperimentConfig(method="mst", metric_name="gradient", budget=40,
                                   num_seeds=2, synthetic=self.synthetic(), seed=1)
         report = run_experiment(config)
         in_task_order = [float(np.mean([res.test_rmse[i] for i in range(5)]))
                          for res in report.results]
-        in_cascade_order = [float(np.mean([res.test_rmse[v] for v in res.tree.order]))
-                            for res in report.results]
         assert report.per_seed_mean_rmse == in_task_order
-        assert in_cascade_order != in_task_order
+        # The executor fills test_rmse in cascade order. These RMSEs, filled in
+        # the order [1, 2, 0], have a mean in that order that differs in its
+        # last bit from the mean in task order: 1 + 2**-53 rounds to 1.
+        result = CascadeResult(params={}, test_rmse={}, tree=None,
+                               budgets=BudgetAllocation({0: 1, 1: 1, 2: 1}, 3))
+        for v in [1, 2, 0]:
+            result.test_rmse[v] = {0: 1.0, 1: 2**-53, 2: 2**-53}[v]
+        in_cascade_order = float(np.mean(list(result.test_rmse.values())))
+        assert result.mean_test_rmse() == float(np.mean([1.0, 2**-53, 2**-53])) == 1 / 3
+        assert result.mean_test_rmse() != in_cascade_order
 
     def test_degenerate_regime_all_methods_near_zero(self):
         synth = self.synthetic(tau_within=0.0, noise_sigma=0.0)
@@ -425,20 +431,28 @@ class TestRunExperiment:
             assert len(calls) == 5 * 3, method
 
     @staticmethod
-    def count_design_builds(monkeypatch, log):
-        """Log the process id of every build_designs call to the file ``log``.
+    def log_calls(monkeypatch, module, name, log, describe):
+        """Log the process id and ``describe(arg)`` of every call of
+        ``module.name`` to the file ``log``.
 
         A file, so that the calls of forked pool workers show up too.
         """
-        original = linmodel.build_designs
+        original = getattr(module, name)
 
-        def counted(Xs):
+        def counted(arg):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(Xs)}\n")
-            return original(Xs)
+                fh.write(f"{os.getpid()} {describe(arg)}\n")
+            return original(arg)
 
-        monkeypatch.setattr(linmodel, "build_designs", counted)
+        monkeypatch.setattr(module, name, counted)
         return lambda: log.read_text().splitlines() if log.exists() else []
+
+    def count_design_builds(self, monkeypatch, log):
+        return self.log_calls(monkeypatch, linmodel, "build_designs", log, len)
+
+    def count_generations(self, monkeypatch, log):
+        return self.log_calls(monkeypatch, cascade, "generate_synthetic", log,
+                              lambda data: data.seed)
 
     def test_a_synthetic_replicate_builds_its_designs_once(self, tmp_path, monkeypatch):
         builds = self.count_design_builds(monkeypatch, tmp_path / "builds")
@@ -451,9 +465,94 @@ class TestRunExperiment:
             config = ExperimentConfig(method=method, metric_name=metric, budget=40,
                                       num_seeds=3, synthetic=self.synthetic(), seed=2)
             run_experiment(config, jobs=1)
-            # one stack of all 5 tasks per replicate, one lambda_max per task
-            assert builds() == [f"{os.getpid()} 5"] * 3, method
+            # one stack of all 5 tasks per replicate, built by the first config
+            # and kept for the second; one lambda_max per task and run
+            first = method == "individual"
+            assert builds() == ([f"{os.getpid()} 5"] * 3 if first else []), method
             assert len(lambdas) == 15, method
+
+    # A sweep on one data set: methods, budgets, a scheme and a Gaussian init.
+    SWEEP = [dict(method="individual"), dict(method="star", budget=70),
+             dict(method="mst", metric_name="gradient"),
+             dict(method="mst", metric_name="gradient",
+                  scheme=AllocationScheme(kind="edge_length")),
+             dict(method="random_tree", gaussian_init=True)]
+
+    def sweep(self, **overrides):
+        return [ExperimentConfig(**{"budget": 40, "num_seeds": 3, "seed": 2,
+                                    "synthetic": self.synthetic(), **entry, **overrides})
+                for entry in self.SWEEP]
+
+    def test_a_serial_sweep_generates_and_decomposes_each_replicate_once(self, tmp_path,
+                                                                         monkeypatch):
+        alone = []
+        for config in self.sweep():
+            cascade._kept.clear()
+            alone.append(run_experiment(config))
+        cascade._kept.clear()
+        generated = self.count_generations(monkeypatch, tmp_path / "generated")
+        builds = self.count_design_builds(monkeypatch, tmp_path / "builds")
+        swept = [run_experiment(config) for config in self.sweep()]
+        pid = os.getpid()
+        assert generated() == [f"{pid} {derive_seed(2, 'replicate', r)}" for r in range(3)]
+        assert builds() == [f"{pid} 5"] * 3
+        assert len(cascade._kept) == 3
+        for a, b in zip(alone, swept):
+            assert a.per_seed_mean_rmse == b.per_seed_mean_rmse
+            assert [res.test_rmse for res in a.results] == [res.test_rmse for res in b.results]
+
+    @pytest.mark.parametrize("other", [
+        dict(seed=3),
+        dict(synthetic=SyntheticConfig(num_tasks=5, dim=4, n_train=24, n_test=12,
+                                       tau_within=0.5, noise_sigma=0.2)),
+        # equal to 0.0, yet another config: the key tells the two zeros apart
+        dict(synthetic=SyntheticConfig(num_tasks=5, dim=4, n_train=24, n_test=12,
+                                       tau_between=-0.0, tau_within=0.5, noise_sigma=0.1)),
+    ])
+    def test_a_run_on_other_data_drops_what_was_kept(self, monkeypatch, other):
+        config = self.sweep()[1]
+        run_experiment(config)
+        first = set(cascade._kept)
+        assert len(first) == 3
+        kept_at_generation = []
+        original = cascade.generate_synthetic
+        monkeypatch.setattr(cascade, "generate_synthetic", lambda data: (
+            kept_at_generation.append(len(cascade._kept)) or original(data)))
+        run_experiment(dataclasses.replace(config, **other))
+        # the first run's collections go before the first is generated
+        assert kept_at_generation == [0, 1, 2]
+        assert len(cascade._kept) == 3 and not first & set(cascade._kept)
+
+    def test_a_run_on_more_seeds_generates_only_the_new_replicates(self, tmp_path,
+                                                                  monkeypatch):
+        config = self.sweep()[2]
+        run_experiment(config)
+        generated = self.count_generations(monkeypatch, tmp_path / "generated")
+        run_experiment(dataclasses.replace(config, num_seeds=4))
+        assert generated() == [f"{os.getpid()} {derive_seed(2, 'replicate', 3)}"]
+        run_experiment(dataclasses.replace(config, num_seeds=2))
+        assert len(cascade._kept) == 2
+
+    def test_a_pooled_run_neither_reads_nor_keeps_collections(self, tmp_path, monkeypatch):
+        config = self.sweep()[2]
+        serial = run_experiment(config)
+        generated = self.count_generations(monkeypatch, tmp_path / "generated")
+        pooled = run_experiment(config, jobs=2)
+        # every replicate generated again, in a worker; the serial run's kept
+        # collections dropped before the pool started, and none added
+        assert len(generated()) == 3
+        assert all(line.split()[0] != str(os.getpid()) for line in generated())
+        assert cascade._kept == {}
+        for a, b in zip(serial.results, pooled.results):
+            assert a.test_rmse == b.test_rmse
+            assert all(np.array_equal(a.params[v], b.params[v]) for v in a.params)
+
+    def test_a_data_path_run_drops_what_was_kept(self, rng, tmp_path):
+        run_experiment(self.sweep()[0])
+        save_collection(make_collection(rng, T=5), tmp_path / "col")
+        run_experiment(ExperimentConfig(method="individual", budget=40,
+                                        data_path=str(tmp_path / "col")))
+        assert cascade._kept == {}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_loaded_collection_designs_are_built_once_per_run(self, rng, tmp_path,

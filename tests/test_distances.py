@@ -655,6 +655,22 @@ class TestDistanceMatrix:
             load_distance_matrix(path)
 
     @pytest.mark.parametrize("text, problem", [
+        ("a,b\n0,-1\n-1,0\n", "line 2: .*negative entries: d\\('a', 'b'\\) is -1.0$"),
+        ("a,b,c\n0,1,1\n1,0,inf\ninf,1,0\n",
+         "line 3: .*non-finite entries: d\\('b', 'c'\\) is inf$"),
+        ("a,b\n0,1\n\n1,nan\n", "line 4: .*non-finite entries: d\\('b', 'b'\\) is nan$"),
+        ("a,b\n1,1\n1,0\n", "line 2: .*diagonal must be zero: d\\('a', 'a'\\) is 1.0$"),
+        # a blank line is skipped and still counted
+        ("a,b,c\n0,1,1\n\n1,0,2\n1,1,0\n",
+         "line 4: .*must be symmetric: d\\('b', 'c'\\) is 2.0$"),
+    ])
+    def test_bad_values_name_the_file_line_and_pair(self, tmp_path, text, problem):
+        path = tmp_path / "dist.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="dist.csv: .*" + problem):
+            load_distance_matrix(path)
+
+    @pytest.mark.parametrize("text, problem", [
         ("", "empty distance matrix file"),
         ("a,b\n0.0,1.0\n", "expected a 2x2 matrix, got \\(1, 2\\)"),
         ("a,b\n0.0,1.0\n1.0,0.0\n0.0,0.0\n", "expected a 2x2 matrix, got \\(3, 2\\)"),
@@ -674,12 +690,15 @@ class TestDistanceMatrix:
             DistanceMatrix(values, ids)
 
     def test_invariants_rejected(self):
-        with pytest.raises(ConfigError):
-            DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-        with pytest.raises(ConfigError):
-            DistanceMatrix(np.array([[1.0]]))  # nonzero diagonal
-        with pytest.raises(ConfigError):
-            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
+        with pytest.raises(ConfigError, match="symmetric: d\\('task0', 'task1'\\) is 1.0$"):
+            DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ConfigError, match="zero: d\\('u', 'u'\\) is 1.0$"):
+            DistanceMatrix(np.array([[1.0]]), ["u"])
+        with pytest.raises(ConfigError, match="negative entries: d\\('task0', 'task1'\\)"):
+            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        # the first pair in row order, of the first check that fails
+        with pytest.raises(ConfigError, match="non-finite entries: d\\('task1', 'task0'\\)"):
+            DistanceMatrix(np.array([[0.0, -1.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_negative_ridge_lambda_is_rejected_naming_the_key(rng):

@@ -8,8 +8,10 @@ Two checkouts whose digests match write the same bytes on every command:
 
 The matrix is ``gen``; ``dist`` under every metric; ``tree`` of every kind;
 ``run`` of every method, and of ``mst`` under every budget scheme, on a
-synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; and
-``verify`` in noiseless and noisy mode. Each command runs in a fresh
+synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; a
+synthetic ``bench`` sweep (``star`` and ``mst`` on ``gradient``, two budgets,
+three seeds) at ``--jobs`` 1 and 2, the one command that runs several
+configs in one process; and ``verify`` in noiseless and noisy mode. Each command runs in a fresh
 interpreter with ``--src`` on its path, in a temporary directory that is
 removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
 out. A command that exits non-zero stops the script with its stderr.
@@ -55,6 +57,9 @@ def commands(seed: str) -> list[list[str]]:
                 name = f"run_{method}_{scheme}_{source}"
                 cmds.append(["run", f"cfg/{name}.json", "--out", f"out/{name}_jobs{jobs}",
                              "--jobs", jobs, *seed_args])
+    for jobs in ("1", "2"):
+        cmds.append(["bench", "cfg/bench.json", "--out", f"out/bench_jobs{jobs}",
+                     "--jobs", jobs, *seed_args])
     for name in ("noiseless", "noisy", "pipeline"):
         cmds.append(["verify", f"cfg/verify_{name}.json", "--out",
                      f"out/verify_{name}.json", *seed_args])
@@ -66,7 +71,9 @@ def write_configs(cfg: Path) -> None:
     configs = {"gen.json": SYNTHETIC,
                "verify_noiseless.json": {"mode": "noiseless", **CHAINS},
                "verify_noisy.json": {"mode": "noisy", **CHAINS},
-               "verify_pipeline.json": PIPELINE_CHAIN}
+               "verify_pipeline.json": PIPELINE_CHAIN,
+               "bench.json": {"methods": ["star", "mst"], "metrics": ["gradient"],
+                              "budgets": [100, 200], "num_seeds": 3, "synthetic": SYNTHETIC}}
     for method in METHODS:
         for scheme in ("uniform", *SCHEMES) if method == "mst" else ("uniform",):
             run = {"method": method, "metric_name": "gradient" if method == "mst" else None,
