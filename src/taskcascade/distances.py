@@ -475,7 +475,8 @@ def task_distance(
 ) -> float:
     """Distance between two tasks' training splits under the named metric.
 
-    Equal to the (u, v) entry of a matrix computed with the same params.
+    Equal to the (u, v) entry of a matrix computed with the same params;
+    ``u`` and ``v`` are stacked and checked as a collection's tasks are.
     """
     if u.dim != v.dim:
         raise ShapeMismatchError(
@@ -483,7 +484,7 @@ def task_distance(
         )
     from .tasks import stack_splits  # loaded already: u and v are its tasks
 
-    return float(_pairwise([u, v], stack_splits([u, v]), metric, params)[0, 1])
+    return float(_pairwise((u, v), stack_splits((u, v)), metric, params)[0, 1])
 
 
 def compute_distance_matrix(

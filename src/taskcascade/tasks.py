@@ -5,9 +5,9 @@ feature dimension. Collections of tasks are generated synthetically from a
 clustered parameter model, or loaded from a directory of CSV files described
 by a ``manifest.json``.
 
-A collection keeps its splits as stacks, one :class:`SplitStack` per distinct
-(n_train, n_test), and each task's arrays are views of its rows; readers of
-the whole collection make one pass per stack, not one per task.
+A collection is built with its splits as stacks, one checked
+:class:`SplitStack` per (n_train, n_test), and each task's arrays are views
+of its rows; readers of the whole collection make one pass per stack.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class TaskDataset:
     """One task: train/test design matrices and targets.
 
     Train and test splits share the feature dimension; the test split may be
-    empty (0 rows) for workflows that only need training data.
+    empty (0 rows). Finiteness is checked where tasks are stacked.
     """
 
     id: str
@@ -85,9 +85,6 @@ class TaskDataset:
                 f"task {self.id!r}: train dim {self.X_train.shape[1]} "
                 f"!= test dim {self.X_test.shape[1]}"
             )
-        for name in _SPLITS:
-            if not np.isfinite(getattr(self, name)).all():
-                raise DataFormatError(f"task {self.id!r}: non-finite entry in {name}")
 
     @property
     def dim(self) -> int:
@@ -113,34 +110,43 @@ class SplitStack(NamedTuple):
     y_test: np.ndarray
 
 
-def stack_splits(tasks: list[TaskDataset]) -> list[SplitStack]:
+def stack_splits(tasks: tuple[TaskDataset, ...]) -> list[SplitStack]:
     """Copies of the tasks' splits, one stack per (n_train, n_test) in order
-    of first appearance."""
+    of first appearance, checked by :func:`_check_finite`."""
     groups: dict[tuple[int, int], list[int]] = {}
     for i, task in enumerate(tasks):
         groups.setdefault((task.n_train, task.n_test), []).append(i)
-    return [
+    stacks = [
         SplitStack(np.array(index), *(np.array([getattr(tasks[i], name) for i in index])
                                       for name in _SPLITS))
         for index in groups.values()
     ]
+    _check_finite(tasks, stacks)
+    return stacks
 
 
-def _view_rows(tasks: list[TaskDataset], stack: SplitStack) -> None:
-    """Point the arrays of the tasks in ``stack`` at their rows of it."""
-    for j, i in enumerate(stack.index.tolist()):
-        tasks[i].X_train, tasks[i].y_train, tasks[i].X_test, tasks[i].y_test = (
-            a[j] for a in stack[1:])
+def _check_finite(tasks: tuple[TaskDataset, ...], stacks: list[SplitStack]) -> None:
+    """Name the first task, in task order, with a non-finite entry, then its first split."""
+    finite = np.ones((len(tasks), len(_SPLITS)), dtype=bool)
+    for stack in stacks:
+        for s, a in enumerate(stack[1:]):
+            finite[stack.index, s] = np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    if not finite.all():
+        i, s = np.argwhere(~finite)[0]
+        raise DataFormatError(f"task {tasks[i].id!r}: non-finite entry in {_SPLITS[s]}")
 
 
 @dataclass
 class TaskCollection:
-    """Ordered sequence of tasks sharing a feature dimension."""
+    """Ordered tasks sharing a feature dimension, kept as a tuple; each task's
+    arrays are views of its rows of :attr:`stacks` (:func:`stack_splits`)."""
 
-    tasks: list[TaskDataset]
+    tasks: tuple[TaskDataset, ...]
     dim: int
+    stacks: list[SplitStack] = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.tasks = tuple(self.tasks)
         seen: set[str] = set()
         for task in self.tasks:
             if task.id in seen:
@@ -150,6 +156,13 @@ class TaskCollection:
                 raise DataFormatError(
                     f"task {task.id!r} has dimension {task.dim}, expected {self.dim}"
                 )
+        if self.stacks is not None:
+            _check_finite(self.tasks, self.stacks)
+            return
+        self.stacks = stack_splits(self.tasks)
+        for stack in self.stacks:
+            for j, task in enumerate(self.tasks[i] for i in stack.index.tolist()):
+                task.X_train, task.y_train, task.X_test, task.y_test = (a[j] for a in stack[1:])
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -165,23 +178,13 @@ class TaskCollection:
         return [t.id for t in self.tasks]
 
     @cached_property
-    def stacks(self) -> list[SplitStack]:
-        """The tasks' splits as stacks (see :class:`SplitStack`), copied on
-        first use and kept, as :attr:`designs` are; the tasks' arrays become
-        views of their rows. :func:`generate_synthetic` sets its own."""
-        stacks = stack_splits(self.tasks)
-        for stack in stacks:
-            _view_rows(self.tasks, stack)
-        return stacks
-
-    @cached_property
     def designs(self) -> list[Design]:
         """Every task's training design, from one stacked eigendecomposition
         per split stack.
 
         Built on first use and kept, so every run that refines the collection
-        reads the same designs; its tasks must not be replaced after that. A
-        Gram matrix that overflows names its task, the first in task order.
+        reads the same designs; its tasks cannot be replaced. A Gram matrix
+        that overflows names its task, the first in task order.
         """
         from .linmodel import build_designs  # so that gen never loads linmodel
 
@@ -251,8 +254,8 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
     given ``config.seed``; each task consumes its own substream so changing
     ``num_tasks`` never perturbs earlier tasks.
     Each substream draws into the task's rows of one split stack, and one
-    stacked matmul forms the targets, with the bits of per-task arrays. A
-    non-finite entry names the first such task, and in it the first split.
+    stacked matmul forms the targets, with the bits of per-task arrays; the
+    collection checks that stack as it would its own copy.
     """
     d, T = config.dim, config.num_tasks
     centers_rng = substream(config.seed, "centers")
@@ -278,17 +281,8 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
 
     ids = [f"task{v}" for v in range(T)]
     stack = SplitStack(np.arange(T), X_train, y_train, X_test, y_test)
-    finite = np.array([np.isfinite(a.reshape(T, -1)).all(axis=1) for a in stack[1:]])
-    if not finite.all():
-        v, s = np.argwhere(~finite.T)[0]  # task order first, then split order
-        raise DataFormatError(f"task {ids[v]!r}: non-finite entry in {_SPLITS[s]}")
-    # The stack is checked as a whole, so its tasks skip TaskDataset's checks.
-    tasks = [TaskDataset.__new__(TaskDataset) for _ in ids]
-    for task, task_id in zip(tasks, ids):
-        task.id = task_id
-    _view_rows(tasks, stack)
-    collection = TaskCollection(tasks, d)
-    collection.stacks = [stack]
+    tasks = [TaskDataset(task_id, *(a[v] for a in stack[1:])) for v, task_id in enumerate(ids)]
+    collection = TaskCollection(tasks, d, [stack])
     return collection, GroundTruth(dict(zip(ids, theta)), dict(zip(ids, cluster_of.tolist())))
 
 
@@ -349,6 +343,10 @@ def _read_split_csv(path: Path, task_id: str) -> tuple[np.ndarray, np.ndarray]:
                 f"of {path.name}: {exc}"
             ) from None
     data = np.array(values, dtype=np.float64).reshape(len(values), d + 1)
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise DataFormatError(f"task {task_id!r}: non-finite cell in row "
+                              f"{int(bad.argmax()) + 2} of {path.name}")
     return data[:, :d], data[:, d]
 
 

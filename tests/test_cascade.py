@@ -223,11 +223,12 @@ class TestDefaultStepSizes:
         assert all(np.array_equal(result.params[v], walked[v]) for v in range(5))
 
     def test_zero_design_names_the_task(self, rng):
-        collection = make_collection(rng, T=3)
+        tasks = list(make_collection(rng, T=3))
         for v in (1, 2):
-            task = collection[v]
-            collection.tasks[v] = TaskDataset(task.id, np.zeros_like(task.X_train),
-                                              task.y_train, task.X_test, task.y_test)
+            task = tasks[v]
+            tasks[v] = TaskDataset(task.id, np.zeros_like(task.X_train),
+                                   task.y_train, task.X_test, task.y_test)
+        collection = TaskCollection(tasks, 4)
         # the tree visits task 2 first, so the first zero design it reaches is named
         tree = star_tree(3, 2)
         with pytest.raises(DegenerateDesignError, match="task 'task2': X\\^T X is the zero"):
@@ -236,11 +237,12 @@ class TestDefaultStepSizes:
     def test_individual_names_the_first_failing_task_in_task_order(self, rng):
         # the zero designs of test_zero_design_names_the_task; the forest of
         # individual runs 0, 1, 2 where star_tree(3, 2) runs 2, 0, 1
-        collection = make_collection(rng, T=3)
+        tasks = list(make_collection(rng, T=3))
         for v in (1, 2):
-            task = collection[v]
-            collection.tasks[v] = TaskDataset(task.id, np.zeros_like(task.X_train),
-                                              task.y_train, task.X_test, task.y_test)
+            task = tasks[v]
+            tasks[v] = TaskDataset(task.id, np.zeros_like(task.X_train),
+                                   task.y_train, task.X_test, task.y_test)
+        collection = TaskCollection(tasks, 4)
         budgets = BudgetAllocation({0: 10, 1: 10, 2: 10}, 30)
         with pytest.raises(DegenerateDesignError, match="^task 'task1': X\\^T X is the zero"):
             run_individual(collection, budgets)
@@ -254,10 +256,10 @@ class TestDefaultStepSizes:
         (np.full((4, 2), 1e-160), "power iteration's estimate of lambda_max is .*e-3"),
     ])
     def test_degenerate_design_names_the_task(self, rng, X_train, problem):
-        collection = make_collection(rng, T=3, d=2)
-        task = collection[1]
-        collection.tasks[1] = TaskDataset("bad", X_train, np.ones(len(X_train)),
-                                          task.X_test, task.y_test)
+        tasks = list(make_collection(rng, T=3, d=2))
+        task = tasks[1]
+        tasks[1] = TaskDataset("bad", X_train, np.ones(len(X_train)), task.X_test, task.y_test)
+        collection = TaskCollection(tasks, 2)
         tree = star_tree(3, 0)
         config = ExperimentConfig(method="individual", budget=30, data_path="unused")
         if problem is None:  # the design refines
@@ -298,10 +300,11 @@ class TestDefaultStepSizes:
     def test_solution_that_overflows_names_the_task(self, rng, method, metric):
         # eta * lambda_max is about 1, so nothing diverges, but X^T y / lam of
         # task1, about 1e450, overflows: an input fault, not a divergence
-        collection = make_collection(rng, T=3, n=8, d=3)
-        task = collection[1]
-        collection.tasks[1] = dataclasses.replace(
+        tasks = list(make_collection(rng, T=3, n=8, d=3))
+        task = tasks[1]
+        tasks[1] = dataclasses.replace(
             task, X_train=task.X_train * 1e-150, y_train=task.y_train * 1e300)
+        collection = TaskCollection(tasks, 3)
         config = ExperimentConfig(method=method, metric_name=metric, budget=30,
                                   data_path="unused")
         with pytest.raises(DegenerateDesignError,
@@ -316,10 +319,10 @@ class TestDefaultStepSizes:
     def test_overflowing_targets_name_the_task(self, rng, method, metric, split, value,
                                                problem):
         # run under the suite's error::RuntimeWarning filter: nothing is warned
-        collection = make_collection(rng, T=3, n=8, d=3)
-        task = collection[1]
-        collection.tasks[1] = dataclasses.replace(
-            task, **{split: np.full(len(getattr(task, split)), value)})
+        tasks = list(make_collection(rng, T=3, n=8, d=3))
+        task = tasks[1]
+        tasks[1] = dataclasses.replace(task, **{split: np.full(len(getattr(task, split)), value)})
+        collection = TaskCollection(tasks, 3)
         config = ExperimentConfig(method=method, metric_name=metric, budget=30,
                                   data_path="unused")
         with pytest.raises(DegenerateDesignError, match=f"^task 'task1': {problem}"):

@@ -729,6 +729,24 @@ def test_gen_of_an_overflowing_scale_exits_2_naming_the_task(tmp_path, key):
               "error: task 'task0': non-finite entry in y_train", tmp_path / "col")
 
 
+@pytest.mark.parametrize("command, split_csv, row, cell", [
+    (["dist", "col", "--metric", "gradient", "--out", "out"], "t1_train.csv", 4, "nan"),
+    (["run", "run.json", "--out", "out"], "t2_test.csv", 3, "1e999"),
+])
+def test_a_non_finite_cell_exits_2_naming_the_file_and_row(tmp_path, command, split_csv,
+                                                          row, cell):
+    _collection_with(tmp_path)
+    path = tmp_path / "col" / split_csv
+    lines = path.read_text().splitlines()
+    lines[row - 1] = ",".join([cell, *lines[row - 1].split(",")[1:]])
+    path.write_text("\n".join(lines))
+    write_json(tmp_path / "run.json", {"method": "mst", "metric_name": "gradient",
+                                       "budget": 30, "data_path": "col"})
+    _rejected(_cli(command, tmp_path),
+              f"error: task '{split_csv[:2]}': non-finite cell in row {row} of {split_csv}",
+              tmp_path / "out")
+
+
 def test_verify_of_an_overflowing_spacing_exits_2_naming_it(tmp_path):
     cfg = write_json(tmp_path / "verify.json", {"mode": "noiseless", "length": 3, "dim": 3,
                                                 "n": 8, "spacing": 1e308})

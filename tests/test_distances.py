@@ -598,6 +598,17 @@ class TestDistanceMatrix:
             with pytest.raises(ShapeMismatchError, match="dimensions"):
                 task_distance(u, v, metric)
 
+    def test_task_distance_checks_its_tasks_and_leaves_them_as_they_were(self, rng):
+        u, v = make_task(rng, n=6, d=3, task_id="u"), make_task(rng, n=6, d=3, task_id="v")
+        twin = TaskDataset("u", v.X_train, v.y_train, v.X_test, v.y_test)
+        assert task_distance(u, twin, "gradient") == task_distance(u, v, "gradient")
+        arrays = [(t, name, getattr(t, name)) for t in (u, v, twin)
+                  for name in ("X_train", "y_train", "X_test", "y_test")]
+        v.X_train[2, 1] = np.nan
+        with pytest.raises(DataFormatError, match="^task 'v': non-finite entry in X_train$"):
+            task_distance(u, v, "gradient")
+        assert all(getattr(t, name) is a for t, name, a in arrays)
+
     def test_test_split_never_used(self, rng):
         collection = make_collection(rng, T=5, n=16, d=3)
         stripped = TaskCollection(

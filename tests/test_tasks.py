@@ -238,6 +238,19 @@ def test_non_numeric_cell_reports_task_and_row(rng, tmp_path):
         load_collection(tmp_path / "col")
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_cell_reports_task_file_and_row(rng, tmp_path, cell, split):
+    save_collection(make_collection(rng, T=2, d=2), tmp_path / "col")
+    (tmp_path / "col" / f"task1_{split}.csv").write_text(
+        f"x1,x2,y\n1.0,2.0,3.0\n1.0,2.0,3.0\n1.0,{cell},3.0\n1.0,2.0,{cell}\n")
+    with pytest.raises(DataFormatError,
+                       match=f"^task 'task1': non-finite cell in row 4 of task1_{split}.csv$"):
+        load_collection(tmp_path / "col")
+    if split == "test":  # never parsed
+        assert load_collection(tmp_path / "col", read_test=False).ids == ["task0", "task1"]
+
+
 @pytest.mark.parametrize("text, problem", [
     ("x1,x2,z\n1.0,2.0,3.0\n", "bad header in .*task0_train.csv, expected x1,...,xd,y"),
     ("x1,x2,y\n1.0,2.0,3.0\n1.0,2.0\n", "row 3 of task0_train.csv has 2 cells, expected 3"),
@@ -482,8 +495,8 @@ def test_adversarial_ids_round_trip(ids, seed, quoted):
 
 
 def per_task_generator(config):
-    """Reference: the generator as one TaskDataset per task, each drawn,
-    formed and checked on its own (TaskDataset's checks, in its order)."""
+    """Reference: the generator as one TaskDataset per task, each drawn and
+    formed on its own, then checked as any hand-built TaskCollection is."""
     d = config.dim
     tasks, theta_star = [], {}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -500,7 +513,7 @@ def per_task_generator(config):
             y_test = X_test @ theta_v + config.noise_sigma * rng.standard_normal(config.n_test)
             tasks.append(TaskDataset(f"task{v}", X_train, y_train, X_test, y_test))
             theta_star[f"task{v}"] = theta_v
-    return tasks, theta_star
+    return TaskCollection(tasks, d), theta_star
 
 
 def same_bits(a, b):
@@ -574,12 +587,14 @@ def test_generated_tasks_are_views_of_one_stack():
 def test_a_built_collection_stacks_its_tasks_and_views_them(rng):
     collection = make_collection(rng, T=4, n=6, d=3)
     copies = [{name: getattr(task, name).copy() for name in SPLITS} for task in collection]
-    [stack] = collection.stacks  # built on first use
+    [stack] = vars(collection)["stacks"]  # built with the collection
     for j, (task, copy) in enumerate(zip(collection, copies)):
         for name in SPLITS:
             assert np.shares_memory(getattr(task, name), getattr(stack, name))
             assert same_bits(getattr(task, name), copy[name])
             assert same_bits(getattr(stack, name)[j], copy[name])
+    with pytest.raises(TypeError):  # a replaced task would leave the stacks stale
+        collection.tasks[0] = collection[1]
 
 
 def ragged_tasks(rng, shapes, d=3):
@@ -605,6 +620,20 @@ def test_a_ragged_loaded_collection_forms_one_stack_per_shape(rng, tmp_path):
         lam, V = np.linalg.eigh(task.X_train.T @ task.X_train)
         assert same_bits(design.lam, lam) and same_bits(design.V, V)
         assert np.shares_memory(design.X, task.X_train)
+
+
+def test_a_ragged_hand_built_collection_names_the_first_non_finite_task(rng):
+    # r0 and r2 form the first stack, r1 the second
+    tasks = ragged_tasks(rng, [(4, 1), (5, 2), (4, 1)])
+    tasks[2].y_test[0] = np.nan
+    with pytest.raises(DataFormatError, match="^task 'r2': non-finite entry in y_test$"):
+        TaskCollection(tasks, 3)
+    tasks[1].X_test[1, 2] = np.inf  # r1 comes first in task order
+    with pytest.raises(DataFormatError, match="^task 'r1': non-finite entry in X_test$"):
+        TaskCollection(tasks, 3)
+    tasks[1].y_train[3] = -np.inf  # and in r1, y_train comes before X_test
+    with pytest.raises(DataFormatError, match="^task 'r1': non-finite entry in y_train$"):
+        TaskCollection(tasks, 3)
 
 
 def test_an_overflowing_gram_matrix_is_named_first_in_task_order(rng):

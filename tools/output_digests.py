@@ -8,10 +8,13 @@ Two checkouts whose digests match write the same bytes on every command:
 
 The matrix is ``gen``; ``dist`` under every metric; ``tree`` of every kind;
 ``run`` of every method, and of ``mst`` under every budget scheme, on a
-synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; a
-synthetic ``bench`` sweep (``star`` and ``mst`` on ``gradient``, two budgets,
-three seeds) at ``--jobs`` 1 and 2, the one command that runs several
-configs in one process; and ``verify`` in noiseless and noisy mode. Each command runs in a fresh
+synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; ``dist``
+under ``gradient``, ``model`` and ``wasserstein``, and ``run`` of ``mst`` on
+``gradient`` at ``--jobs`` 1 and 2, on a ragged ``data_path`` collection
+whose tasks have two ``n_train`` values, so that a load forms two split
+stacks; a synthetic ``bench`` sweep (``star`` and ``mst`` on ``gradient``,
+two budgets, three seeds) at ``--jobs`` 1 and 2, the one command that runs
+several configs in one process; and ``verify`` in noiseless and noisy mode. Each command runs in a fresh
 interpreter with ``--src`` on its path, in a temporary directory that is
 removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
 out. A command that exits non-zero stops the script with its stderr.
@@ -23,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -38,6 +42,9 @@ SYNTHETIC = {"num_tasks": 12, "dim": 4, "n_train": 16, "n_test": 8, "num_cluster
 # the README's chain config, and the noisy chain of the benchmark's cli-pipeline
 CHAINS = {"num_chains": 100, "length": 4, "dim": 8, "n": 32, "budget_per_node": 10,
           "spacing": 2.0, "noise_sigma": 0.5, "noise_draws": 200}
+# A hand-made collection, interleaving two n_train values among its tasks.
+RAGGED_N_TRAIN = (12, 16, 16, 12, 16, 12, 12, 16)
+RAGGED_METRICS = ("gradient", "model", "wasserstein")
 PIPELINE_CHAIN = {"mode": "noisy", "num_chains": 1, "length": 5, "noise_sigma": 0.5,
                   "noise_draws": 200}
 
@@ -57,6 +64,10 @@ def commands(seed: str) -> list[list[str]]:
                 name = f"run_{method}_{scheme}_{source}"
                 cmds.append(["run", f"cfg/{name}.json", "--out", f"out/{name}_jobs{jobs}",
                              "--jobs", jobs, *seed_args])
+    cmds += [["dist", "ragged", "--metric", m, "--out", f"out/ragged_dist_{m}.csv",
+              *seed_args] for m in RAGGED_METRICS]
+    cmds += [["run", "cfg/run_ragged.json", "--out", f"out/run_ragged_jobs{jobs}",
+              "--jobs", jobs, *seed_args] for jobs in ("1", "2")]
     for jobs in ("1", "2"):
         cmds.append(["bench", "cfg/bench.json", "--out", f"out/bench_jobs{jobs}",
                      "--jobs", jobs, *seed_args])
@@ -73,7 +84,9 @@ def write_configs(cfg: Path) -> None:
                "verify_noisy.json": {"mode": "noisy", **CHAINS},
                "verify_pipeline.json": PIPELINE_CHAIN,
                "bench.json": {"methods": ["star", "mst"], "metrics": ["gradient"],
-                              "budgets": [100, 200], "num_seeds": 3, "synthetic": SYNTHETIC}}
+                              "budgets": [100, 200], "num_seeds": 3, "synthetic": SYNTHETIC},
+               "run_ragged.json": {"method": "mst", "metric_name": "gradient", "budget": 200,
+                                   "num_seeds": 3, "data_path": "ragged"}}
     for method in METHODS:
         for scheme in ("uniform", *SCHEMES) if method == "mst" else ("uniform",):
             run = {"method": method, "metric_name": "gradient" if method == "mst" else None,
@@ -85,12 +98,35 @@ def write_configs(cfg: Path) -> None:
         (cfg / name).write_text(json.dumps(doc))
 
 
+def write_ragged(root: Path, seed: str, dim: int = 4, n_test: int = 8) -> None:
+    """The ragged collection: noisy linear tasks drawn from ``seed``, written
+    as ``save_collection`` lays a collection out."""
+    rng = random.Random(int(seed))
+    root.mkdir()
+    header = ",".join([f"x{j + 1}" for j in range(dim)] + ["y"])
+    entries = []
+    for v, n_train in enumerate(RAGGED_N_TRAIN):
+        theta = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        entry = {"id": f"r{v}"}
+        for split, n in (("train", n_train), ("test", n_test)):
+            lines = [header]
+            for _ in range(n):
+                x = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+                y = sum(a * b for a, b in zip(x, theta)) + 0.5 * rng.gauss(0.0, 1.0)
+                lines.append(",".join(map(repr, [*x, y])))
+            entry[f"{split}_csv"] = f"r{v}_{split}.csv"
+            (root / entry[f"{split}_csv"]).write_text("\n".join(lines) + "\n")
+        entries.append(entry)
+    (root / "manifest.json").write_text(json.dumps({"dim": dim, "tasks": entries}))
+
+
 def digests(src: Path, seed: str) -> list[str]:
     """``<sha256>  <path>`` for every output file, sorted by path."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryDirectory(prefix="output-digests-") as tmp:
         work = Path(tmp)
         write_configs(work / "cfg")
+        write_ragged(work / "ragged", seed)
         (work / "out").mkdir()
         for args in commands(seed):
             done = subprocess.run([sys.executable, "-m", "taskcascade.cli", *args], cwd=work,
