@@ -9,7 +9,7 @@ runs on one executor, ``run_cascade``, the one place that turns a design
 into its step size: ``individual`` is the forest (``tree=None``) in which
 every task is a root refined from the initial parameters, and ``star`` and
 ``random_tree`` cascade over trivial or uninformed trees rooted at the
-medoid of the distance matrix.
+medoid of the distance matrix. ``_tree`` alone decides which runs share a tree.
 """
 
 from __future__ import annotations
@@ -152,38 +152,30 @@ def run_individual(
     return run_cascade(collection, None, budgets, theta_init)
 
 
-def _tree(
-    config: ExperimentConfig, collection: TaskCollection, seed: int | None
-) -> RootedTree | None:
-    """The tree a cascade method refines over in the replicate with ``seed``.
-
-    Only ``mmd`` distances and ``random_tree`` trees draw on the seed, so only
-    they derive from it, and given ``seed=None`` they give None. Any other
-    tree is the same in every replicate and derives no seed (a pooled run's
-    parent then never loads numpy.random). ``individual`` has no tree.
-    """
+def _tree(config: ExperimentConfig, collection: TaskCollection, seed: int) -> RootedTree:
+    """The tree a cascade method refines over in the replicate with ``seed``,
+    kept in ``collection.trees`` under all else it depends on: its kind, its
+    metric, its distance parameters (``mmd``'s with a seed derived from
+    ``seed``) and, for a random tree, ``seed``."""
     metric = config.metric_name or DEFAULT_MEDOID_METRIC
     kind = "random" if config.method == "random_tree" else config.method
-    if kind == "individual" or (seed is None and (kind == "random" or metric == "mmd")):
-        return None
     params = config.distance_params
     if metric == "mmd":
         params = replace(params, seed=derive_seed(seed, "dist"))
-    return build_tree(compute_distance_matrix(collection, metric, params), kind, seed)
+    key = (kind, metric, repr(params), seed if kind == "random" else None)
+    if key not in collection.trees:
+        matrix = compute_distance_matrix(collection, metric, params)
+        collection.trees[key] = build_tree(matrix, kind, seed)
+    return collection.trees[key]
 
 
 def run_method(
-    config: ExperimentConfig,
-    collection: TaskCollection,
-    seed: int | None = None,
-    *,
-    tree: RootedTree | None = None,
+    config: ExperimentConfig, collection: TaskCollection, seed: int | None = None
 ) -> CascadeResult:
     """Dispatch one run of the configured method on a concrete collection.
 
     Distances (hence trees and the medoid root) are computed from training
-    splits only. A cascade method given ``tree`` refines over it instead of
-    building its own.
+    splits only; a cascade method refines over the tree ``_tree`` gives.
     """
     seed = config.seed if seed is None else seed
     theta_init = None
@@ -193,27 +185,22 @@ def run_method(
     if config.method == "individual":
         tree, budgets = None, split_uniform(len(collection), config.budget)
     else:
-        if tree is None:
-            tree = _tree(config, collection, seed)
+        tree = _tree(config, collection, seed)
         budgets = allocate(tree, config.budget, config.scheme)
     return run_cascade(collection, tree, budgets, theta_init)
 
 
-# What every replicate of a data_path run shares: the loaded collection, with
-# its designs, and the tree when no replicate seed enters it (see _tree). Both
-# None for a synthetic run, whose replicates each get their own collection.
-_Shared = tuple[TaskCollection | None, RootedTree | None]
-
-# The last serial synthetic run's collections, with any designs they built, by
+# The last serial synthetic run's collections, with their designs and trees, by
 # the repr of each replicate's SyntheticConfig, derived seed and all (unlike ==,
 # a repr tells -0.0 from 0.0). A serial sweep on one data set reuses them.
 _kept: dict[str, TaskCollection] = {}
 
 
-def _run_replicate(args: tuple[ExperimentConfig, int, _Shared], kept=None) -> CascadeResult:
+def _run_replicate(args: tuple[ExperimentConfig, int, TaskCollection | None],
+                   kept=None) -> CascadeResult:
     """Replicate ``r`` on the loaded collection, or on its own synthetic one,
     taken from ``kept`` and added to it when given."""
-    config, r, (collection, tree) = args
+    config, r, collection = args
     rep_seed = derive_seed(config.seed, "replicate", r)
     if collection is None:
         data = replace(config.synthetic, seed=rep_seed)
@@ -221,23 +208,23 @@ def _run_replicate(args: tuple[ExperimentConfig, int, _Shared], kept=None) -> Ca
         if repr(data) not in kept:
             kept[repr(data)] = generate_synthetic(data)[0]
         collection = kept[repr(data)]
-    return run_method(config, collection, seed=rep_seed, tree=tree)
+    return run_method(config, collection, seed=rep_seed)
 
 
-# A pool worker's copy of what the replicates share, set once by the pool
-# initializer: a forked worker inherits it in memory, where putting it in
+# A pool worker's copy of the loaded collection (None for synthetic data), set
+# once by the pool initializer: a forked worker inherits it in memory, where
 # every work item would pickle the whole collection once per replicate.
-_worker_shared: _Shared = (None, None)
+_worker_collection: TaskCollection | None = None
 
 
-def _init_worker(*shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
+def _init_worker(collection: TaskCollection | None) -> None:
+    global _worker_collection
+    _worker_collection = collection
 
 
 def _run_pooled_replicate(args: tuple[ExperimentConfig, int]) -> CascadeResult:
     config, r = args
-    return _run_replicate((config, r, _worker_shared))
+    return _run_replicate((config, r, _worker_collection))
 
 
 @dataclass
@@ -256,12 +243,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 
     Replicates are independent: each derives its own seed, and from it its
     synthetic data, and runs the method. A serial run keeps its synthetic
-    collections with their designs for the next serial run on the same data
+    collections, designs and trees for the next serial run on the same data
     (``_kept``). A data path is loaded once and shared as-is, with its
-    designs and, where no replicate seed enters it, its tree. With
-    ``jobs > 1`` and more than one replicate, replicates run in a process
-    pool of ``min(jobs, num_seeds)`` workers, which keep nothing; the
-    output is identical for any jobs value.
+    designs and trees. With ``jobs > 1`` and more than one replicate,
+    replicates run in a process pool of ``min(jobs, num_seeds)`` workers,
+    which keep nothing; the output is identical for any jobs value.
     """
     # a fork pool starts all its workers at once, so none beyond the replicates
     workers = min(jobs, config.num_seeds)
@@ -270,22 +256,19 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
            for r in range(config.num_seeds) if workers == 1 and config.data_path is None}
     for key in _kept.keys() - own:
         del _kept[key]
-    shared: _Shared = (None, None)
+    loaded = None
     if config.data_path is not None:
-        # Every replicate refines the one loaded collection, so what does
-        # not depend on the replicate seed is computed once here.
         loaded = load_collection(config.data_path)
         loaded.designs  # built and kept before any pool worker starts
-        shared = (loaded, _tree(config, loaded, None))
     if workers == 1:
-        results = [_run_replicate((config, r, shared), _kept)
+        results = [_run_replicate((config, r, loaded), _kept)
                    for r in range(config.num_seeds)]
     else:
         # Imported here, so only a pooled run pays for importing multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=shared
+            max_workers=workers, initializer=_init_worker, initargs=(loaded,)
         ) as pool:
             work = [(config, r) for r in range(config.num_seeds)]
             results = list(pool.map(_run_pooled_replicate, work))

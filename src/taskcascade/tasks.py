@@ -5,9 +5,9 @@ feature dimension. Collections of tasks are generated synthetically from a
 clustered parameter model, or loaded from a directory of CSV files described
 by a ``manifest.json``.
 
-A collection is built with its splits as stacks, one checked
-:class:`SplitStack` per (n_train, n_test), and each task's arrays are views
-of its rows; readers of the whole collection make one pass per stack.
+A collection is built with its splits as read-only stacks, one checked
+:class:`SplitStack` per (n_train, n_test), and with frozen tasks that view
+their rows; readers of the whole collection make one pass per stack.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ _FORBIDDEN_IN_ID = _FORBIDDEN_IN_FILE_NAME + (",", "\n", "\r", "\0")
 _SPLITS = ("X_train", "y_train", "X_test", "y_test")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskDataset:
     """One task: train/test design matrices and targets.
 
     Train and test splits share the feature dimension; the test split may be
-    empty (0 rows). Finiteness is checked where tasks are stacked.
+    empty (0 rows). Finiteness is checked where tasks are stacked, and the
+    tasks of a collection view its read-only stacks.
     """
 
     id: str
@@ -65,11 +66,11 @@ class TaskDataset:
             if arr.ndim != ndim:
                 kind = "2-d matrix" if ndim == 2 else "1-d vector"
                 raise ShapeMismatchError(f"{name} must be a {kind}, got ndim={arr.ndim}")
-            setattr(self, name, arr)
+            object.__setattr__(self, name, arr)
         if self.X_test.shape[0] == 0:
             # an empty test split of any width has the training dimension,
             # so it saves as a header of x1..xd,y that loads back
-            self.X_test = np.empty((0, self.X_train.shape[1]))
+            object.__setattr__(self, "X_test", np.empty((0, self.X_train.shape[1])))
         if self.X_train.shape[0] != self.y_train.shape[0]:
             raise ShapeMismatchError(
                 f"task {self.id!r}: X_train has {self.X_train.shape[0]} rows "
@@ -111,18 +112,25 @@ class SplitStack(NamedTuple):
 
 
 def stack_splits(tasks: tuple[TaskDataset, ...]) -> list[SplitStack]:
-    """Copies of the tasks' splits, one stack per (n_train, n_test) in order
-    of first appearance, checked by :func:`_check_finite`."""
+    """Read-only copies of the tasks' splits, one stack per (n_train, n_test)
+    in order of first appearance, checked by :func:`_check_finite`."""
     groups: dict[tuple[int, int], list[int]] = {}
     for i, task in enumerate(tasks):
         groups.setdefault((task.n_train, task.n_test), []).append(i)
     stacks = [
-        SplitStack(np.array(index), *(np.array([getattr(tasks[i], name) for i in index])
-                                      for name in _SPLITS))
+        _read_only(SplitStack(np.array(index), *(
+            np.array([getattr(tasks[i], name) for i in index]) for name in _SPLITS)))
         for index in groups.values()
     ]
     _check_finite(tasks, stacks)
     return stacks
+
+
+def _read_only(stack: SplitStack) -> SplitStack:
+    """``stack`` made read-only; call it before taking views, which keep the flag."""
+    for a in stack:
+        a.flags.writeable = False
+    return stack
 
 
 def _check_finite(tasks: tuple[TaskDataset, ...], stacks: list[SplitStack]) -> None:
@@ -136,17 +144,21 @@ def _check_finite(tasks: tuple[TaskDataset, ...], stacks: list[SplitStack]) -> N
         raise DataFormatError(f"task {tasks[i].id!r}: non-finite entry in {_SPLITS[s]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskCollection:
-    """Ordered tasks sharing a feature dimension, kept as a tuple; each task's
-    arrays are views of its rows of :attr:`stacks` (:func:`stack_splits`)."""
+    """Ordered tasks sharing a feature dimension; a built collection cannot change.
+
+    ``tasks`` is a tuple of its own tasks, views of their rows of the
+    read-only :attr:`stacks` (:func:`stack_splits`), not the tasks it was
+    given. ``trees`` holds the trees ``cascade._tree`` builds over it."""
 
     tasks: tuple[TaskDataset, ...]
     dim: int
     stacks: list[SplitStack] = field(default=None, repr=False)
+    trees: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.tasks = tuple(self.tasks)
+        object.__setattr__(self, "tasks", tuple(self.tasks))
         seen: set[str] = set()
         for task in self.tasks:
             if task.id in seen:
@@ -159,10 +171,12 @@ class TaskCollection:
         if self.stacks is not None:
             _check_finite(self.tasks, self.stacks)
             return
-        self.stacks = stack_splits(self.tasks)
+        object.__setattr__(self, "stacks", stack_splits(self.tasks))
+        views = list(self.tasks)
         for stack in self.stacks:
-            for j, task in enumerate(self.tasks[i] for i in stack.index.tolist()):
-                task.X_train, task.y_train, task.X_test, task.y_test = (a[j] for a in stack[1:])
+            for j, i in enumerate(stack.index.tolist()):
+                views[i] = TaskDataset(views[i].id, *(a[j] for a in stack[1:]))
+        object.__setattr__(self, "tasks", tuple(views))
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -183,7 +197,7 @@ class TaskCollection:
         per split stack.
 
         Built on first use and kept, so every run that refines the collection
-        reads the same designs; its tasks cannot be replaced. A Gram matrix
+        reads the same designs; the collection cannot change. A Gram matrix
         that overflows names its task, the first in task order.
         """
         from .linmodel import build_designs  # so that gen never loads linmodel
@@ -255,7 +269,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
     ``num_tasks`` never perturbs earlier tasks.
     Each substream draws into the task's rows of one split stack, and one
     stacked matmul forms the targets, with the bits of per-task arrays; the
-    collection checks that stack as it would its own copy.
+    tasks view the stack read-only, and the collection checks it.
     """
     d, T = config.dim, config.num_tasks
     centers_rng = substream(config.seed, "centers")
@@ -280,7 +294,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
     y_test += config.noise_sigma * eps_test
 
     ids = [f"task{v}" for v in range(T)]
-    stack = SplitStack(np.arange(T), X_train, y_train, X_test, y_test)
+    stack = _read_only(SplitStack(np.arange(T), X_train, y_train, X_test, y_test))
     tasks = [TaskDataset(task_id, *(a[v] for a in stack[1:])) for v, task_id in enumerate(ids)]
     collection = TaskCollection(tasks, d, [stack])
     return collection, GroundTruth(dict(zip(ids, theta)), dict(zip(ids, cluster_of.tolist())))

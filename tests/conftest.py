@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,23 @@ def make_task(rng, n=24, d=4, task_id="t", n_test=8, sigma=0.1):
 def make_collection(rng, T=6, n=24, d=4, sigma=0.1):
     tasks = [make_task(rng, n=n, d=d, task_id=f"task{i}", sigma=sigma) for i in range(T)]
     return TaskCollection(tasks, d)
+
+
+def log_calls(monkeypatch, module, name, log, describe):
+    """Log the process id and ``describe(first argument)`` of every call of
+    ``module.name`` to the file ``log``, and return a reader of the log lines.
+
+    A file, so that the calls of forked pool workers show up too.
+    """
+    original = getattr(module, name)
+
+    def counted(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {describe(args[0])}\n")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return lambda: log.read_text().splitlines() if log.exists() else []
 
 
 def read_tree_csv(path):

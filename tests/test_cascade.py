@@ -22,7 +22,7 @@ from taskcascade.seeding import derive_seed
 from taskcascade.tasks import SyntheticConfig, TaskCollection, TaskDataset, save_collection
 from taskcascade.theory import PathSpec, path_bound
 
-from conftest import make_collection
+from conftest import log_calls, make_collection
 
 
 def noiseless_task(rng, theta, n=32, n_test=16, task_id="t"):
@@ -411,7 +411,7 @@ class TestRunExperiment:
                 return map(fn, work)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(cascade, "_worker_shared", cascade._worker_shared)
+        monkeypatch.setattr(cascade, "_worker_collection", cascade._worker_collection)
         config = ExperimentConfig(method="star", budget=50, num_seeds=num_seeds,
                                   synthetic=self.synthetic(), seed=13)
         pooled = run_experiment(config, jobs=jobs)
@@ -433,29 +433,15 @@ class TestRunExperiment:
             # one per task and replicate, read from the designs built once per run
             assert len(calls) == 5 * 3, method
 
-    @staticmethod
-    def log_calls(monkeypatch, module, name, log, describe):
-        """Log the process id and ``describe(arg)`` of every call of
-        ``module.name`` to the file ``log``.
-
-        A file, so that the calls of forked pool workers show up too.
-        """
-        original = getattr(module, name)
-
-        def counted(arg):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {describe(arg)}\n")
-            return original(arg)
-
-        monkeypatch.setattr(module, name, counted)
-        return lambda: log.read_text().splitlines() if log.exists() else []
-
     def count_design_builds(self, monkeypatch, log):
-        return self.log_calls(monkeypatch, linmodel, "build_designs", log, len)
+        return log_calls(monkeypatch, linmodel, "build_designs", log, len)
 
     def count_generations(self, monkeypatch, log):
-        return self.log_calls(monkeypatch, cascade, "generate_synthetic", log,
-                              lambda data: data.seed)
+        return log_calls(monkeypatch, cascade, "generate_synthetic", log,
+                         lambda data: data.seed)
+
+    def count_tree_builds(self, monkeypatch, log):
+        return log_calls(monkeypatch, cascade, "build_tree", log, lambda matrix: matrix.size)
 
     def test_a_synthetic_replicate_builds_its_designs_once(self, tmp_path, monkeypatch):
         builds = self.count_design_builds(monkeypatch, tmp_path / "builds")
@@ -495,10 +481,13 @@ class TestRunExperiment:
         cascade._kept.clear()
         generated = self.count_generations(monkeypatch, tmp_path / "generated")
         builds = self.count_design_builds(monkeypatch, tmp_path / "builds")
+        trees = self.count_tree_builds(monkeypatch, tmp_path / "trees")
         swept = [run_experiment(config) for config in self.sweep()]
         pid = os.getpid()
         assert generated() == [f"{pid} {derive_seed(2, 'replicate', r)}" for r in range(3)]
         assert builds() == [f"{pid} 5"] * 3
+        # per replicate a star, an mst that both mst configs share, and a random tree
+        assert trees() == [f"{pid} 5"] * 9
         assert len(cascade._kept) == 3
         for a, b in zip(alone, swept):
             assert a.per_seed_mean_rmse == b.per_seed_mean_rmse

@@ -19,7 +19,7 @@ from taskcascade.distances import (
 )
 from taskcascade.tasks import TaskCollection, TaskDataset, load_collection, save_collection
 
-from conftest import read_tree_csv
+from conftest import log_calls, read_tree_csv
 
 
 def write_json(path, payload):
@@ -288,30 +288,37 @@ class TestRun:
 
         col = tmp_path / "col"
         main(["gen", gen_config, "--out", str(col)])
-        loads, matrices = [], []
+        loads = []
         monkeypatch.setattr(cascade, "load_collection",
                             lambda path: loads.append(path) or load_collection(path))
-        monkeypatch.setattr(cascade, "compute_distance_matrix",
-                            lambda *a: matrices.append(a[1]) or compute_distance_matrix(*a))
-        # Calls made in this process: pool workers count none.
-        calls = {}
-        for method in ("random_tree", "mst"):
-            cfg = write_json(tmp_path / f"{method}.json", {
-                "method": method, "metric_name": "gradient", "budget": 40,
+        # logged to a file, so that the builds of pool workers count too
+        log = tmp_path / "trees"
+        trees = log_calls(monkeypatch, cascade, "build_tree", log, lambda matrix: matrix.size)
+        pids = {}
+        for method, metric in (("random_tree", "gradient"), ("mst", "gradient"),
+                               ("mst", "mmd")):
+            cfg = write_json(tmp_path / f"{method}_{metric}.json", {
+                "method": method, "metric_name": metric, "budget": 40,
                 "num_seeds": 3, "seed": 4, "data_path": str(col),
             })
             outs = []
             for jobs in ("1", "2"):
-                out = tmp_path / f"{method}{jobs}"
-                matrices.clear()
+                out = tmp_path / f"{method}_{metric}{jobs}"
+                log.unlink(missing_ok=True)
                 assert main(["run", cfg, "--out", str(out), "--jobs", jobs]) == 0
                 outs.append(tree_bytes(out))
-                calls[method, jobs] = len(matrices)
+                pids[method, metric, jobs] = [line.split()[0] for line in trees()]
             assert outs[0] == outs[1]
-        assert len(loads) == 4  # one per run, not one per replicate
-        # a random tree is drawn per replicate; an mst is built once per run
-        assert calls["random_tree", "1"] == 3
-        assert calls["mst", "1"] == calls["mst", "2"] == 1
+        assert len(loads) == 6  # one per run, not one per replicate
+        me = str(os.getpid())
+        # a random tree, and an mmd tree, whose distances draw on the seed,
+        # per replicate; a seed-free mst once per process that runs replicates
+        for jobs in ("1", "2"):
+            assert len(pids["random_tree", "gradient", jobs]) == 3
+            assert len(pids["mst", "mmd", jobs]) == 3
+        assert pids["mst", "gradient", "1"] == [me]
+        pooled = pids["mst", "gradient", "2"]
+        assert 1 <= len(pooled) <= 2 and len(set(pooled)) == len(pooled) and me not in pooled
 
     @pytest.mark.parametrize("method", ["individual", "mst"])
     def test_zero_design_exits_2_naming_the_task(self, gen_config, tmp_path, method,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -29,7 +30,7 @@ from taskcascade.tasks import (
     save_collection,
 )
 
-from conftest import make_collection, read_tree_csv
+from conftest import make_collection, make_task, read_tree_csv
 
 
 def test_noiseless_degenerate_case_fits_exactly():
@@ -595,6 +596,44 @@ def test_a_built_collection_stacks_its_tasks_and_views_them(rng):
             assert same_bits(getattr(stack, name)[j], copy[name])
     with pytest.raises(TypeError):  # a replaced task would leave the stacks stale
         collection.tasks[0] = collection[1]
+
+
+@pytest.mark.parametrize("kind", ["hand-built", "loaded", "generated"])
+def test_a_built_collection_cannot_change(rng, tmp_path, kind):
+    if kind == "generated":
+        # the stack is made in generate_synthetic, before its tasks view it
+        collection, _ = generate_synthetic(SyntheticConfig(num_tasks=3, dim=3, n_train=6,
+                                                           n_test=2, seed=1))
+    else:
+        collection = make_collection(rng, T=3, n=6, d=3)
+        if kind == "loaded":
+            save_collection(collection, tmp_path / "col")
+            collection = load_collection(tmp_path / "col")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        collection[1].y_train = np.full(6, np.nan)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        collection.tasks = collection.tasks[::-1]
+    for array in (collection[1].X_train, collection.stacks[0].y_train,
+                  collection.designs[1].X):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
+
+
+def test_a_task_given_to_two_collections_is_left_as_it_was(rng):
+    tasks = [make_task(rng, n=6, d=3, task_id=f"t{i}", n_test=2) for i in range(3)]
+    given = [{name: getattr(task, name) for name in SPLITS} for task in tasks]
+    first = TaskCollection(tasks, 3)
+    second = TaskCollection(tasks[1:] + tasks[:1], 3)
+    assert all(getattr(task, name) is arrays[name]
+               for task, arrays in zip(tasks, given) for name in SPLITS)
+    for own, other in ((first, second), (second, first)):
+        for task in own:
+            assert all(task is not given_task for given_task in tasks)
+            for name in SPLITS:
+                a = getattr(task, name)
+                assert np.shares_memory(a, getattr(own.stacks[0], name))
+                assert not np.shares_memory(a, getattr(other.stacks[0], name))
+                assert not any(np.shares_memory(a, arrays[name]) for arrays in given)
 
 
 def ragged_tasks(rng, shapes, d=3):

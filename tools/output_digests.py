@@ -8,15 +8,19 @@ Two checkouts whose digests match write the same bytes on every command:
 
 The matrix is ``gen``; ``dist`` under every metric; ``tree`` of every kind;
 ``run`` of every method, and of ``mst`` under every budget scheme, on a
-synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; ``dist``
-under ``gradient``, ``model`` and ``wasserstein``, and ``run`` of ``mst`` on
+synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; ``run``
+of ``mst`` on ``mmd``, whose tree differs per replicate, on the
+``data_path`` collection at ``--jobs`` 1 and 2; ``dist`` under
+``gradient``, ``model`` and ``wasserstein``, and ``run`` of ``mst`` on
 ``gradient`` at ``--jobs`` 1 and 2, on a ragged ``data_path`` collection
 whose tasks have two ``n_train`` values, so that a load forms two split
-stacks; a synthetic ``bench`` sweep (``star`` and ``mst`` on ``gradient``,
-two budgets, three seeds) at ``--jobs`` 1 and 2, the one command that runs
-several configs in one process; and ``verify`` in noiseless and noisy mode. Each command runs in a fresh
-interpreter with ``--src`` on its path, in a temporary directory that is
-removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
+stacks; a synthetic ``bench`` sweep (``star``, ``random_tree`` and ``mst``
+on ``gradient``, two budgets, three seeds) at ``--jobs`` 1 and 2, the one
+command that runs several configs in one process, so that a replicate's
+trees, its seeded random tree too, are looked up again at the second
+budget; and ``verify`` in noiseless and noisy mode. Each command runs in a
+fresh interpreter with ``--src`` on its path, in a temporary directory that
+is removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
 out. A command that exits non-zero stops the script with its stderr.
 """
 
@@ -64,6 +68,9 @@ def commands(seed: str) -> list[list[str]]:
                 name = f"run_{method}_{scheme}_{source}"
                 cmds.append(["run", f"cfg/{name}.json", "--out", f"out/{name}_jobs{jobs}",
                              "--jobs", jobs, *seed_args])
+    cmds += [["run", "cfg/run_mst_mmd_data_path.json", "--out",
+              f"out/run_mst_mmd_data_path_jobs{jobs}", "--jobs", jobs, *seed_args]
+             for jobs in ("1", "2")]
     cmds += [["dist", "ragged", "--metric", m, "--out", f"out/ragged_dist_{m}.csv",
               *seed_args] for m in RAGGED_METRICS]
     cmds += [["run", "cfg/run_ragged.json", "--out", f"out/run_ragged_jobs{jobs}",
@@ -83,10 +90,14 @@ def write_configs(cfg: Path) -> None:
                "verify_noiseless.json": {"mode": "noiseless", **CHAINS},
                "verify_noisy.json": {"mode": "noisy", **CHAINS},
                "verify_pipeline.json": PIPELINE_CHAIN,
-               "bench.json": {"methods": ["star", "mst"], "metrics": ["gradient"],
-                              "budgets": [100, 200], "num_seeds": 3, "synthetic": SYNTHETIC},
+               "bench.json": {"methods": ["star", "random_tree", "mst"],
+                              "metrics": ["gradient"], "budgets": [100, 200], "num_seeds": 3,
+                              "synthetic": SYNTHETIC},
                "run_ragged.json": {"method": "mst", "metric_name": "gradient", "budget": 200,
-                                   "num_seeds": 3, "data_path": "ragged"}}
+                                   "num_seeds": 3, "data_path": "ragged"},
+               "run_mst_mmd_data_path.json": {"method": "mst", "metric_name": "mmd",
+                                              "budget": 200, "num_seeds": 3,
+                                              "data_path": "out/coll"}}
     for method in METHODS:
         for scheme in ("uniform", *SCHEMES) if method == "mst" else ("uniform",):
             run = {"method": method, "metric_name": "gradient" if method == "mst" else None,
