@@ -310,7 +310,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         fh.write("method,metric,B,seed,mean_rmse\n")
         for method, metric, B, r, value in rows:
             fh.write(f"{method},{metric},{B},{r},{value!r}\n")
-    _write_manifest(out, args.config, data.get("seed"), ["bench.csv"], started)
+    _write_manifest(out, args.config, configs[0].seed, ["bench.csv"], started)
     print(f"wrote {len(rows)} rows to {bench_csv}")
     return 0
 

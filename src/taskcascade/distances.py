@@ -17,10 +17,11 @@ training split and a row reduction, the distances from one summary to a
 list of others. :func:`compute_distance_matrix` summarizes each task once and
 then reduces one row at a time, summary i against every later summary. The
 Euclidean metrics (``target``, ``gradient``, ``model``) summarize every task
-as a row of one array, in one pass per split stack, and reduce a row with
-one batched dot product; the others summarize one task at a time and apply
-their pair distance along the row. :func:`task_distance` is the same
-computation on two tasks, so a pair call equals the matching matrix entry.
+as a row of one array, batched over runs of tasks with one training row
+count, and reduce a row with one batched dot product; the others summarize
+one task at a time and apply their pair distance along the row.
+:func:`task_distance` is the same computation on two tasks, so a pair call
+equals the matching matrix entry.
 
 Bad input is caught in the summaries, and the error names the first failing
 task: too few samples, an X^T y, X^T X or standard deviation that overflows,
@@ -56,7 +57,7 @@ from .seeding import substream
 
 if TYPE_CHECKING:
     # Annotations only: ``tree`` reads a distance matrix without the task layer.
-    from .tasks import SplitStack, TaskCollection, TaskDataset
+    from .tasks import Splits, TaskCollection, TaskDataset
 
 FEATURE_METRICS = ("feature", "mmd", "gauss_meancov", "cka")
 TARGET_METRICS = ("target", "sym_kl", "js", "wasserstein")
@@ -314,13 +315,11 @@ def _wasserstein(su: np.ndarray, sv: np.ndarray, params: DistanceParams) -> floa
     return float(np.dot(np.abs(cdf_u - cdf_v), np.diff(pooled)))
 
 
-def _gradient_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
+def _gradient_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
     """Every task's X^T y, normalized unless ``params`` say not, as the rows
-    of one array: one matmul per split stack and one pass for the norms,
-    with the bits of each task's ``X.T @ y`` and ``np.linalg.norm``."""
-    g = np.zeros((len(tasks), tasks[0].dim if tasks else 0))
-    for stack in stacks:
-        g[stack.index] = np.matmul(stack.y_train[:, None, :], stack.X_train)[:, 0]
+    of one array: one matmul per run of :meth:`Splits.runs` and one pass for
+    the norms, with the bits of each task's ``X.T @ y`` and ``np.linalg.norm``."""
+    g = np.concatenate([np.matmul(y[:, None, :], X)[:, 0] for X, y in splits.runs()])
     norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]).ravel())
     # A finite X^T y whose norm overflows would normalize to zeros.
     bad = ~np.isfinite(norm)
@@ -332,23 +331,20 @@ def _gradient_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) 
     return g
 
 
-def _model_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
+def _model_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
     """Every task's ridge solution as a row of one array, from one
-    :func:`linmodel.ridge_solutions` per split stack at the penalty of
+    :func:`linmodel.ridge_solutions` over every run at the penalty of
     ``params``, else 1e-3 * trace(X^T X) / d; an error names the first
     failing task and its first failed check, of which the solution's is last."""
     from .linmodel import RIDGE_CHECKS, ridge_solutions  # only `model` loads it
 
     checks = (*RIDGE_CHECKS, (DegenerateDesignError, "its model summary is not finite; "
                                                      "the task's entries are too large"))
-    theta = np.zeros((len(tasks), tasks[0].dim if tasks else 0))
-    failed = np.zeros((len(tasks), len(checks)), dtype=bool)
-    for stack in stacks:
-        X, lam = stack.X_train, params.ridge_lambda
-        if lam is None:  # one that overflows fails the first check
-            lam = 1e-3 * np.sum(X * X, axis=(1, 2)) / X.shape[2]
-        theta[stack.index], failed[stack.index, :-1] = ridge_solutions(X, stack.y_train, lam)
-    failed[:, -1] = ~np.isfinite(theta).all(axis=1)
+    runs, lam = list(splits.runs()), params.ridge_lambda
+    if lam is None:  # one that overflows fails the first check
+        lam = np.concatenate([1e-3 * np.sum(X * X, axis=(1, 2)) / X.shape[2] for X, _ in runs])
+    theta, failed = ridge_solutions(runs, lam)
+    failed = np.column_stack([failed, ~np.isfinite(theta).all(axis=1)])
     if failed.any():
         i, check = np.argwhere(failed)[0]  # in task order, then in check order
         error, problem = checks[check]
@@ -356,17 +352,15 @@ def _model_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> 
     return theta
 
 
-def _target_rows(tasks, stacks: Sequence[SplitStack], params: DistanceParams) -> np.ndarray:
-    """Every task's targets as the rows of one array, one pass per split
-    stack. Stacks come in the order of their first tasks, so unequal lengths
-    fail at the first task whose length differs, named with task 0."""
-    y = np.zeros((len(tasks), tasks[0].n_train if tasks else 0))
-    for stack in stacks:
-        if stack.y_train.shape[1] != y.shape[1]:
-            task = tasks[stack.index[0]]
-            raise ShapeMismatchError(f"pair ({tasks[0].id!r}, {task.id!r}): Euclidean distance "
-                                     f"needs equal lengths, got {y.shape[1]} and {task.n_train}")
-        y[stack.index] = stack.y_train
+def _target_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
+    """Every task's targets as the rows of one array, the one run of
+    :meth:`Splits.runs`. Unequal lengths fail at the first task of the second
+    run, named with task 0."""
+    (_, y), *rest = splits.runs()
+    if rest:
+        task = tasks[len(y)]
+        raise ShapeMismatchError(f"pair ({tasks[0].id!r}, {task.id!r}): Euclidean distance "
+                                 f"needs equal lengths, got {y.shape[1]} and {task.n_train}")
     return y
 
 
@@ -411,7 +405,7 @@ def _euclidean(u: np.ndarray, later: np.ndarray, params: DistanceParams) -> np.n
 
 
 # metric -> (summary of one task, or for _euclidean the summaries of every
-#            task, from the tasks and their split stacks, as rows of one array,
+#            task, from the tasks and their splits, as rows of one array,
 #            distances from one summary to the later ones)
 _METRICS: dict[str, tuple[Callable, Callable]] = {
     "feature": (_features, _rows(_feature_distance)),
@@ -429,13 +423,13 @@ _METRICS: dict[str, tuple[Callable, Callable]] = {
 
 def _pairwise(
     tasks: Sequence[TaskDataset],
-    stacks: Sequence[SplitStack],
+    splits: Splits,
     metric: str,
     params: DistanceParams | None,
 ) -> np.ndarray:
     """Summarize every task once, then reduce one row of pairs at a time.
 
-    ``stacks`` are the tasks' split stacks. Row i holds summary i against
+    ``splits`` are the tasks' splits. Row i holds summary i against
     every later summary, so the matrix takes T - 1 row reductions and no
     temporary larger than T summaries. Errors are named as the module
     docstring says.
@@ -450,7 +444,7 @@ def _pairwise(
     # each is checked once.
     with np.errstate(over="ignore", invalid="ignore"):
         if reduce_row is _euclidean:
-            summaries = summarize(tasks, stacks, params)
+            summaries = summarize(tasks, splits, params)
         else:
             summaries = _per_task(summarize, tasks, metric, params)
         for i in range(T - 1):
@@ -476,15 +470,16 @@ def task_distance(
     """Distance between two tasks' training splits under the named metric.
 
     Equal to the (u, v) entry of a matrix computed with the same params;
-    ``u`` and ``v`` are stacked and checked as a collection's tasks are.
+    the splits of ``u`` and ``v`` are concatenated and checked as a
+    collection's are.
     """
     if u.dim != v.dim:
         raise ShapeMismatchError(
             f"tasks {u.id!r} and {v.id!r} have dimensions {u.dim} != {v.dim}"
         )
-    from .tasks import stack_splits  # loaded already: u and v are its tasks
+    from .tasks import concat_splits  # loaded already: u and v are its tasks
 
-    return float(_pairwise((u, v), stack_splits((u, v)), metric, params)[0, 1])
+    return float(_pairwise((u, v), concat_splits((u, v), u.dim), metric, params)[0, 1])
 
 
 def compute_distance_matrix(
@@ -493,7 +488,7 @@ def compute_distance_matrix(
     params: DistanceParams | None = None,
 ) -> DistanceMatrix:
     """Pairwise distances over all unordered task pairs, training splits only."""
-    values = _pairwise(collection.tasks, collection.stacks, metric_name, params)
+    values = _pairwise(collection.tasks, collection.splits, metric_name, params)
     return DistanceMatrix(values, collection.ids)
 
 

@@ -29,10 +29,11 @@ eigendecomposition instead of one matrix-vector product per step.
 
 Both read the same eigendecomposition, and so does the ridge solve of
 :func:`ridge_solutions`. :func:`_decompose` is the one place that forms and
-decomposes a design's Gram matrix, one ``matmul`` and one ``eigh`` per stack
-of matrices. A :class:`Design` holds X, eigh(X^T X) = (lam, V) and power
-iteration's estimate of lambda_max, which :func:`build_designs` evaluates for
-a whole stack in one pass. :func:`lambda_max`, :func:`refine` and
+decomposes a design's Gram matrix: one ``matmul`` per stack of matrices of
+one shape, and one ``eigh`` of every stack's Gram matrices together. A
+:class:`Design` holds X, eigh(X^T X) = (lam, V) and power iteration's
+estimate of lambda_max, which :func:`build_designs` evaluates for all its
+designs in one pass. :func:`lambda_max`, :func:`refine` and
 :func:`contraction_rate` read a Design, and given a plain array they build
 its design through :func:`build_designs`.
 """
@@ -72,43 +73,40 @@ class Design(NamedTuple):
     lam_est: float
 
 
-def build_designs(X: np.ndarray) -> list[Design]:
-    """The designs of the (k, n, d) stack of matrices ``X``, in stack order.
+def build_designs(*X: np.ndarray) -> list[Design]:
+    """The designs of the (k, n, d) stacks of matrices ``X``, which share d, in order.
 
     :func:`_decompose` forms and decomposes their Gram matrices, and each
     design holds a view of its row of ``X``. One pass of
-    :func:`_power_estimates` over the same stack gives every design its
-    estimate of lambda_max. Matrices of different shapes go in one stack
-    per shape, as :attr:`TaskCollection.designs` builds them. Raises
-    NonFiniteGramError, with the position of the first such design, when a
-    Gram matrix is not finite (its entries overflow).
+    :func:`_power_estimates` over them all gives every design its estimate
+    of lambda_max. :attr:`TaskCollection.designs` passes a stack per run.
+    Raises NonFiniteGramError, with the position of the first such design,
+    when a Gram matrix is not finite (its entries overflow).
     """
     try:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3:
+        X = [np.asarray(x, dtype=np.float64) for x in X]
+        if any(x.ndim != 3 or x.shape[2] != X[0].shape[2] for x in X):
             raise ValueError
     except ValueError:  # not a stack, or a list of matrices of other shapes
-        raise ShapeMismatchError(
-            "designs need a (k, n, d) stack of matrices of one shape"
-        ) from None
-    if not len(X):
+        raise ShapeMismatchError("designs need (k, n, d) stacks that share d") from None
+    if not sum(map(len, X)):
         return []
-    G, finite, lam, V = _decompose(X)
+    G, finite, lam, V = _decompose(*X)
     if not finite.all():
         raise NonFiniteGramError(
             "X^T X is not finite; the design's entries are too large",
             int(finite.argmin()),
         )
     estimates = _power_estimates(G, lam, V, _POWER_TOL, _POWER_MAX_ITER)
-    return [Design(*parts) for parts in zip(X, lam, V, estimates.tolist())]
+    return [Design(*parts) for parts in zip((m for x in X for m in x), lam, V, estimates.tolist())]
 
 
-def _decompose(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """G = X^T X of the (k, n, d) stack ``X``, which G are finite, and eigh(G)
-    = (lam, V), each with the bits of its own X^T X and ``eigh``; a G that
-    is not finite, which ``eigh`` would turn into NaN, is decomposed as zero."""
+def _decompose(*X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """G = X^T X of the (k, n, d) stacks ``X`` in order, which G are finite,
+    and eigh(G) = (lam, V), each with the bits of its own X^T X and ``eigh``;
+    a G that is not finite, which ``eigh`` would turn into NaN, is zero."""
     with np.errstate(over="ignore", invalid="ignore"):  # flagged as not finite
-        G = np.matmul(X.transpose(0, 2, 1), X)
+        G = np.concatenate([np.matmul(x.transpose(0, 2, 1), x) for x in X])
     finite = np.isfinite(G).all(axis=(1, 2))
     G[~finite] = 0.0
     return G, finite, *np.linalg.eigh(G)
@@ -355,21 +353,21 @@ RIDGE_CHECKS = (
 )
 
 
-def ridge_solutions(X: np.ndarray, y: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
+def ridge_solutions(runs: list, lam) -> tuple[np.ndarray, np.ndarray]:
     """The solutions theta = V diag(1 / (lam_i + mu)) V^T X^T y, for X^T X =
-    V diag(lam_i) V^T, of the (k, n, d) stack ``X`` with the rows of ``y``
-    and penalty mu ``lam`` (one, or one per matrix), each with its bits
-    alone; and the (k, 3) flags of the :data:`RIDGE_CHECKS` each fails.
-    Singular is lam_min + mu <= d * eps * (lam_max + mu), eps the float64
-    machine epsilon: ``eigh`` finds an eigenvalue to about eps * lam_max.
+    V diag(lam_i) V^T, of the (k, n, d) stacks X of the (X, y) ``runs`` with
+    the rows of y and penalty mu ``lam`` (one, or one per matrix), each with
+    its bits alone; and the (k, 3) flags of the :data:`RIDGE_CHECKS` each
+    fails. Singular is lam_min + mu <= d * eps * (lam_max + mu), eps the
+    float64 machine epsilon: ``eigh`` finds an eigenvalue to about eps * lam_max.
     """
-    _, finite, lam_X, V = _decompose(X)
+    _, finite, lam_X, V = _decompose(*(X for X, _ in runs))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # flagged
         shifted = lam_X + np.reshape(lam, (-1, 1))
-        Xty = np.matmul(y[:, None, :], X)[:, 0]
+        Xty = np.concatenate([np.matmul(y[:, None, :], X)[:, 0] for X, y in runs])
         z = np.matmul(Xty[:, None, :], V)[:, 0] / shifted
         theta = np.matmul(V, z[:, :, None])[:, :, 0]
-        singular = shifted[:, :1] <= X.shape[2] * np.finfo(np.float64).eps * shifted[:, -1:]
+        singular = shifted[:, :1] <= V.shape[2] * np.finfo(np.float64).eps * shifted[:, -1:]
     failed = [~(finite & np.isfinite(shifted).all(axis=1)), ~np.isfinite(Xty).all(axis=1),
               singular.any(axis=1)]  # at d = 0 no column, and nothing is singular
     return theta, np.stack(failed, axis=1)
@@ -386,7 +384,7 @@ def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray
         raise ShapeMismatchError(f"X {X.shape} and y {y.shape} do not agree")
     if lam < 0:
         raise ConfigError(f"ridge penalty must be nonnegative, got {lam}")
-    theta, failed = ridge_solutions(X[None], y[None], lam)
+    theta, failed = ridge_solutions([(X[None], y[None])], lam)
     if failed.any():
         error, problem = RIDGE_CHECKS[failed[0].argmax()]
         raise error(problem)

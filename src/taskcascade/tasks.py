@@ -5,9 +5,9 @@ feature dimension. Collections of tasks are generated synthetically from a
 clustered parameter model, or loaded from a directory of CSV files described
 by a ``manifest.json``.
 
-A collection is built with its splits as read-only stacks, one checked
-:class:`SplitStack` per (n_train, n_test), and with frozen tasks that view
-their rows; readers of the whole collection make one pass per stack.
+A collection is built with its splits checked and read-only, each one array
+of every task's rows (:class:`Splits`), and with frozen tasks that view their
+rows; readers of the whole collection batch over :meth:`Splits.runs`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class TaskDataset:
     """One task: train/test design matrices and targets.
 
     Train and test splits share the feature dimension; the test split may be
-    empty (0 rows). Finiteness is checked where tasks are stacked, and the
-    tasks of a collection view its read-only stacks.
+    empty (0 rows), the training split not. Finiteness is checked where tasks
+    are concatenated, and the tasks of a collection view its read-only splits.
     """
 
     id: str
@@ -81,6 +81,8 @@ class TaskDataset:
                 f"task {self.id!r}: X_test has {self.X_test.shape[0]} rows "
                 f"but y_test has {self.y_test.shape[0]}"
             )
+        if self.X_train.shape[0] == 0:
+            raise DataFormatError(f"task {self.id!r}: the training split has no rows")
         if self.X_test.shape[1] != self.X_train.shape[1]:
             raise ShapeMismatchError(
                 f"task {self.id!r}: train dim {self.X_train.shape[1]} "
@@ -100,47 +102,59 @@ class TaskDataset:
         return self.X_test.shape[0]
 
 
-class SplitStack(NamedTuple):
-    """The tasks at ``index`` (ascending), which share (n_train, n_test), with
-    their splits stacked as (k, n, d) and (k, n) arrays."""
+class Splits(NamedTuple):
+    """Each split of tasks as one array of their rows in task order: task i's
+    training rows are ``train[i]:train[i + 1]`` of X_train and y_train, and
+    its test rows ``test[i]:test[i + 1]`` of X_test and y_test."""
 
-    index: np.ndarray
+    train: np.ndarray
+    test: np.ndarray
     X_train: np.ndarray
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
 
+    def task(self, i: int) -> tuple[np.ndarray, ...]:
+        """Views of task i's X_train, y_train, X_test and y_test."""
+        a, b, c, e = self.train[i], self.train[i + 1], self.test[i], self.test[i + 1]
+        return self.X_train[a:b], self.y_train[a:b], self.X_test[c:e], self.y_test[c:e]
 
-def stack_splits(tasks: tuple[TaskDataset, ...]) -> list[SplitStack]:
-    """Read-only copies of the tasks' splits, one stack per (n_train, n_test)
-    in order of first appearance, checked by :func:`_check_finite`."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault((task.n_train, task.n_test), []).append(i)
-    stacks = [
-        _read_only(SplitStack(np.array(index), *(
-            np.array([getattr(tasks[i], name) for i in index]) for name in _SPLITS)))
-        for index in groups.values()
-    ]
-    _check_finite(tasks, stacks)
-    return stacks
+    def runs(self):
+        """(X, y) views of (k, n, d) and (k, n) for each run in task order: a
+        maximal stretch of tasks with n training rows each; no tasks make one empty run."""
+        n, train, d = np.diff(self.train), self.train.tolist(), self.X_train.shape[1]
+        cut = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), len(n)]
+        for a, b in zip(cut, cut[1:]):
+            lo, hi = train[a], train[b]
+            shape = (b - a, (hi - lo) // max(b - a, 1))
+            yield self.X_train[lo:hi].reshape(*shape, d), self.y_train[lo:hi].reshape(shape)
 
 
-def _read_only(stack: SplitStack) -> SplitStack:
-    """``stack`` made read-only; call it before taking views, which keep the flag."""
-    for a in stack:
+def concat_splits(tasks, dim: int) -> Splits:
+    """Read-only copies of the tasks' splits, concatenated in task order and
+    checked by :func:`_check_finite`; no tasks give empty splits of width ``dim``."""
+    offsets = [np.cumsum([0, *(getattr(t, n) for t in tasks)]) for n in ("n_train", "n_test")]
+    splits = _read_only(Splits(*offsets, *(
+        np.concatenate([np.empty((0, dim)[:ndim]), *(getattr(t, name) for t in tasks)])
+        for name, ndim in zip(_SPLITS, (2, 1, 2, 1)))))
+    _check_finite(tasks, splits)
+    return splits
+
+
+def _read_only(splits: Splits) -> Splits:
+    """``splits`` made read-only; call it before taking views, which keep the flag."""
+    for a in splits:
         a.flags.writeable = False
-    return stack
+    return splits
 
 
-def _check_finite(tasks: tuple[TaskDataset, ...], stacks: list[SplitStack]) -> None:
+def _check_finite(tasks, splits: Splits) -> None:
     """Name the first task, in task order, with a non-finite entry, then its first split."""
-    finite = np.ones((len(tasks), len(_SPLITS)), dtype=bool)
-    for stack in stacks:
-        for s, a in enumerate(stack[1:]):
-            finite[stack.index, s] = np.isfinite(a.reshape(len(a), -1)).all(axis=1)
-    if not finite.all():
-        i, s = np.argwhere(~finite)[0]
+    # the task of each split's first bad row, found in the train or test offsets
+    first = [(int(splits[s // 2].searchsorted(np.argwhere(~ok)[0, 0], "right")) - 1, s)
+             for s, ok in enumerate(np.isfinite(a) for a in splits[2:]) if not ok.all()]
+    if first:
+        i, s = min(first)
         raise DataFormatError(f"task {tasks[i].id!r}: non-finite entry in {_SPLITS[s]}")
 
 
@@ -149,12 +163,12 @@ class TaskCollection:
     """Ordered tasks sharing a feature dimension; a built collection cannot change.
 
     ``tasks`` is a tuple of its own tasks, views of their rows of the
-    read-only :attr:`stacks` (:func:`stack_splits`), not the tasks it was
+    read-only :attr:`splits` (:func:`concat_splits`), not the tasks it was
     given. ``trees`` holds the trees ``cascade._tree`` builds over it."""
 
     tasks: tuple[TaskDataset, ...]
     dim: int
-    stacks: list[SplitStack] = field(default=None, repr=False)
+    splits: Splits = field(default=None, repr=False)
     trees: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,15 +182,12 @@ class TaskCollection:
                 raise DataFormatError(
                     f"task {task.id!r} has dimension {task.dim}, expected {self.dim}"
                 )
-        if self.stacks is not None:
-            _check_finite(self.tasks, self.stacks)
-            return
-        object.__setattr__(self, "stacks", stack_splits(self.tasks))
-        views = list(self.tasks)
-        for stack in self.stacks:
-            for j, i in enumerate(stack.index.tolist()):
-                views[i] = TaskDataset(views[i].id, *(a[j] for a in stack[1:]))
-        object.__setattr__(self, "tasks", tuple(views))
+        if self.splits is None:  # copies, which the collection's own tasks view
+            object.__setattr__(self, "splits", concat_splits(self.tasks, self.dim))
+            object.__setattr__(self, "tasks", tuple(TaskDataset(task.id, *self.splits.task(i))
+                                                    for i, task in enumerate(self.tasks)))
+        else:
+            _check_finite(self.tasks, self.splits)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -194,7 +205,7 @@ class TaskCollection:
     @cached_property
     def designs(self) -> list[Design]:
         """Every task's training design, from one stacked eigendecomposition
-        per split stack.
+        of the Gram matrices of every run (:meth:`Splits.runs`).
 
         Built on first use and kept, so every run that refines the collection
         reads the same designs; the collection cannot change. A Gram matrix
@@ -202,17 +213,10 @@ class TaskCollection:
         """
         from .linmodel import build_designs  # so that gen never loads linmodel
 
-        designs, failed = [None] * len(self.tasks), []
-        for stack in self.stacks:
-            try:
-                for i, design in zip(stack.index.tolist(), build_designs(stack.X_train)):
-                    designs[i] = design
-            except NonFiniteGramError as exc:
-                failed.append((int(stack.index[exc.index]), str(exc)))
-        if failed:
-            i, problem = min(failed)
-            raise NonFiniteGramError(f"task {self.tasks[i].id!r}: {problem}", i)
-        return designs
+        try:
+            return build_designs(*(X for X, _ in self.splits.runs()))
+        except NonFiniteGramError as exc:
+            raise NonFiniteGramError(f"task {self[exc.index].id!r}: {exc}", exc.index) from None
 
 
 @dataclass
@@ -267,9 +271,9 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
     Gaussian, targets are linear plus optional Gaussian noise. Deterministic
     given ``config.seed``; each task consumes its own substream so changing
     ``num_tasks`` never perturbs earlier tasks.
-    Each substream draws into the task's rows of one split stack, and one
+    Each substream draws into the task's rows of (T, n, d) stacks, and one
     stacked matmul forms the targets, with the bits of per-task arrays; the
-    tasks view the stack read-only, and the collection checks it.
+    stacks, reshaped without a copy, are the splits the tasks view read-only.
     """
     d, T = config.dim, config.num_tasks
     centers_rng = substream(config.seed, "centers")
@@ -294,9 +298,11 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[TaskCollection, GroundT
     y_test += config.noise_sigma * eps_test
 
     ids = [f"task{v}" for v in range(T)]
-    stack = _read_only(SplitStack(np.arange(T), X_train, y_train, X_test, y_test))
-    tasks = [TaskDataset(task_id, *(a[v] for a in stack[1:])) for v, task_id in enumerate(ids)]
-    collection = TaskCollection(tasks, d, [stack])
+    rows = np.arange(T + 1)
+    splits = _read_only(Splits(rows * config.n_train, rows * config.n_test, *(
+        a.reshape(-1, *a.shape[2:]) for a in (X_train, y_train, X_test, y_test))))
+    tasks = [TaskDataset(task_id, *splits.task(v)) for v, task_id in enumerate(ids)]
+    collection = TaskCollection(tasks, d, splits)
     return collection, GroundTruth(dict(zip(ids, theta)), dict(zip(ids, cluster_of.tolist())))
 
 

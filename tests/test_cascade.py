@@ -199,7 +199,7 @@ class TestDefaultStepSizes:
         tree = star_tree(4, 2)
         run_cascade(collection, tree, uniform_default(tree, 20))
         assert tree.order == [2, 0, 1, 3]
-        # each design's X is a view of its task's row of the split stack
+        # each design's X is a view of its task's rows of the splits
         assert len(seen) == 4
         for X, v in zip(seen, tree.order):
             assert np.shares_memory(X, collection[v].X_train)

@@ -464,6 +464,18 @@ class TestBench:
         assert [row.split(",")[:2] for row in rows] == [
             ["individual", "none"], ["star", "gradient"], ["mst", "target"]]
 
+    def test_manifest_records_the_resolved_seed(self, tmp_path):
+        # a config without a seed runs at ExperimentConfig's default, as `run` does
+        cfg = write_json(tmp_path / "b.json", {
+            "methods": ["individual"], "budgets": [30], "num_seeds": 1,
+            "synthetic": {"num_tasks": 3, "dim": 2, "n_train": 10, "n_test": 5},
+        })
+        for seed_args, seed in (([], 0), (["--seed", "7"], 7)):
+            out = tmp_path / f"bench{seed}"
+            assert main(["bench", cfg, "--out", str(out), "--jobs", "1", *seed_args]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["resolved_seed"] == seed
+
     def test_missing_methods_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "b.json", {"budgets": [10]})
         assert main(["bench", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
@@ -641,6 +653,20 @@ def _collection_with(tmp_path, **t1):
                       X_test=rng.standard_normal((4, 3)), y_test=rng.standard_normal(4))
         tasks.append(TaskDataset(f"t{i}", **{**splits, **(t1 if i == 1 else {})}))
     save_collection(TaskCollection(tasks, 3), tmp_path / "col")
+
+
+@pytest.mark.parametrize("args", [
+    ["dist", "col", "--metric", "sym_kl", "--out", "out"],
+    ["dist", "col", "--metric", "gradient", "--out", "out"],
+    ["run", "run.json", "--out", "out"],
+])
+def test_a_header_only_training_csv_exits_2_naming_the_task(tmp_path, args):
+    _collection_with(tmp_path)
+    (tmp_path / "col" / "t1_train.csv").write_text("x1,x2,x3,y\n")
+    write_json(tmp_path / "run.json", {"method": "mst", "metric_name": "gradient",
+                                       "budget": 30, "num_seeds": 2, "data_path": "col"})
+    _rejected(_cli(args, tmp_path), "error: task 't1': the training split has no rows",
+              tmp_path / "out")
 
 
 @pytest.mark.parametrize("metric, problem", [

@@ -324,22 +324,22 @@ class TestDistanceMatrix:
         collection = make_collection(rng, T=48, n=16, d=5)
         params = DistanceParams()
         summarize = distances._METRICS[metric][0]
-        want = pairwise_norms(list(summarize(collection.tasks, collection.stacks, params)))
+        want = pairwise_norms(list(summarize(collection.tasks, collection.splits, params)))
         got = compute_distance_matrix(collection, metric, params).values
         assert np.array_equal(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        shapes=st.lists(st.integers(0, 40), min_size=1, max_size=30),
+        shapes=st.lists(st.integers(1, 40), min_size=1, max_size=30),
         d=st.integers(1, 25),
         log_scale=st.floats(-100.0, 100.0),
         normalize=st.booleans(),
     )
     def test_gradient_matrix_equals_per_task_summaries(self, seed, shapes, d, log_scale,
                                                        normalize):
-        # rows of mixed n_train, so the collection has one split stack per
-        # shape; each summary must get the bits of its own X.T @ y and norm
+        # rows of mixed n_train, so the collection has runs of several row
+        # counts; each summary must get the bits of its own X.T @ y and norm
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
         tasks = [TaskDataset(f"t{i}", rng.standard_normal((n, d)) * scale,
@@ -364,8 +364,8 @@ class TestDistanceMatrix:
     )
     def test_model_and_target_matrices_equal_per_task_summaries(self, seed, shapes, d,
                                                                 log_scale):
-        # mixed (n_train, n_test), so the collection has one split stack per
-        # shape; target gets one n_train and keeps the mixed n_test
+        # mixed (n_train, n_test), so the collection has runs of several row
+        # counts; target gets one n_train and keeps the mixed n_test
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
 
@@ -403,8 +403,8 @@ class TestDistanceMatrix:
     ])
     def test_the_first_failing_task_of_the_model_metric_is_named(self, rng, first,
                                                                  second):
-        # t1 and t2 sit in different split stacks, t2's first; within a task
-        # the checks go Gram, X^T y, singular, solution
+        # t1 and t2 fail in different runs, t1's first; within a task the
+        # checks go Gram, X^T y, singular, solution
         kinds = {
             "gram": (np.full((6, 3), 1e200), np.ones(6),
                      NonFiniteGramError, "X\\^T X \\+ lam I is not finite"),

@@ -167,13 +167,15 @@ class TestBuildDesigns:
             assert same_bits(refine(theta0, design, Y, b, eta), refine(theta0, X, Y, b, eta))
 
     def test_no_matrices_give_no_designs(self):
-        assert build_designs(np.empty((0, 4, 2))) == []
+        assert build_designs(np.empty((0, 4, 2))) == [] == build_designs()
 
     def test_column_counts_must_agree(self):
         # matrices of other column (or row) counts form no stack
         for Xs in ([np.ones((4, 2)), np.ones((4, 3))], [np.ones((4, 2)), np.ones((5, 2))]):
             with pytest.raises(ShapeMismatchError, match="stack"):
                 build_designs(Xs)
+        with pytest.raises(ShapeMismatchError, match="stack"):  # stacks must share d
+            build_designs(np.ones((1, 4, 2)), np.ones((2, 4, 3)))
         for X in (np.ones(4), np.ones((4, 2))):
             with pytest.raises(ShapeMismatchError, match="stack"):
                 build_designs(X)
@@ -536,7 +538,7 @@ class TestRidge:
             X = np.stack(group)
             y = rng.standard_normal(X.shape[:2])
             mu = 10.0**log_mu * rng.random(len(group))
-            theta, failed = linmodel.ridge_solutions(X, y, mu)
+            theta, failed = linmodel.ridge_solutions([(X, y)], mu)
             for i in range(len(group)):
                 if failed[i].any():
                     error, problem = linmodel.RIDGE_CHECKS[failed[i].argmax()]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskcascade import distances, linmodel
 from taskcascade.distances import DistanceMatrix, load_distance_matrix, save_distance_matrix
 from taskcascade.errors import (
     ConfigError,
@@ -26,6 +27,7 @@ from taskcascade.tasks import (
     generate_synthetic,
     _csv_rows,
     _write_split_csv,
+    concat_splits,
     load_collection,
     save_collection,
 )
@@ -282,6 +284,18 @@ def test_task_splits_of_the_wrong_shape_are_rejected(splits, problem):
         TaskDataset("t", **splits)
 
 
+def test_a_task_without_training_rows_is_rejected(rng, tmp_path):
+    problem = "the training split has no rows"
+    with pytest.raises(DataFormatError, match=f"^task 't': {problem}$"):
+        TaskDataset("t", **_splits(n=0))
+    assert TaskDataset("t", **_splits(n_test=0)).n_test == 0  # a test split may be empty
+    save_collection(make_collection(rng, T=2, d=2), tmp_path / "col")
+    (tmp_path / "col" / "task1_train.csv").write_text("x1,x2,y\n")  # a header alone
+    for read_test in (True, False):
+        with pytest.raises(DataFormatError, match=f"^task 'task1': {problem}$"):
+            load_collection(tmp_path / "col", read_test=read_test)
+
+
 @pytest.mark.parametrize("tasks, dim, problem", [
     ([TaskDataset("t", **_splits()), TaskDataset("t", **_splits())], 2,
      "duplicate task id 't'"),
@@ -492,7 +506,7 @@ def test_adversarial_ids_round_trip(ids, seed, quoted):
                          for c, p in tree.parent.items()}
 
 
-# --- split stacks ---------------------------------------------------------
+# --- splits and runs ------------------------------------------------------
 
 
 def per_task_generator(config):
@@ -565,7 +579,7 @@ def test_a_stack_whose_sum_overflows_is_finite():
                              tau_between=1e307, seed=0)
     collection, _ = generate_synthetic(config)
     with np.errstate(over="ignore"):
-        assert not np.isfinite(collection.stacks[0].y_train.sum())
+        assert not np.isfinite(collection.splits.y_train.sum())
     want, _ = per_task_generator(config)
     for got, task in zip(collection, want):
         assert same_bits(got.y_train, task.y_train)
@@ -574,34 +588,38 @@ def test_a_stack_whose_sum_overflows_is_finite():
 def test_generated_tasks_are_views_of_one_stack():
     config = SyntheticConfig(num_tasks=5, dim=3, n_train=4, n_test=2, seed=1)
     collection, _ = generate_synthetic(config)
-    [stack] = collection.stacks
-    assert stack.index.tolist() == list(range(5))
-    assert stack.X_train.shape == (5, 4, 3) and stack.y_test.shape == (5, 2)
+    splits = collection.splits
+    assert splits.train.tolist() == list(range(0, 24, 4))
+    assert splits.test.tolist() == list(range(0, 12, 2))
+    # the generator's (T, n, d) draws, handed over as (T * n, d) views
+    assert splits.X_train.shape == (20, 3) and splits.y_test.shape == (10,)
+    assert splits.X_train.base.shape == (5, 4, 3)
+    [(X, y)] = splits.runs()
+    assert X.shape == (5, 4, 3) and np.shares_memory(X, splits.X_train)
     for j, task in enumerate(collection):
-        for name in SPLITS:
-            rows = getattr(stack, name)
-            assert np.shares_memory(getattr(task, name), rows[j])
-            assert same_bits(getattr(task, name), rows[j])
-        assert not np.shares_memory(task.X_train, stack.X_train[(j + 1) % 5])
+        for name, rows in zip(SPLITS, splits.task(j)):
+            assert np.shares_memory(getattr(task, name), rows)
+            assert same_bits(getattr(task, name), rows)
+        assert not np.shares_memory(task.X_train, splits.task((j + 1) % 5)[0])
 
 
 def test_a_built_collection_stacks_its_tasks_and_views_them(rng):
     collection = make_collection(rng, T=4, n=6, d=3)
     copies = [{name: getattr(task, name).copy() for name in SPLITS} for task in collection]
-    [stack] = vars(collection)["stacks"]  # built with the collection
+    splits = vars(collection)["splits"]  # built with the collection
     for j, (task, copy) in enumerate(zip(collection, copies)):
-        for name in SPLITS:
-            assert np.shares_memory(getattr(task, name), getattr(stack, name))
+        for name, rows in zip(SPLITS, splits.task(j)):
+            assert np.shares_memory(getattr(task, name), getattr(splits, name))
             assert same_bits(getattr(task, name), copy[name])
-            assert same_bits(getattr(stack, name)[j], copy[name])
-    with pytest.raises(TypeError):  # a replaced task would leave the stacks stale
+            assert same_bits(rows, copy[name])
+    with pytest.raises(TypeError):  # a replaced task would leave the splits stale
         collection.tasks[0] = collection[1]
 
 
 @pytest.mark.parametrize("kind", ["hand-built", "loaded", "generated"])
 def test_a_built_collection_cannot_change(rng, tmp_path, kind):
     if kind == "generated":
-        # the stack is made in generate_synthetic, before its tasks view it
+        # the splits are made in generate_synthetic, before its tasks view them
         collection, _ = generate_synthetic(SyntheticConfig(num_tasks=3, dim=3, n_train=6,
                                                            n_test=2, seed=1))
     else:
@@ -613,7 +631,7 @@ def test_a_built_collection_cannot_change(rng, tmp_path, kind):
         collection[1].y_train = np.full(6, np.nan)
     with pytest.raises(dataclasses.FrozenInstanceError):
         collection.tasks = collection.tasks[::-1]
-    for array in (collection[1].X_train, collection.stacks[0].y_train,
+    for array in (collection[1].X_train, collection.splits.y_train,
                   collection.designs[1].X):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = np.nan
@@ -631,8 +649,8 @@ def test_a_task_given_to_two_collections_is_left_as_it_was(rng):
             assert all(task is not given_task for given_task in tasks)
             for name in SPLITS:
                 a = getattr(task, name)
-                assert np.shares_memory(a, getattr(own.stacks[0], name))
-                assert not np.shares_memory(a, getattr(other.stacks[0], name))
+                assert np.shares_memory(a, getattr(own.splits, name))
+                assert not np.shares_memory(a, getattr(other.splits, name))
                 assert not any(np.shares_memory(a, arrays[name]) for arrays in given)
 
 
@@ -642,19 +660,24 @@ def ragged_tasks(rng, shapes, d=3):
             for i, (n, m) in enumerate(shapes)]
 
 
-def test_a_ragged_loaded_collection_forms_one_stack_per_shape(rng, tmp_path):
+def test_a_ragged_loaded_collection_forms_one_run_per_stretch_of_a_row_count(rng,
+                                                                              tmp_path):
     shapes = [(5, 2), (7, 2), (5, 2), (5, 0), (7, 2), (4, 3)]
     save_collection(TaskCollection(ragged_tasks(rng, shapes), 3), tmp_path / "col")
     loaded = load_collection(tmp_path / "col")
-    groups = [(stack.index.tolist(), stack.X_train.shape, stack.X_test.shape)
-              for stack in loaded.stacks]
-    assert groups == [([0, 2], (2, 5, 3), (2, 2, 3)), ([1, 4], (2, 7, 3), (2, 2, 3)),
-                      ([3], (1, 5, 3), (1, 0, 3)), ([5], (1, 4, 3), (1, 3, 3))]
-    for stack in loaded.stacks:
-        for j, i in enumerate(stack.index):
-            for name in SPLITS:
-                rows = getattr(stack, name)
-                assert rows[j].size == 0 or np.shares_memory(getattr(loaded[i], name), rows[j])
+    splits = loaded.splits
+    assert splits.train.tolist() == [0, 5, 12, 17, 22, 29, 33]
+    assert splits.test.tolist() == [0, 2, 4, 6, 6, 8, 11]
+    assert splits.X_train.shape == (33, 3) and splits.X_test.shape == (11, 3)
+    # tasks 2 and 3 share n_train, whatever their n_test
+    assert [X.shape for X, _ in splits.runs()] == [(1, 5, 3), (1, 7, 3), (2, 5, 3),
+                                                   (1, 7, 3), (1, 4, 3)]
+    for X, y in splits.runs():
+        assert np.shares_memory(X, splits.X_train) and np.shares_memory(y, splits.y_train)
+    for i, task in enumerate(loaded):
+        for name, rows in zip(SPLITS, splits.task(i)):
+            assert same_bits(getattr(task, name), rows)
+            assert rows.size == 0 or np.shares_memory(getattr(task, name), rows)
     for task, design in zip(loaded, loaded.designs):
         lam, V = np.linalg.eigh(task.X_train.T @ task.X_train)
         assert same_bits(design.lam, lam) and same_bits(design.V, V)
@@ -662,7 +685,8 @@ def test_a_ragged_loaded_collection_forms_one_stack_per_shape(rng, tmp_path):
 
 
 def test_a_ragged_hand_built_collection_names_the_first_non_finite_task(rng):
-    # r0 and r2 form the first stack, r1 the second
+    # each split is checked whole; the first task in task order is named,
+    # then its first split
     tasks = ragged_tasks(rng, [(4, 1), (5, 2), (4, 1)])
     tasks[2].y_test[0] = np.nan
     with pytest.raises(DataFormatError, match="^task 'r2': non-finite entry in y_test$"):
@@ -676,7 +700,7 @@ def test_a_ragged_hand_built_collection_names_the_first_non_finite_task(rng):
 
 
 def test_an_overflowing_gram_matrix_is_named_first_in_task_order(rng):
-    # t2 fails in the first stack built, t1 in the second; t1 comes first
+    # r1 and r2 fail in different runs, r1 first
     tasks = ragged_tasks(rng, [(4, 1), (5, 1), (4, 1)])
     for i in (1, 2):
         tasks[i] = TaskDataset(f"r{i}", np.full_like(tasks[i].X_train, 1e200),
@@ -685,3 +709,36 @@ def test_an_overflowing_gram_matrix_is_named_first_in_task_order(rng):
     with pytest.raises(NonFiniteGramError, match="^task 'r1': X\\^T X is not finite") as info:
         collection.designs
     assert info.value.index == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_train=st.lists(st.integers(1, 4), min_size=1, max_size=12), d=st.integers(1, 4))
+def test_runs_tile_the_tasks_and_give_each_its_design_and_model_alone(seed, n_train, d):
+    # row counts from 1 to 4, so that equal neighbours are common
+    rng = np.random.default_rng(seed)
+    shapes = [(n, int(rng.integers(0, 3))) for n in n_train]
+    collection = TaskCollection(ragged_tasks(rng, shapes, d), d)
+    splits = collection.splits
+    runs = list(splits.runs())
+    sizes, counts = [len(X) for X, _ in runs], [X.shape[1] for X, _ in runs]
+    # maximal stretches of one row count, which tile the tasks in order
+    assert all(a != b for a, b in zip(counts, counts[1:]))
+    assert [n for k, n in zip(sizes, counts) for _ in range(k)] == n_train
+    rows = [(X[j], y[j]) for X, y in runs for j in range(len(X))]
+    for task, (X, y) in zip(collection, rows, strict=True):
+        assert same_bits(X, task.X_train) and same_bits(y, task.y_train)
+        assert np.shares_memory(X, task.X_train) and np.shares_memory(y, task.y_train)
+    if len(set(n_train)) == 1:  # a uniform collection is one run over its splits
+        [(X, y)] = runs
+        assert X.shape == (len(n_train), n_train[0], d)
+        assert np.shares_memory(X, splits.X_train) and np.shares_memory(y, splits.y_train)
+    params = distances.DistanceParams()
+    model = distances._model_rows(collection.tasks, splits, params)
+    for task, design, theta in zip(collection, collection.designs, model, strict=True):
+        alone = linmodel.build_designs(task.X_train[None])[0]
+        assert same_bits(design.lam, alone.lam) and same_bits(design.V, alone.V)
+        assert same_bits(np.float64(design.lam_est), np.float64(alone.lam_est))
+        assert np.shares_memory(design.X, task.X_train)
+        one = concat_splits((task,), d)
+        assert same_bits(theta, distances._model_rows((task,), one, params)[0])

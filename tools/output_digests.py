@@ -13,12 +13,13 @@ of ``mst`` on ``mmd``, whose tree differs per replicate, on the
 ``data_path`` collection at ``--jobs`` 1 and 2; ``dist`` under
 ``gradient``, ``model`` and ``wasserstein``, and ``run`` of ``mst`` on
 ``gradient`` at ``--jobs`` 1 and 2, on a ragged ``data_path`` collection
-whose tasks have two ``n_train`` values, so that a load forms two split
-stacks; a synthetic ``bench`` sweep (``star``, ``random_tree`` and ``mst``
-on ``gradient``, two budgets, three seeds) at ``--jobs`` 1 and 2, the one
-command that runs several configs in one process, so that a replicate's
-trees, its seeded random tree too, are looked up again at the second
-budget; and ``verify`` in noiseless and noisy mode. Each command runs in a
+whose neighbouring tasks differ in ``n_train`` but for one pair, so that its
+splits hold runs of one task and of two; a synthetic ``bench`` sweep
+(``star``, ``random_tree`` and ``mst`` on ``gradient``, two budgets, three
+seeds) at ``--jobs`` 1 and 2, the one command that runs several configs in
+one process, so that a replicate's trees, its seeded random tree too, are
+looked up again at the second budget; and ``verify`` in noiseless and noisy
+mode. Each command runs in a
 fresh interpreter with ``--src`` on its path, in a temporary directory that
 is removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
 out. A command that exits non-zero stops the script with its stderr.
@@ -46,8 +47,8 @@ SYNTHETIC = {"num_tasks": 12, "dim": 4, "n_train": 16, "n_test": 8, "num_cluster
 # the README's chain config, and the noisy chain of the benchmark's cli-pipeline
 CHAINS = {"num_chains": 100, "length": 4, "dim": 8, "n": 32, "budget_per_node": 10,
           "spacing": 2.0, "noise_sigma": 0.5, "noise_draws": 200}
-# A hand-made collection, interleaving two n_train values among its tasks.
-RAGGED_N_TRAIN = (12, 16, 16, 12, 16, 12, 12, 16)
+# A hand-made collection whose n_train values differ but for one neighbouring pair.
+RAGGED_N_TRAIN = (12, 16, 16, 13, 17, 11, 14, 15)
 RAGGED_METRICS = ("gradient", "model", "wasserstein")
 PIPELINE_CHAIN = {"mode": "noisy", "num_chains": 1, "length": 5, "noise_sigma": 0.5,
                   "noise_draws": 200}
