@@ -12,14 +12,16 @@ Ten metrics in three families, all computed from training splits only:
 * optimization family: ``gradient`` (gradients at initialization) and
   ``model`` (ridge solutions).
 
-Every metric is one entry of the ``_METRICS`` table: a summary of each task's
-training split and a row reduction, the distances from one summary to a
-list of others. :func:`compute_distance_matrix` summarizes each task once and
-then reduces one row at a time, summary i against every later summary. The
-Euclidean metrics (``target``, ``gradient``, ``model``) summarize every task
-as a row of one array, batched over runs of tasks with one training row
-count, and reduce a row with one batched dot product; the others summarize
-one task at a time and apply their pair distance along the row.
+Every metric is one entry of the ``_METRICS`` table: the summaries of every
+task, read from the task ids and the training rows of their splits, and a
+row reduction, the distances from one summary to a list of others.
+:func:`compute_distance_matrix` summarizes each task once and then reduces
+one row at a time, summary i against every later summary. The Euclidean
+metrics (``target``, ``gradient``, ``model``) summarize every task as a row
+of one array, batched over runs of tasks with one training row count, and
+reduce a row with one batched dot product. The others share ``_per_task``:
+it hands each task's training X and y, and nothing else, to a summary of
+one task, and applies a pair distance along the row.
 :func:`task_distance` is the same computation on two tasks, so a pair call
 equals the matching matrix entry.
 
@@ -136,16 +138,15 @@ def _standardized(X: np.ndarray) -> np.ndarray:
     return (X - mu) / sd
 
 
-def _features(task: TaskDataset, params: DistanceParams) -> np.ndarray:
-    X = task.X_train
+def _features(X: np.ndarray, y: np.ndarray, params: DistanceParams) -> np.ndarray:
     return _standardized(X) if params.standardize else X
 
 
-def _sample_features(task: TaskDataset, params: DistanceParams) -> np.ndarray:
+def _sample_features(X: np.ndarray, y: np.ndarray, params: DistanceParams) -> np.ndarray:
     """Features of a task with the 2 samples a covariance or centering needs."""
-    if task.n_train < 2:
+    if len(X) < 2:
         raise DegenerateDesignError("gauss_meancov and cka need at least 2 samples")
-    return _features(task, params)
+    return _features(X, y, params)
 
 
 def _rff_projection(params: DistanceParams, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +189,8 @@ def median_bandwidth(pooled: np.ndarray) -> float:
     return _median_distance(_within(pooled))
 
 
-def _rff_summary(task: TaskDataset, params: DistanceParams):
-    X = _features(task, params)
+def _rff_summary(X: np.ndarray, y: np.ndarray, params: DistanceParams):
+    X = _features(X, y, params)
     freqs, phases = _rff_projection(params, X.shape[1])
     return X, _within(X), X @ freqs.T, phases
 
@@ -225,8 +226,8 @@ def _feature_distance(Xu: np.ndarray, Xv: np.ndarray, params: DistanceParams) ->
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _mean_cov(task: TaskDataset, params: DistanceParams):
-    X = _sample_features(task, params)
+def _mean_cov(X: np.ndarray, y: np.ndarray, params: DistanceParams):
+    X = _sample_features(X, y, params)
     # np.cov of one column is 0-d; the Frobenius norm needs a matrix
     return X.mean(axis=0), np.atleast_2d(np.cov(X, rowvar=False))
 
@@ -256,8 +257,8 @@ def _cka_distance(Xu: np.ndarray, Xv: np.ndarray, params: DistanceParams) -> flo
     return float(min(max(1.0 - cka, 0.0), 1.0))
 
 
-def _targets(task: TaskDataset, params: DistanceParams) -> np.ndarray:
-    return task.y_train
+def _targets(X: np.ndarray, y: np.ndarray, params: DistanceParams) -> np.ndarray:
+    return y
 
 
 def _pair_histograms(
@@ -302,8 +303,8 @@ def _js(yu: np.ndarray, yv: np.ndarray, params: DistanceParams) -> float:
     return float(np.sqrt(max(0.5 * _kl(p, m) + 0.5 * _kl(q, m), 0.0)))
 
 
-def _sorted_targets(task: TaskDataset, params: DistanceParams) -> np.ndarray:
-    return np.sort(task.y_train)
+def _sorted_targets(X: np.ndarray, y: np.ndarray, params: DistanceParams) -> np.ndarray:
+    return np.sort(y)
 
 
 def _wasserstein(su: np.ndarray, sv: np.ndarray, params: DistanceParams) -> float:
@@ -315,7 +316,7 @@ def _wasserstein(su: np.ndarray, sv: np.ndarray, params: DistanceParams) -> floa
     return float(np.dot(np.abs(cdf_u - cdf_v), np.diff(pooled)))
 
 
-def _gradient_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
+def _gradient_rows(ids, splits: Splits, params: DistanceParams) -> np.ndarray:
     """Every task's X^T y, normalized unless ``params`` say not, as the rows
     of one array: one matmul per run of :meth:`Splits.runs` and one pass for
     the norms, with the bits of each task's ``X.T @ y`` and ``np.linalg.norm``."""
@@ -324,14 +325,14 @@ def _gradient_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
     # A finite X^T y whose norm overflows would normalize to zeros.
     bad = ~np.isfinite(norm)
     if bad.any():
-        raise DegenerateDesignError(f"task {tasks[bad.argmax()].id!r}: X^T y is not finite; "
+        raise DegenerateDesignError(f"task {ids[bad.argmax()]!r}: X^T y is not finite; "
                                     "the task's entries are too large")
     if params.normalize_gradients:
         np.divide(g, norm[:, None], out=g, where=(norm > 0.0)[:, None])
     return g
 
 
-def _model_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
+def _model_rows(ids, splits: Splits, params: DistanceParams) -> np.ndarray:
     """Every task's ridge solution as a row of one array, from one
     :func:`linmodel.ridge_solutions` over every run at the penalty of
     ``params``, else 1e-3 * trace(X^T X) / d; an error names the first
@@ -341,55 +342,52 @@ def _model_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
     checks = (*RIDGE_CHECKS, (DegenerateDesignError, "its model summary is not finite; "
                                                      "the task's entries are too large"))
     runs, lam = list(splits.runs()), params.ridge_lambda
-    if lam is None:  # one that overflows fails the first check
-        lam = np.concatenate([1e-3 * np.sum(X * X, axis=(1, 2)) / X.shape[2] for X, _ in runs])
+    if lam is None:  # one task's X * X at a time; one that overflows fails the first check
+        lam = np.array([1e-3 * np.sum(x * x) / x.shape[1] for X, _ in runs for x in X])
     theta, failed = ridge_solutions(runs, lam)
     failed = np.column_stack([failed, ~np.isfinite(theta).all(axis=1)])
     if failed.any():
         i, check = np.argwhere(failed)[0]  # in task order, then in check order
         error, problem = checks[check]
-        raise error(f"task {tasks[i].id!r}: {problem}")
+        raise error(f"task {ids[i]!r}: {problem}")
     return theta
 
 
-def _target_rows(tasks, splits: Splits, params: DistanceParams) -> np.ndarray:
+def _target_rows(ids, splits: Splits, params: DistanceParams) -> np.ndarray:
     """Every task's targets as the rows of one array, the one run of
     :meth:`Splits.runs`. Unequal lengths fail at the first task of the second
     run, named with task 0."""
-    (_, y), *rest = splits.runs()
+    y, *rest = (y for _, y in splits.runs())
     if rest:
-        task = tasks[len(y)]
-        raise ShapeMismatchError(f"pair ({tasks[0].id!r}, {task.id!r}): Euclidean distance "
-                                 f"needs equal lengths, got {y.shape[1]} and {task.n_train}")
+        raise ShapeMismatchError(f"pair ({ids[0]!r}, {ids[len(y)]!r}): Euclidean distance "
+                                 f"needs equal lengths, got {y.shape[1]} and {rest[0].shape[1]}")
     return y
 
 
-def _rows(pair: Callable) -> Callable:
-    """Lift a distance of two summaries to a row: one summary against a list."""
+def _per_task(metric: str, summarize: Callable, pair: Callable) -> tuple[Callable, Callable]:
+    """The ``_METRICS`` entry of a metric that summarizes one task's training
+    (X, y), cut from the splits at their ``train`` offsets, and applies the
+    distance ``pair`` of two summaries along a row. An error or a summary
+    that is not finite names the first such task."""
+
+    def summaries(ids, splits: Splits, params: DistanceParams) -> list:
+        X, y, train, out = splits.X_train, splits.y_train, splits.train.tolist(), []
+        for task_id, a, b in zip(ids, train, train[1:]):
+            try:
+                summary = summarize(X[a:b], y[a:b], params)
+            except TaskCascadeError as exc:
+                raise type(exc)(f"task {task_id!r}: {exc}") from exc
+            if not all(np.isfinite(part).all() for part in
+                       (summary if isinstance(summary, tuple) else (summary,))):
+                raise DegenerateDesignError(f"task {task_id!r}: its {metric} summary is not "
+                                            "finite; the task's entries are too large")
+            out.append(summary)
+        return out
 
     def row(u, later: Sequence, params: DistanceParams) -> np.ndarray:
         return np.array([pair(u, v, params) for v in later], dtype=float)
 
-    return row
-
-
-def _per_task(summarize: Callable, tasks, metric: str, params: DistanceParams) -> list:
-    """Every task's summary; an error or a summary that is not finite names
-    the first such task."""
-    summaries = []
-    for task in tasks:
-        try:
-            summary = summarize(task, params)
-        except TaskCascadeError as exc:
-            raise type(exc)(f"task {task.id!r}: {exc}") from exc
-        parts = summary if isinstance(summary, tuple) else (summary,)
-        if not all(np.isfinite(part).all() for part in parts):
-            raise DegenerateDesignError(
-                f"task {task.id!r}: its {metric} summary is not finite; "
-                "the task's entries are too large"
-            )
-        summaries.append(summary)
-    return summaries
+    return summaries, row
 
 
 def _euclidean(u: np.ndarray, later: np.ndarray, params: DistanceParams) -> np.ndarray:
@@ -404,32 +402,32 @@ def _euclidean(u: np.ndarray, later: np.ndarray, params: DistanceParams) -> np.n
     return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
 
 
-# metric -> (summary of one task, or for _euclidean the summaries of every
-#            task, from the tasks and their splits, as rows of one array,
+# metric -> (the summaries of every task from the task ids and their splits,
 #            distances from one summary to the later ones)
 _METRICS: dict[str, tuple[Callable, Callable]] = {
-    "feature": (_features, _rows(_feature_distance)),
-    "mmd": (_rff_summary, _rows(_mmd_rff)),
-    "gauss_meancov": (_mean_cov, _rows(_gauss_meancov)),
-    "cka": (_sample_features, _rows(_cka_distance)),
+    "feature": _per_task("feature", _features, _feature_distance),
+    "mmd": _per_task("mmd", _rff_summary, _mmd_rff),
+    "gauss_meancov": _per_task("gauss_meancov", _mean_cov, _gauss_meancov),
+    "cka": _per_task("cka", _sample_features, _cka_distance),
     "target": (_target_rows, _euclidean),
-    "sym_kl": (_targets, _rows(_sym_kl)),
-    "js": (_targets, _rows(_js)),
-    "wasserstein": (_sorted_targets, _rows(_wasserstein)),
+    "sym_kl": _per_task("sym_kl", _targets, _sym_kl),
+    "js": _per_task("js", _targets, _js),
+    "wasserstein": _per_task("wasserstein", _sorted_targets, _wasserstein),
     "gradient": (_gradient_rows, _euclidean),
     "model": (_model_rows, _euclidean),
 }
 
 
 def _pairwise(
-    tasks: Sequence[TaskDataset],
+    ids: Sequence[str],
     splits: Splits,
     metric: str,
     params: DistanceParams | None,
 ) -> np.ndarray:
     """Summarize every task once, then reduce one row of pairs at a time.
 
-    ``splits`` are the tasks' splits. Row i holds summary i against
+    ``splits`` are the splits of the tasks named by ``ids``, of which a
+    metric reads the training rows only. Row i holds summary i against
     every later summary, so the matrix takes T - 1 row reductions and no
     temporary larger than T summaries. Errors are named as the module
     docstring says.
@@ -438,15 +436,12 @@ def _pairwise(
         raise ConfigError(f"unknown metric {metric!r}; valid: {sorted(METRIC_NAMES)}")
     summarize, reduce_row = _METRICS[metric]
     params = params or DistanceParams()
-    T = len(tasks)
+    T = len(ids)
     values = np.zeros((T, T))
     # An overflow or NaN shows in a summary or in the finished matrix, and
     # each is checked once.
     with np.errstate(over="ignore", invalid="ignore"):
-        if reduce_row is _euclidean:
-            summaries = summarize(tasks, splits, params)
-        else:
-            summaries = _per_task(summarize, tasks, metric, params)
+        summaries = summarize(ids, splits, params)
         for i in range(T - 1):
             row = reduce_row(summaries[i], summaries[i + 1:], params)
             values[i, i + 1:] = row
@@ -455,7 +450,7 @@ def _pairwise(
         # The first in row order lies above the diagonal: pair (i, j), i < j.
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise DegenerateDesignError(
-            f"pair ({tasks[i].id!r}, {tasks[j].id!r}): distance is {float(values[i, j])!r}, "
+            f"pair ({ids[i]!r}, {ids[j]!r}): distance is {float(values[i, j])!r}, "
             "not finite at the scale of the tasks' values"
         )
     return values
@@ -479,7 +474,7 @@ def task_distance(
         )
     from .tasks import concat_splits  # loaded already: u and v are its tasks
 
-    return float(_pairwise((u, v), concat_splits((u, v), u.dim), metric, params)[0, 1])
+    return float(_pairwise((u.id, v.id), concat_splits((u, v), u.dim), metric, params)[0, 1])
 
 
 def compute_distance_matrix(
@@ -488,7 +483,7 @@ def compute_distance_matrix(
     params: DistanceParams | None = None,
 ) -> DistanceMatrix:
     """Pairwise distances over all unordered task pairs, training splits only."""
-    values = _pairwise(collection.tasks, collection.splits, metric_name, params)
+    values = _pairwise(collection.ids, collection.splits, metric_name, params)
     return DistanceMatrix(values, collection.ids)
 
 

@@ -8,9 +8,10 @@ r = 1 - eta lam, so b steps have the closed form
 
     theta_b = V [r^b z0 + (1 - r^b) c / lam],  z0 = V^T theta0, c = V^T X^T y,
 
-with directions of lam = 0 keeping z0 (Goh, "Why Momentum Really Works",
-Distill 2017). :func:`refine` evaluates it from one symmetric
-eigendecomposition, so its cost does not grow with b. The map is affine in
+with directions of lam = 0, as every eigenvalue at or below d * eps *
+lam_max counts, keeping z0 (Goh, "Why Momentum Really Works", Distill
+2017). :func:`refine` evaluates it from one symmetric eigendecomposition,
+so its cost does not grow with b. The map is affine in
 (theta0, y), so k columns of starting points and targets share that one
 eigendecomposition. For eta in (0, 2/lambda_max) the map is a contraction
 with rate max |r| < 1 whenever X^T X is positive definite, so errors decay
@@ -255,20 +256,18 @@ def lambda_max(X: np.ndarray | Design) -> float:
     return estimate
 
 
-def _scaled_spectrum(lam: np.ndarray, eta: float) -> np.ndarray:
-    """eta * lam for the eigenvalues ``lam`` of X^T X; r = 1 - eta * lam.
-
-    Round-off can make the zero eigenvalues of a rank-deficient design
-    slightly negative; they count as zero, so those directions neither grow
-    nor move.
-    """
-    return eta * np.maximum(lam, 0.0)
+def _spectrum(lam: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues ``lam`` of X^T X with those at or below
+    d * eps * lam_max set to zero, the singular rule of :func:`ridge_solutions`:
+    ``eigh`` finds an eigenvalue to about eps * lam_max, so the null space of
+    a rank-deficient design shows as round-off of either sign. Its directions
+    neither grow nor move."""
+    return np.where(lam > lam.size * np.finfo(np.float64).eps * lam[-1], lam, 0.0)
 
 
 def contraction_rate(X: np.ndarray | Design, eta: float) -> float:
     """Spectral norm of M = I - eta X^T X, i.e. max_i |1 - eta lam_i|."""
-    lam = _design(X).lam
-    return float(np.max(np.abs(1.0 - _scaled_spectrum(lam, eta))))
+    return float(np.max(np.abs(1.0 - eta * _spectrum(_design(X).lam))))
 
 
 def refine(
@@ -309,8 +308,8 @@ def refine(
         return theta
     if design is None:
         design = _design(X)
-    lam, V = design.lam, design.V
-    h = _scaled_spectrum(lam, eta)
+    lam, V = _spectrum(design.lam), design.V
+    h = eta * lam
     r = 1.0 - h
     if r.min() < -1.0:
         raise DivergenceError("refinement diverges; step size exceeds 2/lambda_max")
@@ -326,7 +325,7 @@ def refine(
     rows = (slice(None),) + (None,) * (theta.ndim - 1)
     z0 = V.T @ theta
     c = V.T @ (X.T @ y)
-    # lam <= 0 gives r = 1 and progress = 0, so z0 stays there
+    # lam = 0 gives r = 1 and progress = 0, so z0 stays there
     target = np.divide(c, lam[rows], out=z0.copy(), where=(lam > 0.0)[rows])
     out = V @ (z0 + progress[rows] * (target - z0))
     if not np.isfinite(out).all():

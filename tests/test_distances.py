@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -268,6 +269,17 @@ class TestOptimizationFamily:
         want = np.linalg.norm(gu / np.linalg.norm(gu) - gv / np.linalg.norm(gv))
         assert unit == pytest.approx(want)
 
+    def test_model_default_penalty_copies_no_training_split(self, rng):
+        # 1e-3 * trace(X^T X) / d is summed from one task's X * X at a time
+        collection = make_collection(rng, T=20, n=2000, d=4)
+        tracemalloc.start()
+        try:
+            compute_distance_matrix(collection, "model")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < collection.splits.X_train.nbytes / 2
+
     def test_dimension_mismatch(self, rng):
         u = make_task(rng, d=3)
         v = make_task(rng, d=4)
@@ -324,7 +336,7 @@ class TestDistanceMatrix:
         collection = make_collection(rng, T=48, n=16, d=5)
         params = DistanceParams()
         summarize = distances._METRICS[metric][0]
-        want = pairwise_norms(list(summarize(collection.tasks, collection.splits, params)))
+        want = pairwise_norms(list(summarize(collection.ids, collection.splits, params)))
         got = compute_distance_matrix(collection, metric, params).values
         assert np.array_equal(got, want)
 
@@ -447,7 +459,7 @@ class TestDistanceMatrix:
             compute_distance_matrix(TaskCollection(tasks, 3), "target")
 
     def test_lifted_pair_distance_fills_a_row(self):
-        row = distances._rows(lambda u, v, params: u + v)
+        _, row = distances._per_task("sum", distances._targets, lambda u, v, params: u + v)
         got = row(1, [2, 3], None)
         assert got.dtype == np.float64
         assert np.array_equal(got, [3.0, 4.0])

@@ -409,7 +409,7 @@ class TestRefine:
     def test_rank_deficient_design_keeps_null_space(self):
         X, y, theta0 = design("wide", 4)  # rank 3 in 6 dimensions
         null = np.linalg.svd(X)[2][3:]  # orthonormal basis of the null space
-        for b in (1, 100, 5000):
+        for b in (1, 100, 5000, 10**8):
             out = refine(theta0, X, y, b, 1.0 / lambda_max(X))
             assert np.allclose(null @ out, null @ theta0, rtol=0, atol=1e-10)
 

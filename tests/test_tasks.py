@@ -734,11 +734,11 @@ def test_runs_tile_the_tasks_and_give_each_its_design_and_model_alone(seed, n_tr
         assert X.shape == (len(n_train), n_train[0], d)
         assert np.shares_memory(X, splits.X_train) and np.shares_memory(y, splits.y_train)
     params = distances.DistanceParams()
-    model = distances._model_rows(collection.tasks, splits, params)
+    model = distances._model_rows(collection.ids, splits, params)
     for task, design, theta in zip(collection, collection.designs, model, strict=True):
         alone = linmodel.build_designs(task.X_train[None])[0]
         assert same_bits(design.lam, alone.lam) and same_bits(design.V, alone.V)
         assert same_bits(np.float64(design.lam_est), np.float64(alone.lam_est))
         assert np.shares_memory(design.X, task.X_train)
         one = concat_splits((task,), d)
-        assert same_bits(theta, distances._model_rows((task,), one, params)[0])
+        assert same_bits(theta, distances._model_rows((task.id,), one, params)[0])
