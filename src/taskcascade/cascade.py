@@ -152,30 +152,34 @@ def run_individual(
     return run_cascade(collection, None, budgets, theta_init)
 
 
-def _tree(config: ExperimentConfig, collection: TaskCollection, seed: int) -> RootedTree:
+def _tree(config: ExperimentConfig, collection: TaskCollection,
+          seed: int | tuple) -> RootedTree:
     """The tree a cascade method refines over in the replicate with ``seed``,
-    kept in ``collection.trees`` under all else it depends on: its kind, its
-    metric, its distance parameters (``mmd``'s with a seed derived from
-    ``seed``) and, for a random tree, ``seed``."""
+    kept in ``collection.trees`` under all it depends on (its kind, metric,
+    distance parameters with ``mmd``'s derived seed, and a random tree's
+    ``seed``), beside the one distance matrix its metric and parameters give."""
     metric = config.metric_name or DEFAULT_MEDOID_METRIC
     kind = "random" if config.method == "random_tree" else config.method
     params = config.distance_params
     if metric == "mmd":
         params = replace(params, seed=derive_seed(seed, "dist"))
-    key = (kind, metric, repr(params), seed if kind == "random" else None)
+    dist_key = (metric, repr(params))
+    key = (kind, *dist_key, seed if kind == "random" else None)
     if key not in collection.trees:
-        matrix = compute_distance_matrix(collection, metric, params)
-        collection.trees[key] = build_tree(matrix, kind, seed)
+        if dist_key not in collection.trees:
+            collection.trees[dist_key] = compute_distance_matrix(collection, metric, params)
+        collection.trees[key] = build_tree(collection.trees[dist_key], kind, seed)
     return collection.trees[key]
 
 
 def run_method(
-    config: ExperimentConfig, collection: TaskCollection, seed: int | None = None
+    config: ExperimentConfig, collection: TaskCollection, seed: int | tuple | None = None
 ) -> CascadeResult:
     """Dispatch one run of the configured method on a concrete collection.
 
     Distances (hence trees and the medoid root) are computed from training
     splits only; a cascade method refines over the tree ``_tree`` gives.
+    ``seed`` may be a ``(seed, *labels)`` tuple, derived only if the run draws.
     """
     seed = config.seed if seed is None else seed
     theta_init = None
@@ -199,11 +203,12 @@ _kept: dict[str, TaskCollection] = {}
 def _run_replicate(args: tuple[ExperimentConfig, int, TaskCollection | None],
                    kept=None) -> CascadeResult:
     """Replicate ``r`` on the loaded collection, or on its own synthetic one,
-    taken from ``kept`` and added to it when given."""
+    taken from ``kept`` and added to it when given. Its seed is the tuple
+    ``(config.seed, "replicate", r)``, derived here for synthetic data only."""
     config, r, collection = args
-    rep_seed = derive_seed(config.seed, "replicate", r)
+    rep_seed = (config.seed, "replicate", r)
     if collection is None:
-        data = replace(config.synthetic, seed=rep_seed)
+        data = replace(config.synthetic, seed=derive_seed(*rep_seed))
         kept = {} if kept is None else kept  # a pooled replicate keeps nothing
         if repr(data) not in kept:
             kept[repr(data)] = generate_synthetic(data)[0]

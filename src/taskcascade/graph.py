@@ -224,7 +224,7 @@ def star_tree(
     return root_tree(sorted(edges), root, dist)
 
 
-def build_tree(dist: DistanceMatrix, kind: str, seed: int = 0) -> RootedTree:
+def build_tree(dist: DistanceMatrix, kind: str, seed: int | tuple = 0) -> RootedTree:
     """The ``kind`` tree over the tasks of ``dist``, rooted at its medoid.
 
     ``mst`` is the minimum spanning tree, ``star`` links every task to the

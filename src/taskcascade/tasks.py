@@ -164,7 +164,7 @@ class TaskCollection:
 
     ``tasks`` is a tuple of its own tasks, views of their rows of the
     read-only :attr:`splits` (:func:`concat_splits`), not the tasks it was
-    given. ``trees`` holds the trees ``cascade._tree`` builds over it."""
+    given. ``trees`` holds the trees and matrices ``cascade._tree`` builds."""
 
     tasks: tuple[TaskDataset, ...]
     dim: int

@@ -493,6 +493,16 @@ class TestRunExperiment:
             assert a.per_seed_mean_rmse == b.per_seed_mean_rmse
             assert [res.test_rmse for res in a.results] == [res.test_rmse for res in b.results]
 
+    def test_every_tree_kind_of_a_replicate_reads_one_distance_matrix(self, tmp_path,
+                                                                      monkeypatch):
+        cascade._kept.clear()
+        matrices = log_calls(monkeypatch, cascade, "compute_distance_matrix",
+                             tmp_path / "matrices", len)
+        for method in ("star", "random_tree", "mst"):
+            run_experiment(ExperimentConfig(method=method, metric_name="gradient", budget=40,
+                                            synthetic=self.synthetic(), seed=2))
+        assert matrices() == [f"{os.getpid()} 5"]
+
     @pytest.mark.parametrize("other", [
         dict(seed=3),
         dict(synthetic=SyntheticConfig(num_tasks=5, dim=4, n_train=24, n_test=12,

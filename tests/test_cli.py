@@ -577,6 +577,38 @@ def test_missing_package_attribute_raises_attribute_error():
         taskcascade.nope
 
 
+def _command_argv(tmp_path, gen_config, run_config):
+    """The argv of every command, each on inputs made in ``tmp_path``: ``dist`` on
+    a generated collection at ``tmp_path / "col"``, and ``run`` on synthetic data."""
+    assert main(["gen", gen_config, "--out", str(tmp_path / "col")]) == 0
+    (tmp_path / "dist.csv").write_text("a,b\n0.0,1.0\n1.0,0.0\n")
+    verify_config = write_json(tmp_path / "verify.json", {
+        "mode": "noisy", "length": 3, "noise_sigma": 0.5, "noise_draws": 20,
+    })
+    return {
+        "gen": ["gen", gen_config, "--out", str(tmp_path / "gen.out")],
+        "dist": ["dist", str(tmp_path / "col"), "--metric", "gradient",
+                 "--out", str(tmp_path / "dist.out")],
+        "tree": ["tree", str(tmp_path / "dist.csv"), "--method", "mst",
+                 "--out", str(tmp_path / "tree.csv")],
+        "run": ["run", run_config, "--out", str(tmp_path / "run.out")],
+        "verify": ["verify", verify_config, "--out", str(tmp_path / "verify.out")],
+    }
+
+
+def _modules_after(argv, listing):
+    """The names ``listing``, a generator expression over ``sys.modules``, gives
+    after ``main(argv)`` has run in a fresh interpreter."""
+    out = _fresh_python(["-c", (
+        "import sys\n"
+        "from taskcascade.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(' '.join({listing}))\n"
+    )])
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split("\n")[-2].split())
+
+
 @pytest.mark.parametrize("command, unused", [
     ("gen", {"budget", "cascade", "distances", "graph", "linmodel", "theory"}),
     ("tree", {"budget", "cascade", "linmodel", "tasks", "theory"}),
@@ -586,28 +618,9 @@ def test_missing_package_attribute_raises_attribute_error():
 ])
 def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, run_config,
                                                    command, unused):
-    assert main(["gen", gen_config, "--out", str(tmp_path / "col")]) == 0
-    (tmp_path / "dist.csv").write_text("a,b\n0.0,1.0\n1.0,0.0\n")
-    verify_config = write_json(tmp_path / "verify.json", {
-        "mode": "noisy", "length": 3, "noise_sigma": 0.5, "noise_draws": 20,
-    })
-    argv = {
-        "gen": ["gen", gen_config, "--out", str(tmp_path / "gen.out")],
-        "dist": ["dist", str(tmp_path / "col"), "--metric", "gradient",
-                 "--out", str(tmp_path / "dist.out")],
-        "tree": ["tree", str(tmp_path / "dist.csv"), "--out", str(tmp_path / "tree.csv")],
-        "run": ["run", run_config, "--out", str(tmp_path / "run.out")],
-        "verify": ["verify", verify_config, "--out", str(tmp_path / "verify.out")],
-    }[command]
-    out = _fresh_python(["-c", (
-        "import sys\n"
-        "from taskcascade.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "print(' '.join(m.split('.')[1] for m in sys.modules"
-        " if m.startswith('taskcascade.')))\n"
-    )])
-    assert out.returncode == 0, out.stderr
-    loaded = set(out.stdout.split("\n")[-2].split())
+    argv = _command_argv(tmp_path, gen_config, run_config)[command]
+    loaded = _modules_after(argv, "m.split('.')[1] for m in sys.modules"
+                                  " if m.startswith('taskcascade.')")
     # the layers the command runs, so an empty or wrong listing cannot pass
     used = {"gen": {"tasks"}, "dist": {"distances", "tasks"},
             "tree": {"distances", "graph"},
@@ -615,6 +628,38 @@ def test_a_command_imports_only_the_layers_it_uses(tmp_path, gen_config, run_con
             "verify": {"theory"}}
     assert used[command] <= loaded
     assert not loaded & unused
+
+
+# A seed reaches hashlib and numpy.random only when a stream or a seed is drawn:
+# synthetic data, verify's chains and noise, a random tree, mmd's random
+# features and a Gaussian start. A loaded run of `individual`, `star` or `mst`
+# on another metric, from a zero start, draws none.
+@pytest.mark.parametrize("command, loaded_run, draws", [
+    ("dist", None, False),
+    ("tree", None, False),
+    ("run", dict(method="mst", metric_name="gradient"), False),
+    ("gen", None, True),
+    ("verify", None, True),
+    ("run", None, True),
+    ("run", dict(method="random_tree"), True),
+    ("run", dict(method="mst", metric_name="mmd"), True),
+    ("run", dict(method="mst", metric_name="gradient", gaussian_init=True), True),
+])
+def test_only_a_command_that_draws_loads_hashlib_and_numpy_random(
+        tmp_path, gen_config, run_config, command, loaded_run, draws):
+    argv = _command_argv(tmp_path, gen_config, run_config)[command]
+    if loaded_run is not None:
+        config = write_json(tmp_path / "loaded.json", {
+            "budget": 40, "num_seeds": 2, "seed": 9, "data_path": str(tmp_path / "col"),
+            **loaded_run,
+        })
+        argv = ["run", config, "--out", str(tmp_path / "loaded.out")]
+    loaded = _modules_after(argv, "m for m in ('hashlib', '_hashlib', 'numpy.random')"
+                                  " if m in sys.modules")
+    if draws:
+        assert "numpy.random" in loaded  # so an empty listing cannot pass
+    else:
+        assert not loaded
 
 
 def test_module_entry_exits_with_the_command_code(tmp_path):

@@ -9,8 +9,10 @@ Two checkouts whose digests match write the same bytes on every command:
 The matrix is ``gen``; ``dist`` under every metric; ``tree`` of every kind;
 ``run`` of every method, and of ``mst`` under every budget scheme, on a
 synthetic and on a ``data_path`` collection at ``--jobs`` 1 and 2; ``run``
-of ``mst`` on ``mmd``, whose tree differs per replicate, on the
-``data_path`` collection at ``--jobs`` 1 and 2; ``dist`` under every
+of ``mst`` on ``mmd``, whose tree differs per replicate, and of ``mst``
+on ``gradient`` from a Gaussian start, each on the ``data_path`` collection
+at ``--jobs`` 1 and 2, since both read the replicate's seed where no
+synthetic collection is drawn from it; ``dist`` under every
 metric but ``target``, which rejects targets of unequal lengths by design,
 and ``run`` of ``mst`` on ``gradient`` at ``--jobs`` 1 and 2, on a ragged
 ``data_path`` collection whose neighbouring tasks differ in ``n_train`` but
@@ -19,10 +21,12 @@ cut at uneven offsets; a synthetic ``bench`` sweep
 (``star``, ``random_tree`` and ``mst`` on ``gradient``, two budgets, three
 seeds) at ``--jobs`` 1 and 2, the one command that runs several configs in
 one process, so that a replicate's trees, its seeded random tree too, are
-looked up again at the second budget; and ``verify`` in noiseless and noisy
-mode. Each command runs in a
-fresh interpreter with ``--src`` on its path, in a temporary directory that
-is removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
+looked up again at the second budget; a ``data_path`` ``bench`` sweep
+(``random_tree`` and ``mst`` on ``gradient``, two budgets) at ``--jobs`` 1
+and 2, whose shared collection keeps each replicate's random tree under the
+seed tuple it derives from; and ``verify`` in noiseless and noisy mode.
+Each command runs in a fresh interpreter with ``--src`` on its path, in a
+temporary directory that is removed afterwards. ``run_manifest.json`` holds timestamps, so it is left
 out. A command that exits non-zero stops the script with its stderr.
 """
 
@@ -70,16 +74,18 @@ def commands(seed: str) -> list[list[str]]:
                 name = f"run_{method}_{scheme}_{source}"
                 cmds.append(["run", f"cfg/{name}.json", "--out", f"out/{name}_jobs{jobs}",
                              "--jobs", jobs, *seed_args])
-    cmds += [["run", "cfg/run_mst_mmd_data_path.json", "--out",
-              f"out/run_mst_mmd_data_path_jobs{jobs}", "--jobs", jobs, *seed_args]
+    cmds += [["run", f"cfg/{name}.json", "--out", f"out/{name}_jobs{jobs}", "--jobs", jobs,
+              *seed_args]
+             for name in ("run_mst_mmd_data_path", "run_mst_gaussian_init_data_path")
              for jobs in ("1", "2")]
     cmds += [["dist", "ragged", "--metric", m, "--out", f"out/ragged_dist_{m}.csv",
               *seed_args] for m in RAGGED_METRICS]
     cmds += [["run", "cfg/run_ragged.json", "--out", f"out/run_ragged_jobs{jobs}",
               "--jobs", jobs, *seed_args] for jobs in ("1", "2")]
-    for jobs in ("1", "2"):
-        cmds.append(["bench", "cfg/bench.json", "--out", f"out/bench_jobs{jobs}",
-                     "--jobs", jobs, *seed_args])
+    for name in ("bench", "bench_data_path"):
+        for jobs in ("1", "2"):
+            cmds.append(["bench", f"cfg/{name}.json", "--out", f"out/{name}_jobs{jobs}",
+                         "--jobs", jobs, *seed_args])
     for name in ("noiseless", "noisy", "pipeline"):
         cmds.append(["verify", f"cfg/verify_{name}.json", "--out",
                      f"out/verify_{name}.json", *seed_args])
@@ -97,9 +103,15 @@ def write_configs(cfg: Path) -> None:
                               "synthetic": SYNTHETIC},
                "run_ragged.json": {"method": "mst", "metric_name": "gradient", "budget": 200,
                                    "num_seeds": 3, "data_path": "ragged"},
+               "bench_data_path.json": {"methods": ["random_tree", "mst"],
+                                        "metrics": ["gradient"], "budgets": [100, 200],
+                                        "num_seeds": 3, "data_path": "out/coll"},
                "run_mst_mmd_data_path.json": {"method": "mst", "metric_name": "mmd",
                                               "budget": 200, "num_seeds": 3,
-                                              "data_path": "out/coll"}}
+                                              "data_path": "out/coll"},
+               "run_mst_gaussian_init_data_path.json": {
+                   "method": "mst", "metric_name": "gradient", "budget": 200,
+                   "num_seeds": 3, "gaussian_init": True, "data_path": "out/coll"}}
     for method in METHODS:
         for scheme in ("uniform", *SCHEMES) if method == "mst" else ("uniform",):
             run = {"method": method, "metric_name": "gradient" if method == "mst" else None,
